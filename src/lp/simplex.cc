@@ -144,31 +144,22 @@ Basis export_basis(const Tableau& t, const std::vector<int>& basis) {
   return out;
 }
 
-// Runs the simplex from `basis`. Cold starts (warm == false) begin with the
-// canonical slack/artificial basis and run phase 1 when artificials are
-// present; warm starts skip phase 1 but *gate* on the seeded basis being
-// factorizable and primal-feasible, reporting kNumericalFailure otherwise
-// so the caller can rerun cold.
 // Seconds elapsed since `t0` (steady clock); the one timing idiom the
 // phase instrumentation below uses.
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
+// Runs the simplex from `basis`. Cold starts (warm == false) begin with the
+// canonical slack/artificial basis and run phase 1 when artificials are
+// present; warm starts skip phase 1 but *gate* on the seeded basis being
+// factorizable and primal-feasible (after at most a bounded restoration
+// pass), reporting kNumericalFailure otherwise so the caller can rerun cold.
 Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> basis, bool warm,
                     const SolveOptions& options) {
   Solution sol;
   sol.warm_started = warm;
   const int m = model.num_constraints();
-
-  // Candidate-column pruning applies to warm solves only: the cold path
-  // (including the cold fallback after a rejected warm attempt) always
-  // prices every column, so a mask can never make it diverge from the
-  // historical pivot sequence. A mask not sized to this model's structural
-  // column count is stale — ignore it.
-  const std::vector<std::uint8_t>* candidate_mask = nullptr;
-  if (warm && static_cast<int>(options.candidate_mask.size()) == t.n_structural)
-    candidate_mask = &options.candidate_mask;
 
   std::vector<bool> in_basis(static_cast<std::size_t>(t.n_total), false);
   for (const int j : basis) in_basis[static_cast<std::size_t>(j)] = true;
@@ -193,172 +184,129 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   std::vector<double> xb = t.rhs;
   lu.ftran(xb);
 
-  // Classify the primal damage a warm seed carries. Two kinds survive a
-  // basis transfer: hot artificials (rows the transfer never covered — the
-  // fresh tail of a rolling horizon) and negative basic values (rhs drift:
-  // a capacity cut, a drained DC, a transferred link-peak variable sitting
-  // below the shifted window's new peak). Which repair path runs — and
-  // whether the warm_repair_limit gate applies — is decided at the phase-1
-  // dispatch below.
-  int artificials_hot = 0;
-  int negative_rows = 0;
-  if (warm) {
-    for (int i = 0; i < m; ++i) {
-      const double v = xb[static_cast<std::size_t>(i)];
-      if (v < -options.feasibility_tol)
-        ++negative_rows;
-      else if (t.artificial[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])] &&
-               v > 1e-6)
-        ++artificials_hot;
-    }
-  }
-
-  // Phase costs.
+  // Phase-1 costs: 1 on artificials, 0 elsewhere.
   std::vector<double> phase1_cost(static_cast<std::size_t>(t.n_total), 0.0);
   for (int j = 0; j < t.n_total; ++j)
     if (t.artificial[static_cast<std::size_t>(j)]) phase1_cost[static_cast<std::size_t>(j)] = 1.0;
 
-  auto run_phase = [&](const std::vector<double>& cost, bool block_artificials,
-                       const std::vector<std::uint8_t>* mask,
-                       int& iteration_counter) -> SolveStatus {
+  // The one pivot loop: BTRAN, windowed pricing, FTRAN, ratio test, pivot,
+  // LU update or refactorization. Two rules share it:
+  //  * a phase (restore == false) prices with the fixed `cost`, takes
+  //    Dantzig's most negative reduced cost within a cyclic window, and
+  //    switches to Bland's rule (first negative column, lowest basic index
+  //    on ratio ties) once bland_trigger consecutive pivots were
+  //    degenerate, until the next nondegenerate pivot breaks the stall;
+  //  * restoration (restore == true, warm seeds only) is a composite
+  //    phase 1 minimizing total primal infeasibility: the basic costs are
+  //    recomputed every iteration — +1 on artificials above zero, -1 on
+  //    negative basics — and the ratio test admits both blocker kinds, a
+  //    nonnegative basic dropping to zero and a negative one rising to it.
+  //    It returns kOptimal once the basis is primal-feasible; `cost` must
+  //    be zero on every column it may price (phase1_cost, with artificials
+  //    blocked).
+  // Returns kIterationLimit once `iteration_counter` reaches `cap`.
+  auto run_phase = [&](const std::vector<double>& cost, bool block_artificials, bool restore,
+                       int cap, int& iteration_counter) -> SolveStatus {
     int degenerate_streak = 0;
-    // Remaining pivots in the current Bland's-rule burst (0 = Dantzig).
-    // The burst is armed when the degenerate streak reaches bland_trigger
-    // and disarmed by either a nondegenerate pivot or bland_burst pivots
-    // without one — the bounded anti-cycling safeguard. Pivot selection is
-    // identical to the unbounded rule until a burst actually exhausts.
-    int bland_left = 0;
     std::vector<double> y(static_cast<std::size_t>(m));
     std::vector<double> alpha(static_cast<std::size_t>(m));
-    // Active candidate set under pruning: a copy of the mask so that
-    // verification sweeps can promote columns into it. Non-structural
-    // columns (slacks) are always active.
-    std::vector<std::uint8_t> active;
-    if (mask) {
-      active = *mask;
-      int pruned = 0;
-      for (const std::uint8_t keep : active)
-        if (!keep) ++pruned;
-      sol.pruned_columns = pruned;
-    }
-    const auto masked_out = [&](int j) {
-      return mask && j < t.n_structural && !active[static_cast<std::size_t>(j)];
-    };
     // Partial (cyclic) pricing: scan a window of columns per iteration,
     // remembering where we stopped. A full fruitless sweep proves
-    // optimality. Bland mode falls back to a full first-negative scan.
+    // optimality. Bland mode scans from column 0 instead.
     int scan_cursor = 0;
-    const int window =
-        std::max(512, t.n_total / 16);
+    const int window = std::max(512, t.n_total / 16);
 
     while (true) {
-      if (iteration_counter >= options.max_iterations) return SolveStatus::kIterationLimit;
+      if (restore) {
+        bool infeasible = false;
+        for (int i = 0; i < m; ++i) {
+          const int j = basis[static_cast<std::size_t>(i)];
+          const double v = xb[static_cast<std::size_t>(i)];
+          double c = 0.0;
+          if (t.artificial[static_cast<std::size_t>(j)] && v > 1e-6) {
+            c = 1.0;
+            infeasible = true;
+          } else if (v < -options.feasibility_tol) {
+            c = -1.0;
+            infeasible = true;
+          }
+          y[static_cast<std::size_t>(i)] = c;
+        }
+        if (!infeasible) return SolveStatus::kOptimal;
+      } else {
+        for (int i = 0; i < m; ++i)
+          y[static_cast<std::size_t>(i)] =
+              cost[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])];
+      }
+      if (iteration_counter >= cap) return SolveStatus::kIterationLimit;
 
       // BTRAN: y = B^{-T} c_B.
-      for (int i = 0; i < m; ++i)
-        y[static_cast<std::size_t>(i)] = cost[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])];
       lu.btran(y);
 
       // Pricing.
-      if (bland_left == 0 && degenerate_streak >= options.bland_trigger) {
-        bland_left = options.bland_burst;
-        degenerate_streak = 0;
-      }
-      const bool use_bland = bland_left > 0;
+      const bool use_bland = !restore && degenerate_streak >= options.bland_trigger;
       int entering = -1;
       double best_dj = -options.optimality_tol;
-      auto price = [&](int j) {
-        if (in_basis[static_cast<std::size_t>(j)]) return false;
-        if (block_artificials && t.artificial[static_cast<std::size_t>(j)]) return false;
-        if (masked_out(j)) return false;
-        const double dj = cost[static_cast<std::size_t>(j)] - t.a.dot_column(j, y);
-        if (dj < best_dj) {
-          best_dj = dj;
-          entering = j;
-          return true;
-        }
-        return false;
-      };
-      if (use_bland) {
-        for (int j = 0; j < t.n_total; ++j) {
+      int cursor = use_bland ? 0 : scan_cursor;
+      for (int scanned = 0; scanned < t.n_total && entering < 0;) {
+        const int stop = use_bland ? t.n_total : std::min(cursor + window, t.n_total);
+        for (int j = cursor; j < stop; ++j) {
           if (in_basis[static_cast<std::size_t>(j)]) continue;
           if (block_artificials && t.artificial[static_cast<std::size_t>(j)]) continue;
-          if (masked_out(j)) continue;
-          const double dj = cost[static_cast<std::size_t>(j)] - t.a.dot_column(j, y);
-          if (dj < -options.optimality_tol) {
-            entering = j;
-            break;
-          }
-        }
-      } else {
-        int scanned = 0;
-        while (scanned < t.n_total) {
-          const int stop = std::min(scan_cursor + window, t.n_total);
-          for (int j = scan_cursor; j < stop; ++j) price(j);
-          scanned += stop - scan_cursor;
-          scan_cursor = stop == t.n_total ? 0 : stop;
-          if (entering >= 0) break;  // found an attractive column in window
-        }
-      }
-      if (entering < 0 && mask) {
-        // Verification sweep: the active set priced clean, but optimality
-        // holds only over every column. Price the pruned columns with the
-        // same y; the most attractive (if any) is promoted into the active
-        // set and pricing continues, so pruning can never change the
-        // optimum — only the order columns are considered in.
-        for (int j = 0; j < t.n_structural; ++j) {
-          if (active[static_cast<std::size_t>(j)] || in_basis[static_cast<std::size_t>(j)])
-            continue;
           const double dj = cost[static_cast<std::size_t>(j)] - t.a.dot_column(j, y);
           if (dj < best_dj) {
             best_dj = dj;
             entering = j;
+            if (use_bland) break;
           }
         }
-        if (entering >= 0) {
-          active[static_cast<std::size_t>(entering)] = 1;
-          ++sol.promoted_columns;
-        }
+        scanned += stop - cursor;
+        cursor = stop == t.n_total ? 0 : stop;
       }
-      if (entering < 0) return SolveStatus::kOptimal;
+      if (!use_bland) scan_cursor = cursor;
+      // No improving column: optimal, or — for restoration — stalled while
+      // still infeasible.
+      if (entering < 0) return restore ? SolveStatus::kInfeasible : SolveStatus::kOptimal;
 
       // FTRAN the entering column.
       std::fill(alpha.begin(), alpha.end(), 0.0);
       t.a.axpy_column(entering, 1.0, alpha);
       lu.ftran(alpha);
 
-      // Ratio test.
+      // Ratio test. A phase replaces its incumbent only on a ratio smaller
+      // by more than feasibility_tol (Bland: or a near-tie with a lower
+      // basic column index); restoration on any strictly smaller ratio.
       int leaving = -1;
       double theta = std::numeric_limits<double>::infinity();
+      const double margin = restore ? 0.0 : options.feasibility_tol;
       for (int i = 0; i < m; ++i) {
         const double ai = alpha[static_cast<std::size_t>(i)];
-        if (ai > options.pivot_tol) {
-          const double ratio =
-              std::max(0.0, xb[static_cast<std::size_t>(i)]) / ai;
-          if (ratio < theta - options.feasibility_tol ||
-              (use_bland && ratio < theta + options.feasibility_tol && leaving >= 0 &&
-               basis[static_cast<std::size_t>(i)] < basis[static_cast<std::size_t>(leaving)])) {
-            theta = ratio;
-            leaving = i;
-          }
+        const double v = xb[static_cast<std::size_t>(i)];
+        double ratio = -1.0;
+        if (ai > options.pivot_tol && (!restore || v >= -options.feasibility_tol))
+          ratio = std::max(0.0, v) / ai;
+        else if (restore && v < -options.feasibility_tol && ai < -options.pivot_tol)
+          ratio = v / ai;  // negative basic rising to zero
+        if (ratio < 0.0) continue;
+        if (ratio < theta - margin ||
+            (use_bland && ratio < theta + options.feasibility_tol && leaving >= 0 &&
+             basis[static_cast<std::size_t>(i)] < basis[static_cast<std::size_t>(leaving)])) {
+          theta = ratio;
+          leaving = i;
         }
       }
       if (leaving < 0) return SolveStatus::kUnbounded;
 
-      // Stall accounting feeds both the anti-cycling policy and the
-      // surfaced counters. A nondegenerate step clears the streak *and*
-      // any armed burst (the stall is broken); a degenerate step either
-      // spends burst budget or grows the streak toward the trigger.
-      if (use_bland) ++sol.bland_pivots;
-      if (theta <= options.feasibility_tol) {
-        ++sol.stall_pivots;
-        if (use_bland)
-          --bland_left;
-        else
+      // Stall accounting (phases only) feeds both the anti-cycling rule
+      // and the surfaced counters.
+      if (!restore) {
+        if (use_bland) ++sol.bland_pivots;
+        if (theta <= options.feasibility_tol) {
+          ++sol.stall_pivots;
           ++degenerate_streak;
-      } else {
-        degenerate_streak = 0;
-        bland_left = 0;
+        } else {
+          degenerate_streak = 0;
+        }
       }
 
       // Apply the pivot.
@@ -378,263 +326,33 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
     }
   };
 
-  // Feasibility restoration for warm seeds: a composite phase 1 that
-  // minimizes total primal infeasibility — basic artificials above zero
-  // (cost +1) and negative basic values (cost -1) — with the piecewise
-  // cost recomputed every iteration. The ratio test admits both blocker
-  // kinds: a nonnegative basic dropping to zero, and a negative basic
-  // *rising* to zero. Runs only on the warm path (the cold pivot sequence
-  // stays byte-for-byte what it always was); any stall or numerical issue
-  // reports failure and the caller falls back to a cold solve.
-  auto run_restoration = [&](int& iteration_counter) -> bool {
-    std::vector<double> cb(static_cast<std::size_t>(m));
-    std::vector<double> y(static_cast<std::size_t>(m));
-    std::vector<double> alpha(static_cast<std::size_t>(m));
-    const int cap = std::min(options.max_iterations, iteration_counter + 2 * m + 100);
-    // Same cyclic partial pricing as run_phase: scan a window per
-    // iteration, remember the cursor; a full fruitless sweep proves there
-    // is no improving column.
-    int scan_cursor = 0;
-    const int window = std::max(512, t.n_total / 16);
-    while (true) {
-      bool infeasible = false;
-      for (int i = 0; i < m; ++i) {
-        const int j = basis[static_cast<std::size_t>(i)];
-        const double v = xb[static_cast<std::size_t>(i)];
-        double c = 0.0;
-        if (t.artificial[static_cast<std::size_t>(j)] && v > 1e-6) {
-          c = 1.0;
-          infeasible = true;
-        } else if (v < -options.feasibility_tol) {
-          c = -1.0;
-          infeasible = true;
-        }
-        cb[static_cast<std::size_t>(i)] = c;
-      }
-      if (!infeasible) return true;
-      if (iteration_counter >= cap) return false;
-
-      y = cb;
-      lu.btran(y);
-      int entering = -1;
-      double best = -options.optimality_tol;
-      int scanned = 0;
-      while (scanned < t.n_total) {
-        const int stop = std::min(scan_cursor + window, t.n_total);
-        for (int j = scan_cursor; j < stop; ++j) {
-          if (in_basis[static_cast<std::size_t>(j)] || t.artificial[static_cast<std::size_t>(j)])
-            continue;
-          const double dj = -t.a.dot_column(j, y);
-          if (dj < best) {
-            best = dj;
-            entering = j;
-          }
-        }
-        scanned += stop - scan_cursor;
-        scan_cursor = stop == t.n_total ? 0 : stop;
-        if (entering >= 0) break;
-      }
-      if (entering < 0) return false;  // stalled while still infeasible
-
-      std::fill(alpha.begin(), alpha.end(), 0.0);
-      t.a.axpy_column(entering, 1.0, alpha);
-      lu.ftran(alpha);
-
-      int leaving = -1;
-      double theta = std::numeric_limits<double>::infinity();
-      for (int i = 0; i < m; ++i) {
-        const double ai = alpha[static_cast<std::size_t>(i)];
-        const double v = xb[static_cast<std::size_t>(i)];
-        double cand = -1.0;
-        if (v >= -options.feasibility_tol && ai > options.pivot_tol)
-          cand = std::max(0.0, v) / ai;
-        else if (v < -options.feasibility_tol && ai < -options.pivot_tol)
-          cand = v / ai;  // negative basic rising to zero
-        if (cand >= 0.0 && cand < theta) {
-          theta = cand;
-          leaving = i;
-        }
-      }
-      if (leaving < 0) return false;
-
-      for (int i = 0; i < m; ++i)
-        xb[static_cast<std::size_t>(i)] -= theta * alpha[static_cast<std::size_t>(i)];
-      xb[static_cast<std::size_t>(leaving)] = theta;
-      in_basis[static_cast<std::size_t>(basis[static_cast<std::size_t>(leaving)])] = false;
-      in_basis[static_cast<std::size_t>(entering)] = true;
-      basis[static_cast<std::size_t>(leaving)] = entering;
-      ++iteration_counter;
-
-      const bool updated = lu.update(leaving, alpha, options.pivot_tol);
-      if (!updated || lu.eta_count() >= options.refactor_interval) {
-        if (!timed_factorize(lu)) return false;
-        xb = t.rhs;
-        lu.ftran(xb);
-      }
+  // ---- Phase 1. A clean warm seed skips straight to phase 2. A damaged
+  // one — hot artificials (rows the transfer never covered, e.g. the fresh
+  // tail of a rolling horizon) or negative basics (rhs drift: a capacity
+  // cut, a drained DC, a link-peak variable below the shifted window's new
+  // peak) — is repaired by restoration, but only when the damage is within
+  // warm_repair_limit of the rows; past that a cold phase 1 is cheaper
+  // (measured on the plan LPs). A failed repair falls back cold.
+  if (warm) {
+    int damaged = 0;
+    for (int i = 0; i < m; ++i) {
+      const double v = xb[static_cast<std::size_t>(i)];
+      if (v < -options.feasibility_tol ||
+          (t.artificial[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])] && v > 1e-6))
+        ++damaged;
     }
-  };
-
-  // Dual-feasibility probe for a warm seed: one BTRAN plus a full pricing
-  // pass with the phase-2 costs. True iff no nonbasic non-artificial
-  // column is attractive — exactly the state a previously *optimal* basis
-  // is left in by rhs-side changes (capacity cuts, bound shifts), which is
-  // why disturbance-forced replans are the dual loop's target.
-  const auto dual_feasible = [&]() -> bool {
-    std::vector<double> y(static_cast<std::size_t>(m));
-    for (int i = 0; i < m; ++i)
-      y[static_cast<std::size_t>(i)] =
-          t.cost[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])];
-    lu.btran(y);
-    for (int j = 0; j < t.n_total; ++j) {
-      if (in_basis[static_cast<std::size_t>(j)] || t.artificial[static_cast<std::size_t>(j)])
-        continue;
-      if (t.cost[static_cast<std::size_t>(j)] - t.a.dot_column(j, y) < -options.optimality_tol)
-        return false;
-    }
-    return true;
-  };
-
-  // Dual simplex: from a dual-feasible basis, drive the negative basics
-  // out while keeping every reduced cost nonnegative. Leaving row = most
-  // negative basic value; entering column = the dual ratio test's minimum
-  // d_j / (-alpha_rj) over nonbasic non-artificial columns with
-  // alpha_rj < -pivot_tol (ascending-j scan, so ties go to the smallest
-  // index — deterministic and anti-cycling in the Bland sense). Terminates
-  // kOptimal once primal-feasible (phase 2 then verifies and polishes).
-  // No eligible entering column means the LP is primal infeasible *or*
-  // numerics drifted — either way the conservative answer is
-  // kNumericalFailure so the caller re-solves cold and the cold path
-  // delivers the authoritative status.
-  auto run_dual = [&](int& iteration_counter) -> SolveStatus {
-    std::vector<double> y(static_cast<std::size_t>(m));
-    std::vector<double> rho(static_cast<std::size_t>(m));
-    std::vector<double> alpha(static_cast<std::size_t>(m));
-    // Damage-proportional repair budget, capped at ~m. A dual pivot costs
-    // a multiple of a primal one (two BTRANs plus a full-width entering
-    // scan), and primal infeasibility is not monotone under dual pivots —
-    // measured on the plan LPs, repairs that converge do so within ~160
-    // pivots per damaged row (budgeted at 200), while walks past that are
-    // wandering the polytope and cost multiples of the cold solve they
-    // cannot avoid anyway. Fail the warm attempt at the budget and let
-    // the caller fall back. The global max_iterations stays the hard cap
-    // and keeps its own (non-falling-back) status.
-    const int budget = std::min(options.max_iterations,
-                                iteration_counter +
-                                    std::min(m + 100, std::max(64, 200 * negative_rows)));
-    while (true) {
-      if (iteration_counter >= options.max_iterations) return SolveStatus::kIterationLimit;
-      if (iteration_counter >= budget) return SolveStatus::kNumericalFailure;
-
-      // Leaving row: most negative basic value (ties: smallest row).
-      int leaving = -1;
-      double most_negative = -options.feasibility_tol;
-      for (int i = 0; i < m; ++i) {
-        if (xb[static_cast<std::size_t>(i)] < most_negative) {
-          most_negative = xb[static_cast<std::size_t>(i)];
-          leaving = i;
-        }
-      }
-      if (leaving < 0) return SolveStatus::kOptimal;  // primal feasible
-
-      // rho = B^{-T} e_r gives the leaving row of B^{-1}A; y prices d_j.
-      std::fill(rho.begin(), rho.end(), 0.0);
-      rho[static_cast<std::size_t>(leaving)] = 1.0;
-      lu.btran(rho);
-      for (int i = 0; i < m; ++i)
-        y[static_cast<std::size_t>(i)] =
-            t.cost[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])];
-      lu.btran(y);
-
-      int entering = -1;
-      double best_ratio = std::numeric_limits<double>::infinity();
-      for (int j = 0; j < t.n_total; ++j) {
-        if (in_basis[static_cast<std::size_t>(j)] || t.artificial[static_cast<std::size_t>(j)])
-          continue;
-        const double arj = t.a.dot_column(j, rho);
-        if (arj >= -options.pivot_tol) continue;
-        const double dj =
-            std::max(0.0, t.cost[static_cast<std::size_t>(j)] - t.a.dot_column(j, y));
-        const double ratio = dj / (-arj);
-        if (ratio < best_ratio) {
-          best_ratio = ratio;
-          entering = j;
-        }
-      }
-      if (entering < 0) return SolveStatus::kNumericalFailure;
-
-      std::fill(alpha.begin(), alpha.end(), 0.0);
-      t.a.axpy_column(entering, 1.0, alpha);
-      lu.ftran(alpha);
-      // The FTRAN'd pivot element must agree in sign with the BTRAN'd row
-      // scan; disagreement means the factorization has degraded.
-      if (alpha[static_cast<std::size_t>(leaving)] >= -options.pivot_tol)
-        return SolveStatus::kNumericalFailure;
-
-      const double theta =
-          xb[static_cast<std::size_t>(leaving)] / alpha[static_cast<std::size_t>(leaving)];
-      for (int i = 0; i < m; ++i)
-        xb[static_cast<std::size_t>(i)] -= theta * alpha[static_cast<std::size_t>(i)];
-      xb[static_cast<std::size_t>(leaving)] = theta;
-      in_basis[static_cast<std::size_t>(basis[static_cast<std::size_t>(leaving)])] = false;
-      in_basis[static_cast<std::size_t>(entering)] = true;
-      basis[static_cast<std::size_t>(leaving)] = entering;
-      ++iteration_counter;
-
-      const bool updated = lu.update(leaving, alpha, options.pivot_tol);
-      if (!updated || lu.eta_count() >= options.refactor_interval) {
-        if (!timed_factorize(lu)) return SolveStatus::kNumericalFailure;
-        xb = t.rhs;
-        lu.ftran(xb);
-      }
-    }
-  };
-
-  // ---- Phase 1. Warm seeds never run the classic artificial phase 1: a
-  // clean seed skips straight to phase 2; a damaged one is repaired by the
-  // dual simplex when eligible (kAuto/kDual, no uncovered rows, seed
-  // dual-feasible — the disturbance-replan shape), else by the primal
-  // restoration pass under the warm_repair_limit gate. Any failure returns
-  // kNumericalFailure and the caller falls back cold.
-  if (warm && (artificials_hot > 0 || negative_rows > 0)) {
-    bool repaired = false;
-    // Heavy rhs damage disqualifies the dual path outright (before paying
-    // for the dual-feasibility probe): with more than ~1.5% of the rows
-    // negative the repair walk measurably outruns any useful budget, so
-    // entering would only burn pivots before the same cold fallback. The
-    // threshold mirrors warm_repair_limit's spirit — repairs must be
-    // small relative to the model to pay off — but is far stricter, dual
-    // pivots being far pricier than restoration ones.
-    const bool dual_damage_ok = negative_rows <= std::max(32, m / 64);
-    if (options.pivot_mode != PivotMode::kPrimal && artificials_hot == 0 && dual_damage_ok &&
-        dual_feasible()) {
-      const auto d_start = std::chrono::steady_clock::now();
-      const SolveStatus ds = run_dual(sol.dual_iterations);
-      sol.phase1_seconds += seconds_since(d_start);
-      sol.iterations += sol.dual_iterations;
-      if (ds != SolveStatus::kOptimal) {
-        // The basis has mutated mid-loop; the only safe continuation is the
-        // cold fallback, whatever the pivot mode.
-        sol.status = ds == SolveStatus::kIterationLimit ? ds : SolveStatus::kNumericalFailure;
-        return sol;
-      }
-      repaired = true;
-    }
-    if (!repaired) {
-      // kDual insists on the dual loop or nothing; a seed it cannot take
-      // (uncovered rows, dual infeasibility) fails the warm attempt.
-      // Restoration repair is only worth bounded damage: past
-      // warm_repair_limit of the rows, repair work exceeds a cold phase 1
-      // (measured on the plan LPs), so reject and let the caller cold-solve.
-      if (options.pivot_mode == PivotMode::kDual ||
-          artificials_hot + negative_rows > options.warm_repair_limit * m) {
+    if (damaged > 0) {
+      if (damaged > options.warm_repair_limit * m) {
         sol.status = SolveStatus::kNumericalFailure;
         return sol;
       }
       const auto p1_start = std::chrono::steady_clock::now();
-      const bool restored = run_restoration(sol.phase1_iterations);
+      const SolveStatus s1 =
+          run_phase(phase1_cost, /*block_artificials=*/true, /*restore=*/true,
+                    std::min(options.max_iterations, 2 * m + 100), sol.phase1_iterations);
       sol.phase1_seconds += seconds_since(p1_start);
       sol.iterations += sol.phase1_iterations;
-      if (!restored) {
+      if (s1 != SolveStatus::kOptimal) {
         sol.status = SolveStatus::kNumericalFailure;
         return sol;
       }
@@ -646,8 +364,8 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
       if (t.artificial[static_cast<std::size_t>(j)]) need_phase1 = true;
   if (need_phase1) {
     const auto p1_start = std::chrono::steady_clock::now();
-    const SolveStatus s1 = run_phase(phase1_cost, /*block_artificials=*/false,
-                                     /*mask=*/nullptr, sol.phase1_iterations);
+    const SolveStatus s1 = run_phase(phase1_cost, /*block_artificials=*/false, /*restore=*/false,
+                                     options.max_iterations, sol.phase1_iterations);
     sol.phase1_seconds += seconds_since(p1_start);
     sol.iterations += sol.phase1_iterations;
     if (s1 == SolveStatus::kIterationLimit || s1 == SolveStatus::kNumericalFailure) {
@@ -667,7 +385,8 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   // ---- Phase 2 (artificials blocked from re-entering).
   int phase2_iters = 0;
   const auto p2_start = std::chrono::steady_clock::now();
-  const SolveStatus s2 = run_phase(t.cost, /*block_artificials=*/true, candidate_mask, phase2_iters);
+  const SolveStatus s2 = run_phase(t.cost, /*block_artificials=*/true, /*restore=*/false,
+                                   options.max_iterations, phase2_iters);
   sol.phase2_seconds += seconds_since(p2_start);
   sol.iterations += phase2_iters;
   if (s2 != SolveStatus::kOptimal) {
@@ -699,8 +418,7 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   sol.objective = model.objective_value(sol.x);
   sol.status = SolveStatus::kOptimal;
   sol.basis = export_basis(t, basis);
-  // Row duals y = B^{-T} c_B at the optimal basis, for callers that seed
-  // the next solve's candidate mask from this one's reduced costs.
+  // Row duals y = B^{-T} c_B at the optimal basis.
   sol.duals.assign(static_cast<std::size_t>(m), 0.0);
   for (int i = 0; i < m; ++i)
     sol.duals[static_cast<std::size_t>(i)] =

@@ -1,5 +1,4 @@
-// Two-phase revised simplex (primal, with a dual pivot mode for warm
-// re-solves).
+// Two-phase revised simplex (primal).
 //
 // Solves min c'x s.t. Ax {<=,=,>=} b, x >= 0 as built by LpModel. Slacks
 // and surpluses convert rows to equalities; artificials complete the
@@ -7,15 +6,15 @@
 // Phase 1 minimizes the artificial sum; phase 2 continues from the feasible
 // basis with the true objective. The basis is held in a sparse LU
 // (BasisLu) refreshed by product-form eta updates and periodically
-// refactorized. Dantzig pricing with a bounded Bland's-rule fallback breaks
-// degenerate stalls.
+// refactorized. Dantzig pricing over a cyclic window of columns, with a
+// Bland's-rule fallback while pivots stay degenerate, breaks stalls.
 //
-// Warm re-solves additionally support the *dual* simplex: when a seeded
-// basis is dual-feasible (no attractive nonbasic column) but primally
-// violated — the shape rhs-side disturbances leave a previously optimal
-// basis in — the dual pivot loop drives the negative basics out without
-// ever dropping dual feasibility, typically in a handful of pivots where
-// the primal restoration pass would rebuild feasibility from scratch.
+// Warm re-solves start from a caller basis instead. A primal-feasible seed
+// goes straight to phase 2; a seed with a little primal damage is first
+// repaired by a restoration pass (a composite phase 1 on the total primal
+// infeasibility), and anything worse falls back to the cold path. Every
+// phase runs the same pivot loop; they differ only in pricing cost and
+// ratio-test rule.
 #pragma once
 
 #include <cstdint>
@@ -30,56 +29,24 @@ enum class SolveStatus { kOptimal, kInfeasible, kUnbounded, kIterationLimit, kNu
 
 [[nodiscard]] std::string status_name(SolveStatus s);
 
-// Pivot-mode selection for warm-started solves (cold solves always run the
-// classic primal two-phase path, byte for byte):
-//  * kAuto: a clean seed goes straight to primal phase 2; a primally
-//    damaged seed tries the dual simplex when it is dual-feasible (and has
-//    no uncovered rows), else the primal restoration pass.
-//  * kPrimal: never enter the dual loop (the pre-dual behaviour).
-//  * kDual: dual loop or nothing — a seed that is not dual-feasible fails
-//    the warm attempt and the solve falls back cold. Benches use this to
-//    isolate the dual path's contribution.
-enum class PivotMode { kAuto, kPrimal, kDual };
-
 struct SolveOptions {
   int max_iterations = 200000;
   int refactor_interval = 64;     // eta updates between refactorizations
   double optimality_tol = 1e-7;   // reduced-cost tolerance
   double feasibility_tol = 1e-7;  // basic-value / ratio-test tolerance
   double pivot_tol = 1e-9;
-  int bland_trigger = 40;  // consecutive degenerate iterations before Bland
-  // Bound on one Bland's-rule burst: after this many anti-cycling pivots
-  // without a nondegenerate step the solver returns to Dantzig pricing and
-  // re-arms the stall detector, so a long plateau cannot lock the solve
-  // into Bland's slow first-negative scans forever. Large enough that the
-  // plan LPs never exhaust it (their longest measured plateau is ~1k
-  // pivots, on the Asian scope — below the bound the pivot sequence is
-  // byte-identical to the unbounded rule); max_iterations remains the
+  // Consecutive degenerate pivots before Bland's rule takes over; it stays
+  // on until the next nondegenerate pivot. max_iterations remains the
   // termination backstop.
-  int bland_burst = 2048;
+  int bland_trigger = 40;
   // Warm-start repair budget: a seeded basis may carry basic artificials
   // above zero (rows the seed never covered — e.g. the fresh tail of a
-  // rolling replan horizon); phase 1 run *from the seed* repairs them. When
-  // more than this fraction of rows is hot the seed has transferred too
+  // rolling replan horizon) or negative basic values (rhs drift); the
+  // restoration pass run *from the seed* repairs them. When more than this
+  // fraction of rows is damaged the seed has transferred too
   // little to pay off — measured on the plan LPs, majority-fresh repairs
   // cost multiples of a cold solve — so the solver falls back cold instead.
-  // The dual pivot loop is exempt from this fraction but has stricter
-  // gates of its own (dual pivots cost several primal ones each): seeds
-  // with more than max(32, m/64) negative rows are refused outright, and
-  // an admitted repair is cut off after min(m + 100, 200 × negative
-  // rows) pivots — measured on the plan LPs, repairs that pay off
-  // converge within ~160 pivots per damaged row; longer walks lose to
-  // the cold solve they fall back to anyway.
   double warm_repair_limit = 0.1;
-  PivotMode pivot_mode = PivotMode::kAuto;
-  // Candidate-column pruning (warm solves only; cold paths ignore it).
-  // When sized to the model's structural column count, phase-2 pricing
-  // skips structural columns with mask 0 until a full verification sweep
-  // finds one attractive — it is then promoted and pricing continues — so
-  // the final optimum is exactly the unpruned one. Sized wrong, the mask
-  // is ignored. Sourced from the previous solve's reduced costs by
-  // titannext::solve_plan (docs/solver.md, "Candidate-column pruning").
-  std::vector<std::uint8_t> candidate_mask;
   bool verbose = false;
 };
 
@@ -108,31 +75,21 @@ struct Solution {
   SolveStatus status = SolveStatus::kNumericalFailure;
   double objective = 0.0;
   std::vector<double> x;  // structural variables only
-  int iterations = 0;     // total pivots: phase 1/restoration + dual + phase 2
+  int iterations = 0;     // total pivots: phase 1/restoration + phase 2
   int phase1_iterations = 0;
-  // Dual-simplex pivots of the accepted solve (warm kAuto/kDual path only;
-  // 0 on every cold or primal-warm solve). Counted inside `iterations`.
-  int dual_iterations = 0;
   // Anti-cycling observability: degenerate pivots taken (the stall
-  // detector's raw signal) and pivots spent inside Bland's-rule bursts.
+  // detector's raw signal) and pivots taken under Bland's rule.
   // Deterministic companions to `iterations`.
   int stall_pivots = 0;
   int bland_pivots = 0;
-  // Candidate-column pruning: structural columns the mask excluded from
-  // phase-2 pricing, and how many of those a verification sweep had to
-  // promote back. pruned > 0 with promoted == 0 is the ideal warm solve.
-  int pruned_columns = 0;
-  int promoted_columns = 0;
   double solve_seconds = 0.0;
   // Phase breakdown of solve_seconds (wall clock; solve_seconds also
   // covers tableau construction and basis mapping, so the parts do not sum
   // to it). refactor_seconds is the LU (re)factorization share, counted
   // inside whichever phase triggered it. `refactorizations` counts those
   // factorizations — a deterministic companion to `iterations`, since the
-  // pivot sequence and eta-growth policy are deterministic. Dual pivot
-  // time is accounted under phase1_seconds (the "reach primal
-  // feasibility" share, like the warm restoration pass).
-  double phase1_seconds = 0.0;  // classic phase 1, warm restoration, or dual loop
+  // pivot sequence and eta-growth policy are deterministic.
+  double phase1_seconds = 0.0;  // classic phase 1 or warm restoration
   double phase2_seconds = 0.0;
   double refactor_seconds = 0.0;
   int refactorizations = 0;
@@ -140,7 +97,6 @@ struct Solution {
   bool warm_started = false;  // solved from a caller basis (phase 1 skipped)
   // Row duals y (one per constraint, model row order) at the optimal
   // basis, priced with the phase-2 costs. Empty unless status == kOptimal.
-  // Callers derive reduced costs d_j = c_j - a_j'y for column pruning.
   std::vector<double> duals;
 };
 
@@ -149,10 +105,10 @@ struct Solution {
 // Warm-started solve: seeds the simplex with `warm` (a Solution::basis from
 // an earlier solve of a structurally compatible model). When the seeded
 // basis maps onto this model, factorizes, and is primal-feasible, phase 1
-// is skipped entirely and phase 2 runs from it; a primally damaged seed is
-// repaired by the dual simplex (dual-feasible seeds, pivot_mode kAuto/
-// kDual) or the primal restoration pass. On a dimension mismatch, a
-// singular factorization, an infeasible seed, or a numerical failure
+// is skipped entirely and phase 2 runs from it; a seed with damage within
+// warm_repair_limit is repaired by the restoration pass first. On a
+// dimension mismatch, a singular factorization, an infeasible seed, a
+// failed or over-limit repair, or a numerical failure
 // mid-solve, the call transparently falls back to the cold path — the
 // result is always as trustworthy as solve() without a basis.
 [[nodiscard]] Solution solve(const LpModel& model, const Basis& warm,

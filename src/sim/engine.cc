@@ -387,10 +387,10 @@ void SimEngine::replan(core::SlotIndex slot, std::vector<Shard>& shards) {
   // this horizon's start; with disjoint windows nothing transfers and the
   // solve is the byte-identical cold path (see docs/solver.md). A forced
   // replan reacts to a network change — capacity/bound damage on the rhs
-  // side that leaves the cached basis dual-feasible — so it KEEPS the
-  // cache: the dual pivot loop repairs exactly that damage, and every
-  // solver gate (dual feasibility, factorization, repair budget) still
-  // falls back to the cold solve when the change was too structural.
+  // side of the same model layout — so it KEEPS the cache: the warm
+  // restoration pass repairs that damage, and every solver gate
+  // (factorization, repair budget) still falls back to the cold solve when
+  // the change was too structural.
   const titannext::TitanNextPipeline pipeline(*db_, fractions_, scenario_.pipeline);
   warm_cache_.next_plan_begin = slot;
   titannext::DayPlan day =
@@ -494,8 +494,8 @@ SimResult SimEngine::run(int threads) {
       // A purely-forced replan (a disturbance firing between scheduled
       // replans) re-solves the *current* plan window against the damaged
       // network: the horizon anchor stays put, so the cached basis
-      // transfers at shift 0 and the damage is pure rhs — exactly the
-      // shape the dual simplex repairs. Scheduled replans (forced or not)
+      // transfers at shift 0 and the damage is pure rhs — the shape the
+      // warm restoration pass repairs. Scheduled replans (forced or not)
       // advance the window and the schedule as before. The current slot is
       // always inside the kept window: replan_interval <= timeslots.
       const bool scheduled = s >= next_replan;
@@ -512,9 +512,7 @@ SimResult SimEngine::run(int threads) {
       stat.slot = s;
       stat.iterations = current_plan_.lp_iterations;
       stat.phase1_iterations = current_plan_.lp_phase1_iterations;
-      stat.dual_iterations = current_plan_.lp_dual_iterations;
       stat.blocks_solved = current_plan_.lp_blocks_solved;
-      stat.pruned_columns = current_plan_.lp_pruned_columns;
       stat.warm_started = current_plan_.lp_warm_started;
       stat.forced = force_replan;
       stat.attempts = current_plan_.lp_attempts;

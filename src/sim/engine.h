@@ -53,20 +53,15 @@ struct ReplanStat {
   int iterations = 0;            // simplex iterations of the accepted solve
   int phase1_iterations = 0;     // phase-1 share (for warm solves: the
                                  // feasibility-restoration iterations)
-  // Deterministic scale-out counters of the accepted solve: dual-simplex
-  // pivots (disturbance replans repaired by the dual pivot loop), region
-  // blocks solved by the decomposed path (0 = monolithic), and structural
-  // columns the candidate mask kept out of pricing.
-  int dual_iterations = 0;
+  // Region blocks solved by the decomposed path in the accepted solve
+  // (0 = monolithic); deterministic.
   int blocks_solved = 0;
-  int pruned_columns = 0;
   bool warm_started = false;
   // True when this replan was disturbance-forced (a network event, not the
   // scheduled cadence). A purely-forced replan keeps the warm cache AND
   // the current horizon anchor, so the seed transfers at shift 0 and the
-  // rhs-side damage is exactly what the dual simplex repairs —
-  // warm_started (and dual_iterations) on a forced stat is the dual
-  // path's success signal.
+  // rhs-side damage is what the warm restoration pass repairs —
+  // warm_started on a forced stat is the repair's success signal.
   bool forced = false;
   int attempts = 1;              // headroom-relaxation attempts consumed
   double solve_seconds = 0.0;
@@ -267,10 +262,10 @@ class SimEngine {
   // ("forced") replan keeps the warm cache and passes the *current*
   // horizon anchor: a network change damages the rhs side (capacities,
   // bounds) of the plan LP while the model layout stays put, which is
-  // exactly what the dual-simplex warm path repairs at shift 0; the
-  // solver's own gates (dual feasibility, factorization, repair budget)
-  // fall back to a cold solve when the change was too structural. The
-  // caller records the forced flag on the ReplanStat.
+  // what the warm restoration pass repairs at shift 0; the solver's own
+  // gates (factorization, repair budget) fall back to a cold solve when
+  // the change was too structural. The caller records the forced flag on
+  // the ReplanStat.
   void replan(core::SlotIndex slot, std::vector<Shard>& shards);
 
   Scenario scenario_;

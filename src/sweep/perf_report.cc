@@ -56,13 +56,11 @@ std::string format_delta(double from, double to) {
 Json perf_scenario_json(const sim::SimResult& r) {
   std::int64_t lp_iterations = 0;
   int lp_refactorizations = 0;
-  std::int64_t lp_dual_iterations = 0, lp_blocks_solved = 0, lp_pruned_columns = 0;
+  std::int64_t lp_blocks_solved = 0;
   for (const auto& stat : r.replan_stats) {
     lp_iterations += stat.iterations;
     lp_refactorizations += stat.refactorizations;
-    lp_dual_iterations += stat.dual_iterations;
     lp_blocks_solved += stat.blocks_solved;
-    lp_pruned_columns += stat.pruned_columns;
   }
 
   Json det = Json::object();
@@ -72,9 +70,7 @@ Json perf_scenario_json(const sim::SimResult& r) {
   det.set("replans", Json::number(r.replans));
   det.set("lp_iterations", Json::number(static_cast<double>(lp_iterations)));
   det.set("lp_refactorizations", Json::number(lp_refactorizations));
-  det.set("lp_dual_iterations", Json::number(static_cast<double>(lp_dual_iterations)));
   det.set("lp_blocks_solved", Json::number(static_cast<double>(lp_blocks_solved)));
-  det.set("lp_pruned_columns", Json::number(static_cast<double>(lp_pruned_columns)));
   det.set("rejected_calls", Json::number(static_cast<double>(r.rejected_calls)));
   det.set("degraded_calls", Json::number(static_cast<double>(r.degraded_calls)));
   det.set("checksum", Json::string(hex_u64(r.checksum)));

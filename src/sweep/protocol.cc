@@ -1,6 +1,5 @@
 #include "sweep/protocol.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "sweep/serialize.h"
@@ -42,7 +41,6 @@ Json to_json(const WorkSpec& spec) {
   j.set("protocol", Json::number(spec.protocol));
   j.set("scenario", Json::string(spec.scenario));
   j.set("seed", seed_to_json(spec.seed));
-  j.set("lp_mode", Json::string(spec.lp_mode));
   j.set("spec", sweep_spec_to_json(spec.spec));
   return j;
 }
@@ -69,16 +67,11 @@ std::string to_json_line(const PartialResult& partial) { return to_json(partial)
 WorkSpec work_spec_from_json(const Json& j) {
   static constexpr const char* kWhat = "work spec json";
   check_protocol(j, kWhat);
-  reject_unknown_keys(j, {"protocol", "scenario", "seed", "lp_mode", "spec"}, kWhat);
+  reject_unknown_keys(j, {"protocol", "scenario", "seed", "spec"}, kWhat);
   WorkSpec spec;
   spec.protocol = static_cast<int>(j.at("protocol").as_int());
   spec.scenario = j.at("scenario").as_string();
   spec.seed = seed_from_json(j.at("seed"));
-  spec.lp_mode = j.at("lp_mode").as_string();
-  const auto& modes = lp_mode_names();
-  if (std::find(modes.begin(), modes.end(), spec.lp_mode) == modes.end())
-    throw std::invalid_argument(std::string(kWhat) + ": unknown lp_mode '" + spec.lp_mode +
-                                "'");
   spec.spec = sweep_spec_from_json(j.at("spec"), /*strict=*/true);
   return spec;
 }
@@ -113,7 +106,7 @@ PartialResult partial_result_from_text(const std::string& text) {
 }
 
 PartialResult run_work_spec(const WorkSpec& spec) {
-  SweepTaskResult task = run_sweep_task(spec.spec, spec.scenario, spec.seed, spec.lp_mode);
+  SweepTaskResult task = run_sweep_task(spec.spec, spec.scenario, spec.seed);
   PartialResult partial;
   partial.scenario = spec.scenario;
   partial.seed = spec.seed;

@@ -25,23 +25,23 @@
 
 namespace titan::sweep {
 
-// v1: initial protocol — WorkSpec{protocol, scenario, seed, lp_mode, spec},
-// PartialResult{protocol, scenario, seed, task_seconds, records,
-// determinism_violations}. Bump on any field rename/removal or semantic
-// change; dispatcher and workers are always the same binary today, but the
-// version check is what makes pointing the dispatcher at remote workers
-// safe later (docs/sweep.md).
-inline constexpr int kWorkProtocolVersion = 1;
+// v1: initial protocol — WorkSpec also pinned an LP solver strategy.
+// v2: WorkSpec{protocol, scenario, seed, spec}, PartialResult{protocol,
+// scenario, seed, task_seconds, records, determinism_violations}; the
+// solver-strategy field is gone with the strategies it named. Bump on any
+// field rename/removal or semantic change; dispatcher and workers are
+// always the same binary today, but the version check is what makes
+// pointing the dispatcher at remote workers safe later (docs/sweep.md).
+inline constexpr int kWorkProtocolVersion = 2;
 
 // One task of a sweep: everything a worker needs to reproduce the
 // dispatcher's simulation bit-for-bit — the sweep-wide overrides (`spec`;
 // execution knobs are not serialized), the (scenario, seed) coordinate,
-// the sim-thread counts (inside `spec`), and the pinned LP solver mode.
+// and the sim-thread counts (inside `spec`).
 struct WorkSpec {
   int protocol = kWorkProtocolVersion;
   std::string scenario;
   std::uint64_t seed = 0;
-  std::string lp_mode = "auto";  // one of lp_mode_names()
   SweepSpec spec;
 
   bool operator==(const WorkSpec&) const = default;
@@ -70,9 +70,8 @@ struct PartialResult {
 [[nodiscard]] std::string to_json_line(const PartialResult& partial);
 
 // Strict decoders. Throw std::invalid_argument with exact text:
-//   "work spec json: protocol version N (this binary speaks 1)"
+//   "work spec json: protocol version N (this binary speaks 2)"
 //   "work spec json: unknown field 'x'"
-//   "work spec json: unknown lp_mode 'x'"
 // and the "partial result json: ..." equivalents. Nested spec / record
 // objects are parsed strict too.
 [[nodiscard]] WorkSpec work_spec_from_json(const Json& j);
@@ -83,7 +82,7 @@ struct PartialResult {
 // Executes a work spec in this process — the entire body of a worker's
 // loop, also the reference implementation fault-injection tests compare
 // against. Throws std::invalid_argument on an invalid spec (unknown
-// scenario/lp_mode, bad sim_threads).
+// scenario, bad sim_threads).
 [[nodiscard]] PartialResult run_work_spec(const WorkSpec& spec);
 
 }  // namespace titan::sweep

@@ -153,25 +153,19 @@ void mask_timing_metrics(SweepResult& result);
 // validates identically inside every worker.
 [[nodiscard]] SweepSpec validate_sweep_spec(SweepSpec spec);
 
-// LP solver strategies a task can pin, mirroring the bench --lp-mode flag:
-// "auto" keeps the scenario defaults, "primal"/"dual"/"decomposed" force
-// the named path (see docs/solver.md). Part of the work-spec protocol so a
-// remote worker reproduces the dispatcher's solver configuration exactly.
-[[nodiscard]] const std::vector<std::string>& lp_mode_names();
-
 // One (scenario, seed) task: builds the engine once, runs it at every
 // spec.sim_threads count, audits the engine's thread-count determinism
 // promise on the full SimResult, and reduces each run to its RunRecord
 // (records[v] corresponds to spec.sim_threads[v]). Throws
-// std::invalid_argument on an unknown scenario or lp_mode.
+// std::invalid_argument on an unknown scenario.
 struct SweepTaskResult {
   std::vector<RunRecord> records;  // one per spec.sim_threads entry
   std::vector<std::string> determinism_violations;
   double seconds = 0.0;  // wall time for the whole task (observability only)
 };
 [[nodiscard]] SweepTaskResult run_sweep_task(const SweepSpec& spec,
-                                             const std::string& scenario, std::uint64_t seed,
-                                             const std::string& lp_mode = "auto");
+                                             const std::string& scenario,
+                                             std::uint64_t seed);
 
 // Assembles task outputs into the final SweepResult: `runs` in canonical
 // slot order ((scenario-index * num_seeds + seed-index) * |sim_threads| +

@@ -377,34 +377,15 @@ void accumulate_solution_stats(LpPlanResult& r, const lp::Solution& sol) {
   r.refactorizations += sol.refactorizations;
   r.iterations += sol.iterations;
   r.phase1_iterations += sol.phase1_iterations;
-  r.dual_iterations += sol.dual_iterations;
   r.stall_pivots += sol.stall_pivots;
   r.bland_pivots += sol.bland_pivots;
-  r.pruned_columns += sol.pruned_columns;
-  r.promoted_columns += sol.promoted_columns;
 }
 
-// Reduced costs d_j = c_j - a_j'y of every structural column at the
-// optimal duals — the raw material of the next solve's candidate mask.
-std::vector<double> structural_reduced_costs(const lp::LpModel& model, const lp::Solution& sol) {
-  const int n = model.num_variables();
-  std::vector<double> dj(static_cast<std::size_t>(n), 0.0);
-  if (sol.duals.empty()) return dj;
-  const lp::SparseMatrix a = model.matrix();
-  for (int j = 0; j < n; ++j) {
-    double dot = 0.0;
-    for (int k = a.col_begin(j); k < a.col_end(j); ++k)
-      dot += a.value(k) * sol.duals[static_cast<std::size_t>(a.row_index(k))];
-    dj[static_cast<std::size_t>(j)] = model.costs()[static_cast<std::size_t>(j)] - dot;
-  }
-  return dj;
-}
-
-// Snapshots a solved model's identity + basis + reduced costs into a warm
-// context for the next replan of the same (sub)scope.
+// Snapshots a solved model's identity + basis into a warm context for the
+// next replan of the same (sub)scope.
 void snapshot_context(PlanBasisContext& ctx, const PlanInputs& inputs,
-                      const LpBuildOptions& options, const lp::LpModel& model,
-                      const lp::Solution& sol, core::SlotIndex plan_begin) {
+                      const LpBuildOptions& options, const lp::Solution& sol,
+                      core::SlotIndex plan_begin) {
   ctx.basis = sol.basis;
   ctx.shapes.clear();
   ctx.shapes.reserve(inputs.demands().size());
@@ -414,77 +395,6 @@ void snapshot_context(PlanBasisContext& ctx, const PlanInputs& inputs,
   ctx.timeslots = inputs.scope().timeslots;
   ctx.e2e_row = has_e2e_row(inputs, options);
   ctx.plan_begin = plan_begin;
-  ctx.reduced_costs = structural_reduced_costs(model, sol);
-}
-
-// Keep a column when its previous reduced cost was within this fraction of
-// the previous maximum: optimal bases move locally between replans, so a
-// column that priced far out of the money last time almost never enters
-// now — and the solver's verification sweep promotes it if it does.
-constexpr double kPruneKeepFraction = 0.05;
-
-// Builds the candidate-column mask for the model build_model(inputs,
-// options) produces, from the previous context's reduced costs mapped
-// through the same label translation remap_basis uses. Fresh labels (new
-// shapes, DCs, links, the horizon's new tail slots) and all y columns stay
-// active. Returns an empty vector — pruning disabled — when the previous
-// costs are missing, mis-sized, or the mask would prune too little to pay
-// for its bookkeeping.
-std::vector<std::uint8_t> candidate_mask_from(const PlanBasisContext& prev,
-                                              const PlanInputs& inputs, int shift_slots) {
-  std::vector<std::uint8_t> none;
-  const auto& demands = inputs.demands();
-  const auto& dcs = inputs.dcs();
-  const auto& links = inputs.links();
-  const int T = inputs.scope().timeslots;
-  if (!prev.valid() || prev.timeslots != T || shift_slots < 0 || shift_slots >= T) return none;
-  const int c_old = static_cast<int>(prev.shapes.size());
-  const int m_old = static_cast<int>(prev.dcs.size());
-  const int l_old = static_cast<int>(prev.links.size());
-  const Layout old_lay{T, c_old, m_old};
-  const int n_old = old_lay.num_x() + l_old;
-  if (static_cast<int>(prev.reduced_costs.size()) != n_old) return none;
-
-  double max_dj = 0.0;
-  for (const double d : prev.reduced_costs) max_dj = std::max(max_dj, d);
-  if (max_dj <= 0.0) return none;
-  const double keep_below = kPruneKeepFraction * max_dj;
-
-  // New label -> old index translations (the column-side mirror of
-  // remap_basis's tables).
-  std::map<workload::CallConfig, int> old_shape;
-  for (int c = 0; c < c_old; ++c) old_shape[prev.shapes[static_cast<std::size_t>(c)]] = c;
-  std::map<int, int> old_dc;
-  for (int m = 0; m < m_old; ++m) old_dc[prev.dcs[static_cast<std::size_t>(m)].value()] = m;
-  std::map<int, int> old_link;
-  for (int l = 0; l < l_old; ++l) old_link[prev.links[static_cast<std::size_t>(l)].value()] = l;
-
-  const Layout new_lay{T, static_cast<int>(demands.size()), static_cast<int>(dcs.size())};
-  std::vector<std::uint8_t> mask(
-      static_cast<std::size_t>(new_lay.num_x() + static_cast<int>(links.size())), 1);
-  int pruned = 0;
-  for (int t = 0; t + shift_slots < T; ++t) {
-    const int t_old = t + shift_slots;
-    for (int c = 0; c < new_lay.configs; ++c) {
-      const auto cit = old_shape.find(demands[static_cast<std::size_t>(c)].config);
-      if (cit == old_shape.end()) continue;  // fresh shape: stays active
-      for (int m = 0; m < new_lay.dcs; ++m) {
-        const auto mit = old_dc.find(dcs[static_cast<std::size_t>(m)].value());
-        if (mit == old_dc.end()) continue;
-        for (int p = 0; p < 2; ++p) {
-          const double dj = prev.reduced_costs[static_cast<std::size_t>(
-              old_lay.x(t_old, cit->second, mit->second, p))];
-          if (dj > keep_below) {
-            mask[static_cast<std::size_t>(new_lay.x(t, c, m, p))] = 0;
-            ++pruned;
-          }
-        }
-      }
-    }
-  }
-  // Too little pruned to matter — run the plain pricing loop instead.
-  if (pruned < static_cast<int>(mask.size()) / 10) return none;
-  return mask;
 }
 
 // The historical single-LP solve path. kOff and single-region kAuto run
@@ -502,14 +412,10 @@ LpPlanResult solve_monolithic(const PlanInputs& inputs, const LpBuildOptions& op
   result.build_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - build_start).count();
   std::optional<lp::Basis> seed;
-  lp::SolveOptions solver = options.solver;
-  if (warm != nullptr) {
-    const int shift = warm->next_plan_begin - warm->last.plan_begin;
-    seed = remap_basis(warm->last, inputs, options, shift);
-    if (seed) solver.candidate_mask = candidate_mask_from(warm->last, inputs, shift);
-  }
+  if (warm != nullptr)
+    seed = remap_basis(warm->last, inputs, options, warm->next_plan_begin - warm->last.plan_begin);
   const lp::Solution sol =
-      seed ? lp::solve(model, *seed, solver) : lp::solve(model, solver);
+      seed ? lp::solve(model, *seed, options.solver) : lp::solve(model, options.solver);
   result.status = sol.status;
   result.objective = sol.objective;
   accumulate_solution_stats(result, sol);
@@ -518,7 +424,7 @@ LpPlanResult solve_monolithic(const PlanInputs& inputs, const LpBuildOptions& op
 
   // Snapshot the fresh basis + model identity for the next replan.
   if (warm != nullptr)
-    snapshot_context(warm->last, inputs, options, model, sol, warm->next_plan_begin);
+    snapshot_context(warm->last, inputs, options, sol, warm->next_plan_begin);
 
   result.weights.assign(static_cast<std::size_t>(lay.timeslots),
                         std::vector<AssignmentWeights>(demands.size()));
@@ -643,16 +549,13 @@ std::optional<LpPlanResult> solve_decomposed(const PlanInputs& inputs,
         std::chrono::duration<double>(std::chrono::steady_clock::now() - build_start).count();
 
     std::optional<lp::Basis> seed;
-    lp::SolveOptions solver = options.solver;
     PlanBasisContext* ctx = nullptr;
     if (warm != nullptr) {
       ctx = &warm->blocks[b.continent];
-      const int shift = warm->next_plan_begin - ctx->plan_begin;
-      seed = remap_basis(*ctx, block_inputs, block_options, shift);
-      if (seed) solver.candidate_mask = candidate_mask_from(*ctx, block_inputs, shift);
+      seed = remap_basis(*ctx, block_inputs, block_options, warm->next_plan_begin - ctx->plan_begin);
     }
     const lp::Solution sol =
-        seed ? lp::solve(model, *seed, solver) : lp::solve(model, solver);
+        seed ? lp::solve(model, *seed, options.solver) : lp::solve(model, options.solver);
     accumulate_solution_stats(result, sol);
     if (sol.status == lp::SolveStatus::kInfeasible) {
       // The block alone cannot serve its demands (e.g. its DCs are
@@ -667,7 +570,7 @@ std::optional<LpPlanResult> solve_decomposed(const PlanInputs& inputs,
     ++result.blocks_solved;
     result.warm_started = result.warm_started || sol.warm_started;
     if (ctx != nullptr)
-      snapshot_context(*ctx, block_inputs, block_options, model, sol, warm->next_plan_begin);
+      snapshot_context(*ctx, block_inputs, block_options, sol, warm->next_plan_begin);
     objective += sol.objective;
 
     // Fold the block solution into parent-indexed weights and usage.

@@ -74,9 +74,7 @@ DayPlan TitanNextPipeline::plan_from_counts(const workload::Trace& trace,
     day.lp_refactorizations = result.refactorizations;
     day.lp_iterations = result.iterations;
     day.lp_phase1_iterations = result.phase1_iterations;
-    day.lp_dual_iterations = result.dual_iterations;
     day.lp_blocks_solved = result.blocks_solved;
-    day.lp_pruned_columns = result.pruned_columns;
     day.lp_warm_started = result.warm_started;
     day.lp_attempts = attempt + 1;
     if (result.status != lp::SolveStatus::kInfeasible) {

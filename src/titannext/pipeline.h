@@ -45,13 +45,9 @@ struct DayPlan {
   int lp_iterations = 0;          // simplex iterations of the accepted solve
   int lp_phase1_iterations = 0;   // phase-1 share (for warm-started solves:
                                   // the feasibility-restoration iterations)
-  // Scale-out observability of the accepted solve (deterministic; see
-  // LpPlanResult): dual-simplex pivots, region blocks solved by the
-  // decomposed path, and structural columns excluded from pricing by the
-  // candidate mask.
-  int lp_dual_iterations = 0;
+  // Region blocks solved by the decomposed path in the accepted solve
+  // (deterministic; see LpPlanResult).
   int lp_blocks_solved = 0;
-  int lp_pruned_columns = 0;
   bool lp_warm_started = false;   // accepted solve was seeded from a cached basis
   int lp_attempts = 0;            // headroom-relaxation attempts consumed
   [[nodiscard]] bool valid() const { return plan.valid(); }

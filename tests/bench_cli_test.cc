@@ -76,23 +76,6 @@ TEST(BenchCliTest, ObservabilityFlagsMissingValuesExitTwo) {
   EXPECT_NE(help.message.find("--trace-out"), std::string::npos) << help.message;
 }
 
-TEST(BenchCliTest, ParsesLpModeAndRejectsUnknownValues) {
-  // Default is the solver-picks-everything mode.
-  EXPECT_EQ(parse({}).cli.lp_mode, "auto");
-  for (const std::string mode : {"auto", "primal", "dual", "decomposed"}) {
-    const CliParse p = parse({"--lp-mode", mode});
-    ASSERT_LT(p.exit_code, 0) << mode << ": " << p.message;
-    EXPECT_EQ(p.cli.lp_mode, mode);
-  }
-  const CliParse bad = parse({"--lp-mode", "revised"});
-  EXPECT_EQ(bad.exit_code, 2);
-  EXPECT_NE(bad.message.find("--lp-mode"), std::string::npos) << bad.message;
-  EXPECT_EQ(parse({"--lp-mode"}).exit_code, 2);  // missing value
-  const CliParse help = parse({"--help"});
-  ASSERT_EQ(help.exit_code, 0);
-  EXPECT_NE(help.message.find("--lp-mode"), std::string::npos) << help.message;
-}
-
 TEST(BenchCliTest, ParsesOpenLoopHarnessFlags) {
   const CliParse p = parse({"--rate", "25000", "--warmup-sec", "1.5", "--measure-sec", "4",
                             "--cooldown-sec", "0.5"});

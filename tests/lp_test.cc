@@ -386,35 +386,72 @@ TEST(SimplexWarmTest, OwnBasisRoundTripSolvesInZeroIterations) {
     EXPECT_NEAR(warm.x[j], cold.x[j], 1e-7) << "x[" << j << "]";
 }
 
+// Three-row LP: min -x - 2y + 5z, x + y + z <= r0, x <= 2, y <= 3.
+LpModel coupling_rhs_model(double r0) {
+  LpModel m;
+  const int x = m.add_variable(-1.0);
+  const int y = m.add_variable(-2.0);
+  const int z = m.add_variable(5.0);
+  const int c0 = m.add_constraint(Sense::kLe, r0);
+  m.add_coefficient(c0, x, 1.0);
+  m.add_coefficient(c0, y, 1.0);
+  m.add_coefficient(c0, z, 1.0);
+  const int c1 = m.add_constraint(Sense::kLe, 2.0);
+  m.add_coefficient(c1, x, 1.0);
+  const int c2 = m.add_constraint(Sense::kLe, 3.0);
+  m.add_coefficient(c2, y, 1.0);
+  return m;
+}
+
 // Property: warm-solving a perturbed-rhs successor from the predecessor's
 // basis reaches the same optimum a cold solve of the successor finds, and
-// the answer is feasible for the successor.
+// the answer is feasible for the successor — under the default repair
+// limit and with every damaged seed admitted to restoration. Inputs 0-19
+// are random rhs scalings; input 20 shrinks the coupling row of
+// coupling_rhs_model, driving the seed's basic x negative, which
+// restoration must repair warm.
+constexpr int kRandomRhsCases = 20;
+
 class SimplexWarmRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimplexWarmRandomTest, PerturbedRhsWarmSolveMatchesColdObjective) {
-  core::Rng rng(6000 + static_cast<std::uint64_t>(GetParam()));
-  const int n = 5 + GetParam() % 6;
-  const int rows = 4 + GetParam() % 5;
-  const double scale = 1.0 + rng.uniform(-0.2, 0.2);
+  LpModel before, after;
+  if (GetParam() < kRandomRhsCases) {
+    core::Rng rng(6000 + static_cast<std::uint64_t>(GetParam()));
+    const int n = 5 + GetParam() % 6;
+    const int rows = 4 + GetParam() % 5;
+    const double scale = 1.0 + rng.uniform(-0.2, 0.2);
 
-  // Re-seed so predecessor and successor share coefficients exactly and
-  // differ only in the rhs scale (the replan situation).
-  const std::uint64_t model_seed = 7000 + static_cast<std::uint64_t>(GetParam());
-  core::Rng rng_a(model_seed), rng_b(model_seed);
-  const LpModel before = warm_test_model(rng_a, n, rows, 1.0);
-  const LpModel after = warm_test_model(rng_b, n, rows, scale);
+    // Re-seed so predecessor and successor share coefficients exactly and
+    // differ only in the rhs scale (the replan situation).
+    const std::uint64_t model_seed = 7000 + static_cast<std::uint64_t>(GetParam());
+    core::Rng rng_a(model_seed), rng_b(model_seed);
+    before = warm_test_model(rng_a, n, rows, 1.0);
+    after = warm_test_model(rng_b, n, rows, scale);
+  } else {
+    before = coupling_rhs_model(4.0);  // optimum x = 1, y = 3
+    after = coupling_rhs_model(2.5);   // optimum y = 2.5
+  }
 
   const Solution base = solve(before);
   ASSERT_EQ(base.status, SolveStatus::kOptimal);
   const Solution cold = solve(after);
   ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-  const Solution warm = solve(after, base.basis);
-  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-6 * (1.0 + std::abs(cold.objective)));
-  EXPECT_LE(after.max_violation(warm.x), 1e-6);
+  for (const double repair_limit : {SolveOptions{}.warm_repair_limit, 1.0}) {
+    SolveOptions opt;
+    opt.warm_repair_limit = repair_limit;
+    const Solution warm = solve(after, base.basis, opt);
+    ASSERT_EQ(warm.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(warm.objective, cold.objective, 1e-6 * (1.0 + std::abs(cold.objective)));
+    EXPECT_LE(after.max_violation(warm.x), 1e-6);
+    if (GetParam() == kRandomRhsCases && repair_limit == 1.0) {
+      EXPECT_TRUE(warm.warm_started);
+      EXPECT_GE(warm.phase1_iterations, 1);  // restoration pivots
+    }
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Random, SimplexWarmRandomTest, ::testing::Range(0, 20));
+INSTANTIATE_TEST_SUITE_P(Random, SimplexWarmRandomTest, ::testing::Range(0, kRandomRhsCases + 1));
 
 // A basis that cannot map onto the model — wrong row count, out-of-range
 // columns, a slack named on an equality row — must fall back to the cold
@@ -522,10 +559,10 @@ TEST(SimplexTest, StructuredAssignmentLp) {
 
 // --- anti-cycling ----------------------------------------------------------
 
-// A degenerate first pivot (a zero-rhs row binds immediately) must arm the
-// bounded Bland burst and still reach the optimum, with both stall and
+// A degenerate first pivot (a zero-rhs row binds immediately) must switch
+// pricing to Bland's rule and still reach the optimum, with both stall and
 // Bland pivots surfaced on the Solution.
-TEST(SimplexTest, DegenerateStallArmsBoundedBlandBurst) {
+TEST(SimplexTest, DegenerateStallSwitchesToBlandRule) {
   // min -2x - y;  x - y <= 0 (rhs 0: entering x pivots degenerately),
   // x + y <= 2, x <= 1. Optimum x = 1, y = 1, objective -3.
   LpModel m;
@@ -542,7 +579,6 @@ TEST(SimplexTest, DegenerateStallArmsBoundedBlandBurst) {
 
   SolveOptions eager;  // Bland after a single degenerate pivot
   eager.bland_trigger = 1;
-  eager.bland_burst = 8;
   const Solution s = solve(m, eager);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.objective, -3.0, 1e-7);
@@ -557,87 +593,9 @@ TEST(SimplexTest, DegenerateStallArmsBoundedBlandBurst) {
   EXPECT_EQ(relaxed.bland_pivots, 0);
 }
 
-// --- dual simplex ----------------------------------------------------------
-
-// Three-row LP whose optimal basis stays dual-feasible when the first rhs
-// shrinks: min -x - 2y + z_cost*z, x + y + z <= r0, x <= 2, y <= 3.
-LpModel dual_demo_model(double r0, double z_cost) {
-  LpModel m;
-  const int x = m.add_variable(-1.0);
-  const int y = m.add_variable(-2.0);
-  const int z = m.add_variable(z_cost);
-  const int c0 = m.add_constraint(Sense::kLe, r0);
-  m.add_coefficient(c0, x, 1.0);
-  m.add_coefficient(c0, y, 1.0);
-  m.add_coefficient(c0, z, 1.0);
-  const int c1 = m.add_constraint(Sense::kLe, 2.0);
-  m.add_coefficient(c1, x, 1.0);
-  const int c2 = m.add_constraint(Sense::kLe, 3.0);
-  m.add_coefficient(c2, y, 1.0);
-  return m;
-}
-
-// Shrinking the coupling rhs drives a basic structural negative; the
-// re-solve from the stale optimal basis must repair it with dual pivots
-// (no phase-1 restoration) and land on the successor's cold optimum.
-TEST(SimplexDualTest, RhsDamagedSeedRepairsWithDualPivots) {
-  const LpModel before = dual_demo_model(4.0, 5.0);
-  const Solution base = solve(before);
-  ASSERT_EQ(base.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(base.objective, -7.0, 1e-7);  // x = 1, y = 3
-
-  const LpModel after = dual_demo_model(2.5, 5.0);
-  const Solution cold = solve(after);
-  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(cold.objective, -5.0, 1e-7);  // y = 2.5
-
-  for (const PivotMode mode : {PivotMode::kAuto, PivotMode::kDual}) {
-    SolveOptions opt;
-    opt.pivot_mode = mode;
-    const Solution warm = solve(after, base.basis, opt);
-    ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-    EXPECT_TRUE(warm.warm_started);
-    EXPECT_GE(warm.dual_iterations, 1);
-    EXPECT_EQ(warm.phase1_iterations, 0);  // never entered restoration
-    EXPECT_NEAR(warm.objective, cold.objective, 1e-7);
-    EXPECT_LE(after.max_violation(warm.x), 1e-6);
-  }
-}
-
-// kPrimal pins the historical behaviour: the same damaged seed repairs
-// through the restoration pass, with zero dual pivots.
-TEST(SimplexDualTest, PrimalModeNeverTakesDualPivots) {
-  const Solution base = solve(dual_demo_model(4.0, 5.0));
-  ASSERT_EQ(base.status, SolveStatus::kOptimal);
-  const LpModel after = dual_demo_model(2.5, 5.0);
-  SolveOptions opt;
-  opt.pivot_mode = PivotMode::kPrimal;
-  const Solution warm = solve(after, base.basis, opt);
-  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-  EXPECT_EQ(warm.dual_iterations, 0);
-  EXPECT_NEAR(warm.objective, -5.0, 1e-7);
-}
-
-// kDual demands a dual-feasible seed: when the successor's costs make a
-// nonbasic column attractive (z turns profitable), the warm attempt fails
-// and the solve transparently runs the cold path.
-TEST(SimplexDualTest, DualModeWithDualInfeasibleSeedFallsBackCold) {
-  const Solution base = solve(dual_demo_model(4.0, 5.0));
-  ASSERT_EQ(base.status, SolveStatus::kOptimal);
-  const LpModel after = dual_demo_model(2.5, -100.0);
-  SolveOptions opt;
-  opt.pivot_mode = PivotMode::kDual;
-  const Solution warm = solve(after, base.basis, opt);
-  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-  EXPECT_FALSE(warm.warm_started);
-  EXPECT_EQ(warm.dual_iterations, 0);
-  EXPECT_NEAR(warm.objective, solve(after).objective, 1e-7);  // z = 2.5
-}
-
 // Optimal solves export the row duals; every structural column must price
-// nonnegative against them (the optimality certificate callers rebuild
-// candidate masks from).
-TEST(SimplexDualTest, OptimalSolveExportsConsistentDuals) {
+// nonnegative against them (the optimality certificate).
+TEST(SimplexTest, OptimalSolveExportsConsistentDuals) {
   core::Rng rng(73);
   const LpModel m = warm_test_model(rng, 8, 6, 1.0);
   const Solution s = solve(m);
@@ -712,7 +670,7 @@ TEST(SimplexWarmTest, AllArtificialSeedFallsBackCold) {
 
   // All-equality model: the seed maps and factorizes, but every artificial
   // sits at its (positive) rhs — more hot rows than warm_repair_limit
-  // tolerates, and useless to the dual loop — so the solve reruns cold.
+  // tolerates — so the solve reruns cold.
   LpModel eq;
   for (int j = 0; j < 3; ++j) eq.add_variable(1.0);
   for (int i = 0; i < 3; ++i) {
@@ -725,41 +683,6 @@ TEST(SimplexWarmTest, AllArtificialSeedFallsBackCold) {
   ASSERT_EQ(b.status, SolveStatus::kOptimal);
   EXPECT_FALSE(b.warm_started);
   EXPECT_NEAR(b.objective, 3.0, 1e-7);
-}
-
-// --- candidate-column pruning ----------------------------------------------
-
-// A warm solve under a candidate mask prices only the kept columns yet must
-// reach exactly the unpruned optimum (the verification sweep promotes any
-// pruned column that turns attractive).
-TEST(SimplexWarmTest, CandidateMaskPreservesOptimality) {
-  const std::uint64_t model_seed = 81;
-  core::Rng rng_a(model_seed), rng_b(model_seed);
-  const LpModel before = warm_test_model(rng_a, 10, 7, 1.0);
-  const LpModel after = warm_test_model(rng_b, 10, 7, 1.1);
-
-  const Solution base = solve(before);
-  ASSERT_EQ(base.status, SolveStatus::kOptimal);
-  const Solution cold = solve(after);
-  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-
-  // Keep only the columns basic in the predecessor; prune the rest.
-  SolveOptions opt;
-  opt.candidate_mask.assign(static_cast<std::size_t>(after.num_variables()), 0);
-  for (const auto& e : base.basis.entries)
-    if (e.kind == BasisEntry::Kind::kStructural)
-      opt.candidate_mask[static_cast<std::size_t>(e.index)] = 1;
-
-  const Solution warm = solve(after, base.basis, opt);
-  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-  EXPECT_GT(warm.pruned_columns, 0);
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-6 * (1.0 + std::abs(cold.objective)));
-  EXPECT_LE(after.max_violation(warm.x), 1e-6);
-
-  // Cold solves ignore the mask entirely.
-  const Solution masked_cold = solve(after, opt);
-  ASSERT_EQ(masked_cold.status, SolveStatus::kOptimal);
-  EXPECT_EQ(masked_cold.pruned_columns, 0);
 }
 
 }  // namespace

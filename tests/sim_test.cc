@@ -909,10 +909,10 @@ constexpr GoldenChecksum kGoldenChecksums[] = {
     {"steady-week", 0xdd13cdf28e4bdcf0ULL},
     {"weekend-transition", 0xadc58e66e411b123ULL},
     {"fiber-cut-failover", 0x7fadb0d03bd25f6bULL},
-    {"dc-drain", 0x918a8191abe532cdULL},
+    {"dc-drain", 0xbd0c2f79396b3620ULL},
     {"flash-crowd", 0x2c376fc19e761e26ULL},
     {"transit-degrade-failover", 0xb216a0de9f0383efULL},
-    {"rolling-maintenance", 0x5e2f0ead6de294b7ULL},
+    {"rolling-maintenance", 0x24937c54a18b941aULL},
     {"cut-then-flash-crowd", 0x6a3b89b6b43783b3ULL},
     {"na-steady-week", 0x1b1a056ee09d61f6ULL},
     {"asia-flash-crowd", 0x2f232b6454740da7ULL},
@@ -920,7 +920,7 @@ constexpr GoldenChecksum kGoldenChecksums[] = {
     {"na-cut-shifts-to-eu", 0x45e46c2d3e977519ULL},
     // Overload regime (admission control + anchored capacity).
     {"overload-sustained", 0x6fb311cb2c84d6c9ULL},
-    {"regional-catastrophe", 0x13d75dccfda37637ULL},
+    {"regional-catastrophe", 0x80b8913a7b7add3bULL},
     {"cascading-drain", 0x1cbe7a0e9cd7fd84ULL},
 };
 

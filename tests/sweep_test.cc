@@ -430,7 +430,6 @@ WorkSpec sample_work_spec() {
   WorkSpec spec;
   spec.scenario = "steady-week";
   spec.seed = 18446744073709551615ULL;  // 2^64 - 1: must survive as a string
-  spec.lp_mode = "dual";
   spec.spec = small_spec();
   spec.spec.scenarios = {"steady-week", "dc-drain"};
   spec.spec.sim_threads = {1, 2};
@@ -490,19 +489,13 @@ TEST(SweepProtocolTest, RejectsUnknownVersionsAndFieldsWithExactText) {
     j.set("protocol", Json::number(99));
     j.set("surprise", Json::number(1));  // version beats unknown-field
     EXPECT_EQ(thrown_message([&] { (void)work_spec_from_json(j); }),
-              "work spec json: protocol version 99 (this binary speaks 1)");
+              "work spec json: protocol version 99 (this binary speaks 2)");
   }
   {
     Json j = Json::parse(spec_line);
     j.set("surprise", Json::number(1));
     EXPECT_EQ(thrown_message([&] { (void)work_spec_from_json(j); }),
               "work spec json: unknown field 'surprise'");
-  }
-  {
-    Json j = Json::parse(spec_line);
-    j.set("lp_mode", Json::string("turbo"));
-    EXPECT_EQ(thrown_message([&] { (void)work_spec_from_json(j); }),
-              "work spec json: unknown lp_mode 'turbo'");
   }
   {
     Json j = Json::parse(spec_line);
@@ -514,9 +507,9 @@ TEST(SweepProtocolTest, RejectsUnknownVersionsAndFieldsWithExactText) {
   }
   {
     Json j = Json::parse(partial_line);
-    j.set("protocol", Json::number(2));
+    j.set("protocol", Json::number(3));
     EXPECT_EQ(thrown_message([&] { (void)partial_result_from_json(j); }),
-              "partial result json: protocol version 2 (this binary speaks 1)");
+              "partial result json: protocol version 3 (this binary speaks 2)");
   }
   {
     Json j = Json::parse(partial_line);

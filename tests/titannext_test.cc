@@ -795,11 +795,10 @@ TEST_F(PlanTest, DecomposedReplansWarmStartPerBlock) {
               1e-6 * std::max(1.0, std::abs(first.objective)));
 }
 
-// The LP scale-out acceptance pin: a disturbance-forced replan at a rolling
-// cadence KEEPS the warm cache and repairs the rhs damage with dual-simplex
-// pivots instead of re-solving cold. Before the dual path existed, forced
-// replans dropped the cache — every forced stat was cold by construction.
-TEST_F(PlanTest, DisturbanceForcedReplansWarmStartViaDualSimplex) {
+// A disturbance-forced replan at a rolling cadence KEEPS the warm cache and
+// repairs the rhs damage from the cached basis instead of re-solving cold:
+// at least one forced replan must be accepted warm.
+TEST_F(PlanTest, DisturbanceForcedReplansKeepWarmStart) {
   sim::Scenario s = sim::make_scenario("steady-week");
   s.training_weeks = 1;
   s.eval_days = 1;
@@ -811,7 +810,7 @@ TEST_F(PlanTest, DisturbanceForcedReplansWarmStartViaDualSimplex) {
   s.pipeline.scope.max_reduced_configs = 20;
 
   // Partial drains of a busy DC mid-morning: pure rhs damage (plan compute
-  // capacity shrinks), exactly what the dual pivot loop repairs.
+  // capacity shrinks), the damage the warm restoration pass repairs.
   for (const int slot : {9, 13, 17}) {
     sim::Disturbance drain;
     drain.kind = sim::NetworkEventKind::kDcDrain;
@@ -828,18 +827,13 @@ TEST_F(PlanTest, DisturbanceForcedReplansWarmStartViaDualSimplex) {
   ASSERT_EQ(r.replan_stats.size(), static_cast<std::size_t>(r.replans));
 
   int forced = 0, forced_warm = 0;
-  long long forced_dual = 0;
   for (const auto& stat : r.replan_stats) {
     if (!stat.forced) continue;
     ++forced;
-    if (stat.warm_started) {
-      ++forced_warm;
-      forced_dual += stat.dual_iterations;
-    }
+    if (stat.warm_started) ++forced_warm;
   }
   ASSERT_GT(forced, 0) << "no disturbance forced a replan";
   EXPECT_GT(forced_warm, 0) << "forced replans all fell back cold";
-  EXPECT_GT(forced_dual, 0) << "forced warm replans took no dual pivots";
 }
 
 // --- Pipeline / forecasting -----------------------------------------------------
