@@ -15,6 +15,8 @@
 #include "obs/trace.h"
 #include "sim/engine.h"
 #include "sweep/perf_report.h"
+#include "sweep/serialize.h"
+#include "sweep/sweep.h"
 
 namespace {
 
@@ -76,9 +78,7 @@ titan::sim::SimResult run_one(const std::string& name, const titan::bench::Cli& 
              "p50 " + core::TextTable::num(r.perf.assign_latency_us.quantile(0.5), 1) +
                  " us, p99 " + core::TextTable::num(r.perf.assign_latency_us.quantile(0.99), 1) +
                  " us, max " + core::TextTable::num(r.perf.assign_latency_us.max(), 1) + " us"});
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(r.checksum));
-  t.add_row({"determinism checksum", buf});
+  t.add_row({"determinism checksum", sweep::hex64(r.checksum)});
   std::printf("%s", t.render().c_str());
 
   if (r.leaked_calls != 0)
@@ -161,18 +161,32 @@ ReplanTotals totals_after_first(const titan::sim::SimResult& r) {
   return t;
 }
 
-void write_replan_stats_json(std::FILE* f, const char* key, const titan::sim::SimResult& r) {
+titan::sweep::Json replan_stats_json(const titan::sim::SimResult& r) {
+  using titan::sweep::Json;
   const auto t = totals_after_first(r);
-  std::fprintf(f,
-               "      \"%s\": {\"replans\": %d, \"first_replan_iterations\": %d, "
-               "\"later_iterations\": %lld, \"later_phase1_iterations\": %lld, "
-               "\"warm_started\": %d, \"later_solve_seconds\": %.3f, \"iterations\": [",
-               key, r.replans,
-               r.replan_stats.empty() ? 0 : r.replan_stats.front().iterations, t.iterations,
-               t.phase1, t.warm_started, t.seconds);
-  for (std::size_t i = 0; i < r.replan_stats.size(); ++i)
-    std::fprintf(f, "%s%d", i == 0 ? "" : ", ", r.replan_stats[i].iterations);
-  std::fprintf(f, "]}");
+  Json iterations = Json::array();
+  for (const auto& stat : r.replan_stats) iterations.push_back(Json::number(stat.iterations));
+  Json out = Json::object();
+  out.set("replans", Json::number(r.replans));
+  out.set("first_replan_iterations",
+          Json::number(r.replan_stats.empty() ? 0 : r.replan_stats.front().iterations));
+  out.set("later_iterations", Json::number(static_cast<double>(t.iterations)));
+  out.set("later_phase1_iterations", Json::number(static_cast<double>(t.phase1)));
+  out.set("warm_started", Json::number(t.warm_started));
+  out.set("later_solve_seconds", Json::number(t.seconds));
+  out.set("iterations", std::move(iterations));
+  return out;
+}
+
+bool write_json(const std::string& path, const titan::sweep::Json& doc) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  out << doc.dump(2) << "\n";
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace
@@ -203,57 +217,25 @@ int main(int argc, char** argv) {
   for (const auto& name : names) results.push_back(run_one(name, cli, trace_ptr));
 
   // Machine-readable per-scenario summary (CI uploads this as an artifact;
-  // the determinism checksums double as cheap golden values).
+  // the determinism checksums double as cheap golden values): every metric
+  // of the sweep schema, plus the run's throughput.
   if (!cli.json_path.empty()) {
-    std::FILE* f = std::fopen(cli.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-      return 1;
+    sweep::Json scenarios = sweep::Json::array();
+    for (const auto& r : results) {
+      sweep::Json entry = sweep::Json::object();
+      entry.set("scenario", sweep::Json::string(r.scenario));
+      entry.set("checksum", sweep::Json::string(sweep::hex64(r.checksum)));
+      for (const sweep::MetricDef& m : sweep::metric_table())
+        entry.set(m.name, sweep::Json::number(m.value(r)));
+      entry.set("calls_per_sec", sweep::Json::number(r.calls_per_sec()));
+      entry.set("events_per_sec", sweep::Json::number(r.events_per_sec()));
+      scenarios.push_back(std::move(entry));
     }
-    std::fprintf(f, "{\n  \"seed\": %llu,\n  \"threads\": %d,\n  \"scenarios\": [\n",
-                 static_cast<unsigned long long>(cli.seed), cli.threads);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& r = results[i];
-      const auto region_count = [&r](geo::Continent region) {
-        return static_cast<long long>(r.calls_by_region[static_cast<std::size_t>(region)]);
-      };
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"checksum\": \"%016llx\", \"calls\": %lld, "
-                   "\"replans\": %d, \"dc_migrations\": %lld, \"route_changes\": %lld, "
-                   "\"transit_failovers\": %lld, \"forced_migrations\": %lld, "
-                   "\"out_of_plan\": %lld, \"leaked_calls\": %lld, "
-                   "\"rejected_calls\": %lld, \"degraded_calls\": %lld, "
-                   "\"shed_na\": %.6f, \"shed_eu\": %.6f, \"shed_asia\": %.6f, "
-                   "\"internet_share\": %.6f, \"mean_mos\": %.4f, "
-                   "\"wan_sum_of_peaks_mbps\": %.3f, "
-                   "\"calls_na\": %lld, \"calls_eu\": %lld, \"calls_asia\": %lld, "
-                   "\"wan_gb_na\": %.3f, \"wan_gb_eu\": %.3f, \"wan_gb_asia\": %.3f,%s\n",
-                   r.scenario.c_str(), static_cast<unsigned long long>(r.checksum),
-                   static_cast<long long>(r.calls), r.replans,
-                   static_cast<long long>(r.dc_migrations),
-                   static_cast<long long>(r.route_changes),
-                   static_cast<long long>(r.transit_failovers),
-                   static_cast<long long>(r.forced_migrations),
-                   static_cast<long long>(r.out_of_plan),
-                   static_cast<long long>(r.leaked_calls),
-                   static_cast<long long>(r.rejected_calls),
-                   static_cast<long long>(r.degraded_calls),
-                   r.shed_fraction(geo::Continent::kNorthAmerica),
-                   r.shed_fraction(geo::Continent::kEurope),
-                   r.shed_fraction(geo::Continent::kAsia), r.internet_share, r.mean_mos,
-                   r.wan.sum_of_peaks_mbps, region_count(geo::Continent::kNorthAmerica),
-                   region_count(geo::Continent::kEurope), region_count(geo::Continent::kAsia),
-                   r.wan_gb_by_region[static_cast<std::size_t>(geo::Continent::kNorthAmerica)],
-                   r.wan_gb_by_region[static_cast<std::size_t>(geo::Continent::kEurope)],
-                   r.wan_gb_by_region[static_cast<std::size_t>(geo::Continent::kAsia)],
-                   "");
-      std::fprintf(f, "     \"calls_per_sec\": %.3f, \"events_per_sec\": %.3f}%s\n",
-                   r.calls_per_sec(), r.events_per_sec(),
-                   i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", cli.json_path.c_str());
+    sweep::Json doc = sweep::Json::object();
+    doc.set("seed", sweep::Json::number(static_cast<double>(cli.seed)));
+    doc.set("threads", sweep::Json::number(cli.threads));
+    doc.set("scenarios", std::move(scenarios));
+    if (!write_json(cli.json_path, doc)) return 1;
   }
 
   // Cold-vs-warm replan latency at the production (rolling-horizon)
@@ -281,27 +263,20 @@ int main(int argc, char** argv) {
     }
     std::printf("%s", t.render().c_str());
 
-    std::FILE* f = std::fopen(cli.replan_json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", cli.replan_json_path.c_str());
-      return 1;
+    sweep::Json scenarios = sweep::Json::array();
+    for (const auto& d : drills) {
+      sweep::Json entry = sweep::Json::object();
+      entry.set("name", sweep::Json::string(d.name));
+      entry.set("replan_interval_slots", sweep::Json::number(d.interval));
+      entry.set("horizon_slots", sweep::Json::number(d.horizon));
+      entry.set("warm", replan_stats_json(d.warm));
+      entry.set("cold", replan_stats_json(d.cold));
+      scenarios.push_back(std::move(entry));
     }
-    std::fprintf(f, "{\n  \"seed\": %llu,\n  \"scenarios\": [\n",
-                 static_cast<unsigned long long>(cli.seed));
-    for (std::size_t i = 0; i < drills.size(); ++i) {
-      const auto& d = drills[i];
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"replan_interval_slots\": %d, "
-                   "\"horizon_slots\": %d,\n",
-                   d.name.c_str(), d.interval, d.horizon);
-      write_replan_stats_json(f, "warm", d.warm);
-      std::fprintf(f, ",\n");
-      write_replan_stats_json(f, "cold", d.cold);
-      std::fprintf(f, "}%s\n", i + 1 < drills.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", cli.replan_json_path.c_str());
+    sweep::Json doc = sweep::Json::object();
+    doc.set("seed", sweep::Json::number(static_cast<double>(cli.seed)));
+    doc.set("scenarios", std::move(scenarios));
+    if (!write_json(cli.replan_json_path, doc)) return 1;
   }
 
   // Performance-trajectory report (docs/observability.md): stable schema
@@ -329,14 +304,7 @@ int main(int argc, char** argv) {
     }
     report.set("registry", sweep::registry_json(registry));
 
-    std::ofstream out(cli.perf_json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", cli.perf_json_path.c_str());
-      return 1;
-    }
-    out << report.dump(2) << "\n";
-    out.close();
-    std::printf("wrote %s\n", cli.perf_json_path.c_str());
+    if (!write_json(cli.perf_json_path, report)) return 1;
 
     // Informational diff against a committed baseline: printed, never
     // fatal — wall clock is machine-dependent, the trajectory is the point.

@@ -58,7 +58,7 @@ int main() {
     return 1;
   }
   std::printf("LP plan: sum of WAN link peaks %.1f Mbps, solved in %.2f s\n",
-              day.plan.result().sum_of_wan_peaks_mbps, day.lp_seconds);
+              day.plan.result().sum_of_wan_peaks_mbps, day.lp.solve_seconds);
 
   titannext::OnlineController controller(*day.inputs, day.plan);
   core::Rng rng(1);

@@ -22,6 +22,21 @@ std::string status_name(SolveStatus s) {
   return "?";
 }
 
+SolveStats& SolveStats::operator+=(const SolveStats& o) {
+  iterations += o.iterations;
+  phase1_iterations += o.phase1_iterations;
+  stall_pivots += o.stall_pivots;
+  bland_pivots += o.bland_pivots;
+  refactorizations += o.refactorizations;
+  fallback_pivots += o.fallback_pivots;
+  warm_started = warm_started || o.warm_started;
+  solve_seconds += o.solve_seconds;
+  phase1_seconds += o.phase1_seconds;
+  phase2_seconds += o.phase2_seconds;
+  refactor_seconds += o.refactor_seconds;
+  return *this;
+}
+
 namespace {
 
 struct Tableau {
@@ -447,8 +462,7 @@ Solution solve(const LpModel& model, const SolveOptions& options) {
   const int m = model.num_constraints();
 
   Solution sol = solve_from(model, t, cold_basis(t, m), /*warm=*/false, options);
-  sol.solve_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start).count();
+  sol.solve_seconds = seconds_since(t_start);
   if (options.verbose)
     std::printf("[lp] %d rows, %d cols, %d iters (%d phase1), obj=%.6g, %.2fs\n", m, t.n_total,
                 sol.iterations, sol.phase1_iterations, sol.objective, sol.solve_seconds);
@@ -488,15 +502,16 @@ Solution solve(const LpModel& model, const Basis& warm, const SolveOptions& opti
   }
   // Any warm failure — unmappable basis, singular factorization, infeasible
   // seed, or numerical trouble mid-phase-2 — falls back to the cold path,
-  // reusing the tableau already built above.
+  // reusing the tableau already built above. The failed attempt's pivots
+  // are counted, not dropped with its Solution.
   if (sol.status == SolveStatus::kNumericalFailure) {
+    const int discarded = sol.iterations;
     sol = solve_from(model, t, cold_basis(t, m), /*warm=*/false, options);
-    sol.solve_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start).count();
+    sol.fallback_pivots = discarded;
+    sol.solve_seconds = seconds_since(t_start);
     return sol;
   }
-  sol.solve_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start).count();
+  sol.solve_seconds = seconds_since(t_start);
   if (options.verbose)
     std::printf("[lp] warm: %d rows, %d cols, %d iters, obj=%.6g, %.2fs\n", m, t.n_total,
                 sol.iterations, sol.objective, sol.solve_seconds);

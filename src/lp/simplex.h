@@ -71,30 +71,50 @@ struct Basis {
   friend bool operator==(const Basis&, const Basis&) = default;
 };
 
-struct Solution {
-  SolveStatus status = SolveStatus::kNumericalFailure;
-  double objective = 0.0;
-  std::vector<double> x;  // structural variables only
-  int iterations = 0;     // total pivots: phase 1/restoration + phase 2
+// The work one solve did: the one LP work record. Every layer that reports
+// LP work (LpPlanResult, the pipeline's DayPlan, the simulator's per-replan
+// stats) carries this record, extended where that layer adds work, and sums
+// it with `+=`. Counters are deterministic (the pivot sequence and the
+// eta-growth policy are); the seconds are wall clock and zeroed by
+// zero_wallclock() before bitwise compares.
+struct SolveStats {
+  int iterations = 0;  // total pivots: phase 1/restoration + phase 2
   int phase1_iterations = 0;
   // Anti-cycling observability: degenerate pivots taken (the stall
   // detector's raw signal) and pivots taken under Bland's rule.
-  // Deterministic companions to `iterations`.
   int stall_pivots = 0;
   int bland_pivots = 0;
+  int refactorizations = 0;  // LU factorizations, counted in either phase
+  // Pivots of a failed warm attempt (restoration or phase 2) that the cold
+  // fallback discarded; not part of `iterations`, but their time is in
+  // solve_seconds.
+  int fallback_pivots = 0;
+  // Solved from a caller basis (phase 1 skipped); `+=` ORs it, so a summed
+  // record says whether any of its solves ran warm.
+  bool warm_started = false;
+  // lp::solve end to end: tableau construction, basis mapping and every
+  // phase, a failed warm attempt included. Model construction is not
+  // lp::solve's work and is not in here (see titannext::PlanLpStats).
   double solve_seconds = 0.0;
-  // Phase breakdown of solve_seconds (wall clock; solve_seconds also
-  // covers tableau construction and basis mapping, so the parts do not sum
-  // to it). refactor_seconds is the LU (re)factorization share, counted
-  // inside whichever phase triggered it. `refactorizations` counts those
-  // factorizations — a deterministic companion to `iterations`, since the
-  // pivot sequence and eta-growth policy are deterministic.
+  // Phase breakdown of solve_seconds (the parts do not sum to it).
+  // refactor_seconds is the LU (re)factorization share, counted inside
+  // whichever phase triggered it.
   double phase1_seconds = 0.0;  // classic phase 1 or warm restoration
   double phase2_seconds = 0.0;
   double refactor_seconds = 0.0;
-  int refactorizations = 0;
-  Basis basis;                // final basis, filled when status == kOptimal
-  bool warm_started = false;  // solved from a caller basis (phase 1 skipped)
+
+  SolveStats& operator+=(const SolveStats& o);
+  void zero_wallclock() {
+    solve_seconds = phase1_seconds = phase2_seconds = refactor_seconds = 0.0;
+  }
+  bool operator==(const SolveStats&) const = default;
+};
+
+struct Solution : SolveStats {
+  SolveStatus status = SolveStatus::kNumericalFailure;
+  double objective = 0.0;
+  std::vector<double> x;  // structural variables only
+  Basis basis;            // final basis, filled when status == kOptimal
   // Row duals y (one per constraint, model row order) at the optimal
   // basis, priced with the phase-2 costs. Empty unless status == kOptimal.
   std::vector<double> duals;

@@ -39,7 +39,7 @@ struct RtpStats {
 // Simulates one leg and returns the receiver-report statistics.
 [[nodiscard]] RtpStats simulate_leg(const RtpLegParams& params, core::Rng& rng);
 
-// Arrival record used by the jitter buffer simulation.
+// Arrival record of one received packet (the raw input of simulate_leg).
 struct RtpArrival {
   std::uint32_t sequence = 0;
   double send_time_ms = 0.0;

@@ -29,7 +29,7 @@ PolicyRun LocalityFirstPolicy::run_oracle(const workload::Trace& eval_trace,
   const int days = (eval_trace.num_slots() + slots_per_day - 1) / slots_per_day;
   for (int day = 0; day < days; ++day) {
     const titannext::DayPlan plan = pipeline.plan_day_oracle(eval_trace, day * slots_per_day);
-    out.plan_seconds += plan.lp_seconds;
+    out.plan_seconds += plan.lp.solve_seconds;
     for (std::size_t i = 0; i < eval_trace.calls().size(); ++i) {
       const auto& call = eval_trace.calls()[i];
       if (call.start_slot / slots_per_day != day) continue;

@@ -37,7 +37,7 @@ PolicyRun TitanNextPolicy::run(const workload::Trace& eval_trace,
                                                  options_.pipeline.top_k_forecast);
       plan = pipeline.plan_from_counts(eval_trace, fc.counts, fc.seconds);
     }
-    out.plan_seconds += plan.lp_seconds + plan.forecast_seconds;
+    out.plan_seconds += plan.lp.solve_seconds + plan.forecast_seconds;
 
     titannext::ControllerOptions copts;
     copts.use_reduction = options_.pipeline.use_reduction;

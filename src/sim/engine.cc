@@ -505,28 +505,10 @@ SimResult SimEngine::run(int threads) {
         replan(scheduled ? s : plan_begin_, shards);
       }
       result.perf.replan_seconds += seconds_since(r0);
-      result.plan_seconds += current_plan_.lp_seconds;
+      result.plan_seconds += current_plan_.lp.solve_seconds;
       result.forecast_seconds += current_plan_.forecast_seconds;
       ++result.replans;
-      ReplanStat stat;
-      stat.slot = s;
-      stat.iterations = current_plan_.lp_iterations;
-      stat.phase1_iterations = current_plan_.lp_phase1_iterations;
-      stat.blocks_solved = current_plan_.lp_blocks_solved;
-      stat.warm_started = current_plan_.lp_warm_started;
-      stat.forced = force_replan;
-      stat.attempts = current_plan_.lp_attempts;
-      stat.solve_seconds = current_plan_.lp_seconds;
-      stat.build_seconds = current_plan_.lp_build_seconds;
-      stat.phase1_seconds = current_plan_.lp_phase1_seconds;
-      stat.phase2_seconds = current_plan_.lp_phase2_seconds;
-      stat.refactor_seconds = current_plan_.lp_refactor_seconds;
-      stat.refactorizations = current_plan_.lp_refactorizations;
-      result.replan_stats.push_back(stat);
-      result.perf.lp_build_seconds += current_plan_.lp_build_seconds;
-      result.perf.lp_phase1_seconds += current_plan_.lp_phase1_seconds;
-      result.perf.lp_phase2_seconds += current_plan_.lp_phase2_seconds;
-      result.perf.lp_refactor_seconds += current_plan_.lp_refactor_seconds;
+      result.replan_stats.push_back({current_plan_.lp, s, force_replan});
       if (scheduled) next_replan = s + scenario_.replan_interval_slots;
     }
 

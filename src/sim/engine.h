@@ -44,36 +44,18 @@
 
 namespace titan::sim {
 
-// Per-replan LP statistics: how much simplex work one pass of the replan
-// loop cost and whether it ran warm (seeded from the previous basis) or
-// cold. Iteration counts are deterministic; `solve_seconds` is wall clock
-// and must be zeroed (SimResult::zero_wallclock) before bitwise compares.
-struct ReplanStat {
-  core::SlotIndex slot = 0;      // eval slot the replan fired at
-  int iterations = 0;            // simplex iterations of the accepted solve
-  int phase1_iterations = 0;     // phase-1 share (for warm solves: the
-                                 // feasibility-restoration iterations)
-  // Region blocks solved by the decomposed path in the accepted solve
-  // (0 = monolithic); deterministic.
-  int blocks_solved = 0;
-  bool warm_started = false;
+// Per-replan LP statistics: the plan's LP work record (every
+// headroom-relaxation attempt summed; see titannext::PlanLpStats) plus
+// where and why the replan fired. Counters are deterministic; the seconds
+// are wall clock and zeroed by zero_wallclock() before bitwise compares.
+struct ReplanStat : titannext::PlanLpStats {
+  core::SlotIndex slot = 0;  // eval slot the replan fired at
   // True when this replan was disturbance-forced (a network event, not the
   // scheduled cadence). A purely-forced replan keeps the warm cache AND
   // the current horizon anchor, so the seed transfers at shift 0 and the
   // rhs-side damage is what the warm restoration pass repairs —
   // warm_started on a forced stat is the repair's success signal.
   bool forced = false;
-  int attempts = 1;              // headroom-relaxation attempts consumed
-  double solve_seconds = 0.0;
-  // Wall-clock breakdown of the LP work (accumulated across attempts, like
-  // solve_seconds): model construction, simplex phase 1 (or the warm
-  // restoration pass), phase 2, and the LU refactorization share counted
-  // inside whichever phase triggered it. All zeroed by zero_wallclock().
-  double build_seconds = 0.0;
-  double phase1_seconds = 0.0;
-  double phase2_seconds = 0.0;
-  double refactor_seconds = 0.0;
-  int refactorizations = 0;  // deterministic, like `iterations`
   bool operator==(const ReplanStat&) const = default;
 };
 
@@ -94,12 +76,7 @@ struct SimPerf {
   double metric_aggregation_seconds = 0.0; // barrier merges, phase C, final merge
   double replan_seconds = 0.0;             // replan() end to end (forecast + LP + rebind)
   double shard_work_seconds = 0.0;         // summed per-shard job time (all phases)
-  // LP breakdown accumulated across replans (per-replan values sit in
-  // SimResult::replan_stats).
-  double lp_build_seconds = 0.0;
-  double lp_phase1_seconds = 0.0;
-  double lp_phase2_seconds = 0.0;
-  double lp_refactor_seconds = 0.0;
+  // The LP breakdown is per replan, in SimResult::replan_stats.
 
   // Per-call controller latency in microseconds: one sample per
   // assign_initial and one per converge. Wall clock — masked.
@@ -120,7 +97,6 @@ struct SimPerf {
   void zero_wallclock() {
     event_apply_seconds = metric_aggregation_seconds = replan_seconds = 0.0;
     shard_work_seconds = 0.0;
-    lp_build_seconds = lp_phase1_seconds = lp_phase2_seconds = lp_refactor_seconds = 0.0;
     assign_latency_us.reset();
     admission_latency_us.reset();
   }
@@ -207,7 +183,7 @@ struct SimResult {
 
   // Bitwise equality over every field, streams included. Callers comparing
   // runs for determinism must first zero the wall-clock fields (threads,
-  // plan/forecast/wall seconds and the per-replan solve seconds), which
+  // plan/forecast/wall seconds and the per-replan LP seconds), which
   // legitimately differ between runs — zero_wallclock() does exactly that.
   bool operator==(const SimResult&) const = default;
 
@@ -216,10 +192,7 @@ struct SimResult {
   void zero_wallclock() {
     threads = 0;
     plan_seconds = forecast_seconds = wall_seconds = 0.0;
-    for (auto& r : replan_stats) {
-      r.solve_seconds = 0.0;
-      r.build_seconds = r.phase1_seconds = r.phase2_seconds = r.refactor_seconds = 0.0;
-    }
+    for (auto& r : replan_stats) r.zero_wallclock();
     perf.zero_wallclock();
   }
 };

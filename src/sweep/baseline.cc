@@ -32,12 +32,12 @@ Tolerances default_tolerances() {
        {"dc_migrations", "route_changes", "forced_migrations", "transit_failovers",
         "out_of_plan", "fallback_assignments"})
     tol.abs[metric] = 2.0;
-  // The one wall-clock metric in the schema: machine-dependent by nature,
-  // carried for observability only — never a regression gate. (A huge
-  // finite relative band, not infinity: inf * 0 is NaN and would poison
-  // the allowed-slack arithmetic when both sides are zero.)
-  tol.rel["plan_solve_seconds"] = 1e18;
-  tol.abs["plan_solve_seconds"] = 1e18;
+  // Wall-clock metrics: machine-dependent by nature, carried for
+  // observability only — never a regression gate. (A huge finite relative
+  // band, not infinity: inf * 0 is NaN and would poison the allowed-slack
+  // arithmetic when both sides are zero.)
+  for (const MetricDef& m : metric_table())
+    if (m.wall_clock) tol.rel[m.name] = tol.abs[m.name] = 1e18;
   // Simplex pivot counts are deterministic per platform but sensitive to
   // floating-point library differences across compilers; give them a loose
   // relative band instead of the default 5%.

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "sweep/serialize.h"
+
 namespace titan::sweep {
 
 namespace {
@@ -16,12 +18,6 @@ Json latency_json(const obs::Histogram& h) {
   out.set("p99", Json::number(h.quantile(0.99)));
   out.set("max", Json::number(h.max()));
   return out;
-}
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
 }
 
 // Pulls `path.field` out of a scenario entry, tolerating absence.
@@ -54,26 +50,22 @@ std::string format_delta(double from, double to) {
 }  // namespace
 
 Json perf_scenario_json(const sim::SimResult& r) {
-  std::int64_t lp_iterations = 0;
-  int lp_refactorizations = 0;
-  std::int64_t lp_blocks_solved = 0;
-  for (const auto& stat : r.replan_stats) {
-    lp_iterations += stat.iterations;
-    lp_refactorizations += stat.refactorizations;
-    lp_blocks_solved += stat.blocks_solved;
-  }
+  // Run totals of the per-replan LP records, summed in replan order.
+  titannext::PlanLpStats lp;
+  for (const auto& stat : r.replan_stats) lp += stat;
 
   Json det = Json::object();
   det.set("calls", Json::number(static_cast<double>(r.calls)));
   det.set("events", Json::number(static_cast<double>(r.perf.events_processed)));
   det.set("eval_slots", Json::number(r.eval_slots));
   det.set("replans", Json::number(r.replans));
-  det.set("lp_iterations", Json::number(static_cast<double>(lp_iterations)));
-  det.set("lp_refactorizations", Json::number(lp_refactorizations));
-  det.set("lp_blocks_solved", Json::number(static_cast<double>(lp_blocks_solved)));
+  det.set("lp_iterations", Json::number(lp.iterations));
+  det.set("lp_refactorizations", Json::number(lp.refactorizations));
+  det.set("lp_blocks_solved", Json::number(lp.blocks_solved));
+  det.set("lp_fallback_pivots", Json::number(lp.fallback_pivots));
   det.set("rejected_calls", Json::number(static_cast<double>(r.rejected_calls)));
   det.set("degraded_calls", Json::number(static_cast<double>(r.degraded_calls)));
-  det.set("checksum", Json::string(hex_u64(r.checksum)));
+  det.set("checksum", Json::string(hex64(r.checksum)));
 
   Json thr = Json::object();
   thr.set("wall_seconds", Json::number(r.wall_seconds));
@@ -85,10 +77,10 @@ Json perf_scenario_json(const sim::SimResult& r) {
   phases.set("metric_aggregation", Json::number(r.perf.metric_aggregation_seconds));
   phases.set("replan", Json::number(r.perf.replan_seconds));
   phases.set("shard_work", Json::number(r.perf.shard_work_seconds));
-  phases.set("lp_build", Json::number(r.perf.lp_build_seconds));
-  phases.set("lp_phase1", Json::number(r.perf.lp_phase1_seconds));
-  phases.set("lp_phase2", Json::number(r.perf.lp_phase2_seconds));
-  phases.set("lp_refactor", Json::number(r.perf.lp_refactor_seconds));
+  phases.set("lp_build", Json::number(lp.build_seconds));
+  phases.set("lp_phase1", Json::number(lp.phase1_seconds));
+  phases.set("lp_phase2", Json::number(lp.phase2_seconds));
+  phases.set("lp_refactor", Json::number(lp.refactor_seconds));
   phases.set("plan_total", Json::number(r.plan_seconds));
   phases.set("forecast_total", Json::number(r.forecast_seconds));
 

@@ -6,13 +6,13 @@
 
 namespace titan::sweep {
 
-namespace {
-
 std::string hex64(std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
   return buf;
 }
+
+namespace {
 
 // Strict-mode guard: every key of `j` must be in `known`. The error names
 // the first offender exactly, so protocol tests can pin the text.

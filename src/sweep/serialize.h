@@ -21,9 +21,8 @@ namespace titan::sweep {
 // the metric schema when PlanScope grew multi-region support; v1 baselines
 // must be regenerated, not compared.
 // v3: replan-latency metrics of the warm-start loop (replan_iterations,
-// replan_phase1_iterations, warm_replans) plus plan_solve_seconds — the LP
-// time `Solution::solve_seconds` always measured but the sweep never
-// surfaced. Earlier baselines must be regenerated, not compared.
+// replan_phase1_iterations, warm_replans) plus the LP solve wall time
+// `Solution::solve_seconds` always measured but the sweep never surfaced. Earlier baselines must be regenerated, not compared.
 // v4: LP scale-out counters (dual-simplex pivots, replan_blocks_solved,
 // pruned candidate columns) from the dual-simplex warm path and the
 // region-block decomposition. Earlier baselines must be regenerated, not
@@ -53,6 +52,9 @@ inline constexpr int kSweepSchemaVersion = 6;
 // 2^53, so they travel as decimal strings everywhere in the sweep formats.
 [[nodiscard]] Json seed_to_json(std::uint64_t seed);
 [[nodiscard]] std::uint64_t seed_from_json(const Json& j);
+
+// Checksums travel as 16-digit lowercase hex strings.
+[[nodiscard]] std::string hex64(std::uint64_t v);
 
 // `include_runs` = false drops the per-run records (aggregates only), for
 // compact CI artifacts; the committed baseline keeps runs for forensics.

@@ -1,6 +1,7 @@
 #include "sweep/sweep.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -13,112 +14,116 @@
 
 namespace titan::sweep {
 
-const std::vector<std::string>& metric_names() {
-  static const std::vector<std::string> names = {
-      "calls",
-      "replans",
-      "dc_migrations",
-      "migration_rate",
-      "route_changes",
-      "forced_migrations",
-      "transit_failovers",
-      "out_of_plan",
-      "out_of_plan_rate",
-      "fallback_assignments",
-      "leaked_calls",
-      "internet_share",
-      "mean_mos",
-      "wan_sum_of_peaks_mbps",
-      "wan_worst_day_mbps",
-      "wan_total_traffic_gb",
+namespace {
+
+using sim::SimResult;
+
+double count(std::int64_t v) { return static_cast<double>(v); }
+
+// One planning region's entry of a per-continent slice.
+template <typename T>
+double in(const std::array<T, geo::kNumContinents>& slices, geo::Continent region) {
+  return static_cast<double>(slices[static_cast<std::size_t>(region)]);
+}
+
+// A per-replan field summed over the run (a bool counts the replans it
+// holds for).
+template <typename M, typename C>
+double replan_total(const SimResult& r, M C::*field) {
+  std::int64_t sum = 0;
+  for (const auto& stat : r.replan_stats) sum += stat.*field;
+  return static_cast<double>(sum);
+}
+
+double worst_day(const SimResult& r) {
+  double worst = 0.0;
+  for (const double d : r.wan.per_day_sum_of_peaks_mbps) worst = std::max(worst, d);
+  return worst;
+}
+
+constexpr auto kNa = geo::Continent::kNorthAmerica;
+constexpr auto kEu = geo::Continent::kEurope;
+constexpr auto kAsia = geo::Continent::kAsia;
+
+}  // namespace
+
+const std::vector<MetricDef>& metric_table() {
+  static const std::vector<MetricDef> table = {
+      {"calls", [](const SimResult& r) { return count(r.calls); }},
+      {"replans", [](const SimResult& r) { return count(r.replans); }},
+      {"dc_migrations", [](const SimResult& r) { return count(r.dc_migrations); }},
+      {"migration_rate", [](const SimResult& r) { return r.migration_rate(); }},
+      {"route_changes", [](const SimResult& r) { return count(r.route_changes); }},
+      {"forced_migrations", [](const SimResult& r) { return count(r.forced_migrations); }},
+      {"transit_failovers", [](const SimResult& r) { return count(r.transit_failovers); }},
+      {"out_of_plan", [](const SimResult& r) { return count(r.out_of_plan); }},
+      {"out_of_plan_rate", [](const SimResult& r) { return r.out_of_plan_rate(); }},
+      {"fallback_assignments", [](const SimResult& r) { return count(r.fallback_assignments); }},
+      {"leaked_calls", [](const SimResult& r) { return count(r.leaked_calls); }},
+      {"internet_share", [](const SimResult& r) { return r.internet_share; }},
+      {"mean_mos", [](const SimResult& r) { return r.mean_mos; }},
+      {"wan_sum_of_peaks_mbps", [](const SimResult& r) { return r.wan.sum_of_peaks_mbps; }},
+      {"wan_worst_day_mbps", worst_day},
+      {"wan_total_traffic_gb", [](const SimResult& r) { return r.wan.total_traffic_gb; }},
       // Per-region slices for the three planning regions (schema v2):
       // arrivals by the first joiner's continent, WAN GB by the serving
       // DC's continent. Out-of-scope regions report 0.
-      "calls_na",
-      "calls_eu",
-      "calls_asia",
-      "wan_gb_na",
-      "wan_gb_eu",
-      "wan_gb_asia",
+      {"calls_na", [](const SimResult& r) { return in(r.calls_by_region, kNa); }},
+      {"calls_eu", [](const SimResult& r) { return in(r.calls_by_region, kEu); }},
+      {"calls_asia", [](const SimResult& r) { return in(r.calls_by_region, kAsia); }},
+      {"wan_gb_na", [](const SimResult& r) { return in(r.wan_gb_by_region, kNa); }},
+      {"wan_gb_eu", [](const SimResult& r) { return in(r.wan_gb_by_region, kEu); }},
+      {"wan_gb_asia", [](const SimResult& r) { return in(r.wan_gb_by_region, kAsia); }},
       // Replan-latency surface of the warm-start loop (schema v3). The
-      // iteration counts are deterministic; plan_solve_seconds is the one
+      // iteration counts are deterministic; the LP solve time is the one
       // wall-clock metric in the schema — reported for observability, and
       // exempted from baseline comparison (infinite tolerance), since
       // timings are machine-dependent.
-      "replan_iterations",
-      "replan_phase1_iterations",
-      "warm_replans",
-      "plan_solve_seconds",
+      {"replan_iterations",
+       [](const SimResult& r) { return replan_total(r, &sim::ReplanStat::iterations); }},
+      {"replan_phase1_iterations",
+       [](const SimResult& r) { return replan_total(r, &sim::ReplanStat::phase1_iterations); }},
+      {"warm_replans",
+       [](const SimResult& r) { return replan_total(r, &sim::ReplanStat::warm_started); }},
+      {"plan_solve_seconds", [](const SimResult& r) { return r.plan_seconds; }, true},
       // Region blocks solved by the decomposed path across all replans
       // (schema v4). Deterministic.
-      "replan_blocks_solved",
+      {"replan_blocks_solved",
+       [](const SimResult& r) { return replan_total(r, &sim::ReplanStat::blocks_solved); }},
       // Overload regime (schema v5): admission-control sheds and media
       // step-downs, plus the realized per-region shed fraction (rejected /
       // offered arrivals) for the three planning regions. All zero outside
       // the overload scenarios.
-      "rejected_calls",
-      "degraded_calls",
-      "shed_fraction_na",
-      "shed_fraction_eu",
-      "shed_fraction_asia",
+      {"rejected_calls", [](const SimResult& r) { return count(r.rejected_calls); }},
+      {"degraded_calls", [](const SimResult& r) { return count(r.degraded_calls); }},
+      {"shed_fraction_na", [](const SimResult& r) { return r.shed_fraction(kNa); }},
+      {"shed_fraction_eu", [](const SimResult& r) { return r.shed_fraction(kEu); }},
+      {"shed_fraction_asia", [](const SimResult& r) { return r.shed_fraction(kAsia); }},
   };
+  return table;
+}
+
+const std::vector<std::string>& metric_names() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const MetricDef& m : metric_table()) out.emplace_back(m.name);
+    return out;
+  }();
   return names;
 }
 
 std::vector<double> metric_values(const sim::SimResult& r) {
-  double worst_day = 0.0;
-  for (const double d : r.wan.per_day_sum_of_peaks_mbps) worst_day = std::max(worst_day, d);
-  std::int64_t replan_iterations = 0, replan_phase1 = 0, warm_replans = 0;
-  std::int64_t replan_blocks = 0;
-  for (const auto& stat : r.replan_stats) {
-    replan_iterations += stat.iterations;
-    replan_phase1 += stat.phase1_iterations;
-    warm_replans += stat.warm_started ? 1 : 0;
-    replan_blocks += stat.blocks_solved;
-  }
-  return {
-      static_cast<double>(r.calls),
-      static_cast<double>(r.replans),
-      static_cast<double>(r.dc_migrations),
-      r.migration_rate(),
-      static_cast<double>(r.route_changes),
-      static_cast<double>(r.forced_migrations),
-      static_cast<double>(r.transit_failovers),
-      static_cast<double>(r.out_of_plan),
-      r.out_of_plan_rate(),
-      static_cast<double>(r.fallback_assignments),
-      static_cast<double>(r.leaked_calls),
-      r.internet_share,
-      r.mean_mos,
-      r.wan.sum_of_peaks_mbps,
-      worst_day,
-      r.wan.total_traffic_gb,
-      static_cast<double>(
-          r.calls_by_region[static_cast<std::size_t>(geo::Continent::kNorthAmerica)]),
-      static_cast<double>(r.calls_by_region[static_cast<std::size_t>(geo::Continent::kEurope)]),
-      static_cast<double>(r.calls_by_region[static_cast<std::size_t>(geo::Continent::kAsia)]),
-      r.wan_gb_by_region[static_cast<std::size_t>(geo::Continent::kNorthAmerica)],
-      r.wan_gb_by_region[static_cast<std::size_t>(geo::Continent::kEurope)],
-      r.wan_gb_by_region[static_cast<std::size_t>(geo::Continent::kAsia)],
-      static_cast<double>(replan_iterations),
-      static_cast<double>(replan_phase1),
-      static_cast<double>(warm_replans),
-      r.plan_seconds,
-      static_cast<double>(replan_blocks),
-      static_cast<double>(r.rejected_calls),
-      static_cast<double>(r.degraded_calls),
-      r.shed_fraction(geo::Continent::kNorthAmerica),
-      r.shed_fraction(geo::Continent::kEurope),
-      r.shed_fraction(geo::Continent::kAsia),
-  };
+  std::vector<double> out;
+  out.reserve(metric_table().size());
+  for (const MetricDef& m : metric_table()) out.push_back(m.value(r));
+  return out;
 }
 
 const std::vector<std::size_t>& timing_metric_indices() {
   static const std::vector<std::size_t> indices = [] {
     std::vector<std::size_t> out;
-    const auto& names = metric_names();
-    for (std::size_t i = 0; i < names.size(); ++i)
-      if (names[i] == "plan_solve_seconds") out.push_back(i);
+    for (std::size_t i = 0; i < metric_table().size(); ++i)
+      if (metric_table()[i].wall_clock) out.push_back(i);
     return out;
   }();
   return indices;

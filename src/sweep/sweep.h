@@ -9,15 +9,15 @@
 // (bit-identical results across thread counts) on every task, and reduces
 // each metric across seeds into mean / p50 / p95 / min / max / stddev.
 //
-// Determinism contract: every metric except the explicitly-marked timing
-// entries (timing_metric_indices(); schema v3's plan_solve_seconds) is a
-// pure function of the spec. Worker-pool size and task execution order
-// never change a byte of those — records land in canonical (scenario,
-// seed, threads) slots and aggregation runs after the pool drains — so a
-// sweep JSON is comparable across machines and committable as a
-// regression baseline (see sweep/baseline.h; the baseline check grants
-// the timing metrics unbounded tolerance, and mask_timing_metrics puts
-// two sweeps into fully byte-comparable form).
+// Determinism contract: every metric except the wall-clock entries of the
+// metric table (timing_metric_indices()) is a pure function of the spec.
+// Worker-pool size and task execution order never change a byte of those —
+// records land in canonical (scenario, seed, threads) slots and
+// aggregation runs after the pool drains — so a sweep JSON is comparable
+// across machines and committable as a regression baseline (see
+// sweep/baseline.h; the baseline check grants the timing metrics unbounded
+// tolerance, and mask_timing_metrics puts two sweeps into fully
+// byte-comparable form).
 #pragma once
 
 #include <cstdint>
@@ -57,19 +57,25 @@ struct SweepSpec {
   bool operator==(const SweepSpec&) const = default;
 };
 
-// The SimResult fields a sweep aggregates, in report order. `metric_values`
-// returns one value per `metric_names()` entry. Every metric is a pure
-// function of the spec except the explicitly-marked timing metrics below
-// (schema v3 carries plan_solve_seconds for replan-latency observability);
-// comparison surfaces — the determinism audits, byte-equality of
-// differently-scheduled sweeps — mask those first, and the baseline check
-// grants them unbounded tolerance.
+// One per-run metric of the sweep schema: its name, how it reads off a
+// SimResult, and whether it is wall clock. Every metric is a pure function
+// of the spec except the wall-clock ones; comparison surfaces — the
+// determinism audits, byte-equality of differently-scheduled sweeps — mask
+// those first, and the baseline check grants them unbounded tolerance.
+struct MetricDef {
+  const char* name = "";
+  double (*value)(const sim::SimResult&) = nullptr;
+  bool wall_clock = false;
+};
+
+// The metric schema, in report order: the one list every sweep surface
+// (names, values, masking, tolerances, bench --json) derives from.
+[[nodiscard]] const std::vector<MetricDef>& metric_table();
+
+// Views of metric_table(): the names, one value per name, and the indices
+// of the wall-clock entries.
 [[nodiscard]] const std::vector<std::string>& metric_names();
 [[nodiscard]] std::vector<double> metric_values(const sim::SimResult& r);
-
-// Indices into metric_names() of the wall-clock metrics (currently just
-// plan_solve_seconds): the only schema entries that are NOT deterministic
-// in the spec.
 [[nodiscard]] const std::vector<std::size_t>& timing_metric_indices();
 
 // One completed simulation, reduced to the metric schema.

@@ -367,20 +367,6 @@ double sum_wan_peaks(const PlanInputs& inputs,
   return sum;
 }
 
-// Accumulates one lp::Solution's counters into the plan result (a plan
-// solve may run several LPs: blocks + coupling).
-void accumulate_solution_stats(LpPlanResult& r, const lp::Solution& sol) {
-  r.solve_seconds += sol.solve_seconds;
-  r.phase1_seconds += sol.phase1_seconds;
-  r.phase2_seconds += sol.phase2_seconds;
-  r.refactor_seconds += sol.refactor_seconds;
-  r.refactorizations += sol.refactorizations;
-  r.iterations += sol.iterations;
-  r.phase1_iterations += sol.phase1_iterations;
-  r.stall_pivots += sol.stall_pivots;
-  r.bland_pivots += sol.bland_pivots;
-}
-
 // Snapshots a solved model's identity + basis into a warm context for the
 // next replan of the same (sub)scope.
 void snapshot_context(PlanBasisContext& ctx, const PlanInputs& inputs,
@@ -418,8 +404,7 @@ LpPlanResult solve_monolithic(const PlanInputs& inputs, const LpBuildOptions& op
       seed ? lp::solve(model, *seed, options.solver) : lp::solve(model, options.solver);
   result.status = sol.status;
   result.objective = sol.objective;
-  accumulate_solution_stats(result, sol);
-  result.warm_started = sol.warm_started;
+  result += sol;
   if (sol.status != lp::SolveStatus::kOptimal) return result;
 
   // Snapshot the fresh basis + model identity for the next replan.
@@ -556,7 +541,7 @@ std::optional<LpPlanResult> solve_decomposed(const PlanInputs& inputs,
     }
     const lp::Solution sol =
         seed ? lp::solve(model, *seed, options.solver) : lp::solve(model, options.solver);
-    accumulate_solution_stats(result, sol);
+    result += sol;
     if (sol.status == lp::SolveStatus::kInfeasible) {
       // The block alone cannot serve its demands (e.g. its DCs are
       // drained). Promote them to the coupling LP, which sees every DC —
@@ -568,7 +553,6 @@ std::optional<LpPlanResult> solve_decomposed(const PlanInputs& inputs,
     }
     if (sol.status != lp::SolveStatus::kOptimal) return std::nullopt;
     ++result.blocks_solved;
-    result.warm_started = result.warm_started || sol.warm_started;
     if (ctx != nullptr)
       snapshot_context(*ctx, block_inputs, block_options, sol, warm->next_plan_begin);
     objective += sol.objective;
@@ -694,7 +678,7 @@ std::optional<LpPlanResult> solve_decomposed(const PlanInputs& inputs,
         std::chrono::duration<double>(std::chrono::steady_clock::now() - build_start).count();
 
     const lp::Solution sol = lp::solve(model, options.solver);
-    accumulate_solution_stats(result, sol);
+    result += sol;
     if (sol.status != lp::SolveStatus::kOptimal) return std::nullopt;
     objective += sol.objective;
     for (int t = 0; t < T; ++t)
@@ -735,6 +719,14 @@ std::optional<LpPlanResult> solve_decomposed(const PlanInputs& inputs,
 
 }  // namespace
 
+PlanLpStats& PlanLpStats::operator+=(const PlanLpStats& o) {
+  lp::SolveStats::operator+=(o);
+  build_seconds += o.build_seconds;
+  blocks_solved += o.blocks_solved;
+  attempts += o.attempts;
+  return *this;
+}
+
 LpPlanResult solve_plan(const PlanInputs& inputs, const LpBuildOptions& options,
                         WarmStartCache* warm) {
   const bool multi_region = inputs.scope().regions.size() > 1;
@@ -742,10 +734,11 @@ LpPlanResult solve_plan(const PlanInputs& inputs, const LpBuildOptions& options,
       options.objective == Objective::kMinimizeWanPeaks &&
       (options.decomposition == Decomposition::kForce ||
        (options.decomposition == Decomposition::kAuto && multi_region));
-  if (decompose) {
-    if (auto r = solve_decomposed(inputs, options, warm)) return *r;
-  }
-  return solve_monolithic(inputs, options, warm);
+  std::optional<LpPlanResult> result;
+  if (decompose) result = solve_decomposed(inputs, options, warm);
+  if (!result) result = solve_monolithic(inputs, options, warm);
+  result->attempts = 1;
+  return std::move(*result);
 }
 
 }  // namespace titan::titannext

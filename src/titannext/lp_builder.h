@@ -64,28 +64,31 @@ struct AssignmentWeights {
   std::vector<Entry> entries;
 };
 
-struct LpPlanResult {
-  lp::SolveStatus status = lp::SolveStatus::kNumericalFailure;
-  double objective = 0.0;
-  double solve_seconds = 0.0;
-  // Wall-clock breakdown (see lp::Solution): model construction, the two
-  // simplex phases, and the LU refactorization share counted inside them.
+// The LP work record of plan solves: lp::SolveStats summed over every LP
+// a plan solve ran (one for a monolithic solve; per-block + coupling for a
+// decomposed one), plus the work around the simplex. `+=` sums every field,
+// so the pipeline's headroom-relaxation retries and the simulator's replans
+// report the work of every attempt.
+struct PlanLpStats : lp::SolveStats {
+  // Model construction (wall clock); solve_seconds excludes it.
   double build_seconds = 0.0;
-  double phase1_seconds = 0.0;
-  double phase2_seconds = 0.0;
-  double refactor_seconds = 0.0;
-  int refactorizations = 0;  // deterministic, like `iterations`
-  int iterations = 0;
-  int phase1_iterations = 0;
-  // Solver observability, summed across every LP the plan solve ran (one
-  // for a monolithic solve; per-block + coupling for a decomposed one).
-  // See lp::Solution for the per-solve meanings.
-  int stall_pivots = 0;
-  int bland_pivots = 0;
   // Region blocks solved to optimality by the decomposed path; 0 for a
   // monolithic solve (the coupling LP is not counted as a block).
   int blocks_solved = 0;
-  bool warm_started = false;  // seeded from the previous replan's basis
+  int attempts = 0;  // solve_plan calls (headroom-relaxation attempts)
+
+  using lp::SolveStats::operator+=;
+  PlanLpStats& operator+=(const PlanLpStats& o);
+  void zero_wallclock() {
+    lp::SolveStats::zero_wallclock();
+    build_seconds = 0.0;
+  }
+  bool operator==(const PlanLpStats&) const = default;
+};
+
+struct LpPlanResult : PlanLpStats {
+  lp::SolveStatus status = lp::SolveStatus::kNumericalFailure;
+  double objective = 0.0;
   // weights[t][demand_idx]
   std::vector<std::vector<AssignmentWeights>> weights;
   // Realized sum over links of peak WAN bandwidth of the fractional plan.

@@ -66,17 +66,7 @@ DayPlan TitanNextPipeline::plan_from_counts(const workload::Trace& trace,
     day.inputs = std::make_unique<PlanInputs>(*net_, scope, fractions_);
     day.inputs->set_demand(trace.configs(), counts, options_.use_reduction);
     LpPlanResult result = solve_plan(*day.inputs, lp, warm);
-    day.lp_seconds += result.solve_seconds;
-    day.lp_build_seconds += result.build_seconds;
-    day.lp_phase1_seconds += result.phase1_seconds;
-    day.lp_phase2_seconds += result.phase2_seconds;
-    day.lp_refactor_seconds += result.refactor_seconds;
-    day.lp_refactorizations = result.refactorizations;
-    day.lp_iterations = result.iterations;
-    day.lp_phase1_iterations = result.phase1_iterations;
-    day.lp_blocks_solved = result.blocks_solved;
-    day.lp_warm_started = result.warm_started;
-    day.lp_attempts = attempt + 1;
+    day.lp += result;
     if (result.status != lp::SolveStatus::kInfeasible) {
       day.plan = OfflinePlan(day.inputs.get(), std::move(result));
       return day;

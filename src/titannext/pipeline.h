@@ -33,23 +33,10 @@ struct DayPlan {
   std::unique_ptr<PlanInputs> inputs;
   OfflinePlan plan;
   double forecast_seconds = 0.0;
-  double lp_seconds = 0.0;       // across all solve attempts
-  // Phase breakdown of the LP work, accumulated across attempts like
-  // lp_seconds: model build, simplex phase 1 (or warm restoration),
-  // phase 2, and the LU refactorization share counted inside the phases.
-  double lp_build_seconds = 0.0;
-  double lp_phase1_seconds = 0.0;
-  double lp_phase2_seconds = 0.0;
-  double lp_refactor_seconds = 0.0;
-  int lp_refactorizations = 0;    // of the accepted solve (deterministic)
-  int lp_iterations = 0;          // simplex iterations of the accepted solve
-  int lp_phase1_iterations = 0;   // phase-1 share (for warm-started solves:
-                                  // the feasibility-restoration iterations)
-  // Region blocks solved by the decomposed path in the accepted solve
-  // (deterministic; see LpPlanResult).
-  int lp_blocks_solved = 0;
-  bool lp_warm_started = false;   // accepted solve was seeded from a cached basis
-  int lp_attempts = 0;            // headroom-relaxation attempts consumed
+  // LP work summed over every headroom-relaxation attempt (one solve_plan
+  // call each; lp.attempts counts them). lp.solve_seconds covers lp::solve
+  // only; model construction is lp.build_seconds.
+  PlanLpStats lp;
   [[nodiscard]] bool valid() const { return plan.valid(); }
 };
 

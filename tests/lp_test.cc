@@ -508,6 +508,45 @@ TEST(SimplexWarmTest, WarmStartDoesNotMaskInfeasibility) {
   EXPECT_EQ(solve(infeasible, base.basis).status, SolveStatus::kInfeasible);
 }
 
+// min -2x - y - z s.t. x + y + z <= r0, x + 2y >= 2, x <= 2, z <= 1:
+// feasible for r0 >= 1, infeasible below.
+LpModel covering_rhs_model(double r0) {
+  LpModel m;
+  const int x = m.add_variable(-2.0);
+  const int y = m.add_variable(-1.0);
+  const int z = m.add_variable(-1.0);
+  const int c0 = m.add_constraint(Sense::kLe, r0);
+  for (const int v : {x, y, z}) m.add_coefficient(c0, v, 1.0);
+  const int c1 = m.add_constraint(Sense::kGe, 2.0);
+  m.add_coefficient(c1, x, 1.0);
+  m.add_coefficient(c1, y, 2.0);
+  const int c2 = m.add_constraint(Sense::kLe, 2.0);
+  m.add_coefficient(c2, x, 1.0);
+  const int c3 = m.add_constraint(Sense::kLe, 1.0);
+  m.add_coefficient(c3, z, 1.0);
+  return m;
+}
+
+// A warm seed on a model the rhs cut made infeasible: restoration pivots,
+// fails, and the cold path reports infeasibility. The failed attempt's
+// pivots are counted in fallback_pivots, outside `iterations`.
+TEST(SimplexWarmTest, FailedRestorationCountsFallbackPivots) {
+  const Solution base = solve(covering_rhs_model(4.0));
+  ASSERT_EQ(base.status, SolveStatus::kOptimal);
+  EXPECT_EQ(base.fallback_pivots, 0);
+
+  SolveOptions opt;
+  opt.warm_repair_limit = 1.0;  // admit the damaged seed to restoration
+  const LpModel cut = covering_rhs_model(0.5);
+  const Solution warm = solve(cut, base.basis, opt);
+  EXPECT_EQ(warm.status, SolveStatus::kInfeasible);
+  EXPECT_FALSE(warm.warm_started);
+  EXPECT_GT(warm.fallback_pivots, 0);
+  const Solution cold = solve(cut, opt);
+  EXPECT_EQ(cold.fallback_pivots, 0);
+  EXPECT_EQ(warm.iterations, cold.iterations);
+}
+
 // Medium-size structured LP resembling the Titan-Next shape: assignment
 // variables with equality demand rows and capacity rows plus peak rows.
 TEST(SimplexTest, StructuredAssignmentLp) {

@@ -1,9 +1,8 @@
-// Tests for the media substrate: RTP accounting, jitter buffer, MOS model,
-// and the MP relay simulator.
+// Tests for the media substrate: RTP accounting, the MOS model, and the MP
+// relay simulator.
 #include <gtest/gtest.h>
 
 #include "core/stats.h"
-#include "media/jitter_buffer.h"
 #include "media/media_types.h"
 #include "media/mos.h"
 #include "media/relay_sim.h"
@@ -77,62 +76,6 @@ TEST(RtpTest, CombineLegLoss) {
   EXPECT_DOUBLE_EQ(combine_leg_loss(0.0, 0.0), 0.0);
   EXPECT_NEAR(combine_leg_loss(0.01, 0.01), 0.0199, 1e-4);
   EXPECT_DOUBLE_EQ(combine_leg_loss(1.0, 0.0), 1.0);
-}
-
-// --- Jitter buffer ------------------------------------------------------------
-
-TEST(JitterBufferTest, AbsorbsModerateJitter) {
-  core::Rng rng(5);
-  RtpLegParams leg;
-  leg.jitter_ms = 3.5;  // Internet-like jitter (§4.2 finding 3)
-  leg.duration_s = 120.0;
-  const auto arrivals = simulate_arrivals(leg, rng);
-  JitterBuffer buffer;
-  const auto stats = buffer.run(arrivals);
-  EXPECT_LT(stats.late_rate, 0.02);  // buffer hides it
-  EXPECT_GT(stats.mean_playout_delay_ms, 0.0);
-}
-
-TEST(JitterBufferTest, HeavyJitterCausesLateDrops) {
-  core::Rng rng(6);
-  RtpLegParams leg;
-  leg.jitter_ms = 60.0;
-  leg.duration_s = 120.0;
-  const auto arrivals = simulate_arrivals(leg, rng);
-  JitterBufferParams params;
-  params.max_delay_ms = 80.0;  // cap below what this jitter needs
-  JitterBuffer buffer(params);
-  const auto stats = buffer.run(arrivals);
-  EXPECT_GT(stats.late_rate, 0.02);
-}
-
-// Regression for the playout-delay stat: with handcrafted arrivals the
-// reported mean must reflect how long packets actually waited (playout -
-// arrival), not the configured target. The old accumulation `target +
-// (transit - min_delay)` telescoped to exactly `target`, so every stream
-// with the same knob settings reported the same delay regardless of
-// arrival timing.
-TEST(JitterBufferTest, MeanPlayoutDelayTracksArrivalTiming) {
-  // Zero-jitter start keeps the EWMA estimate under min_delay_ms / 8, so
-  // the target stays pinned at min_delay_ms = 10 for every packet.
-  std::vector<RtpArrival> arrivals;
-  const double transits[] = {5.0, 5.0, 3.0, 5.0};
-  for (std::uint32_t i = 0; i < 4; ++i)
-    arrivals.push_back({i, 20.0 * i, 20.0 * i + transits[i]});
-  JitterBuffer buffer;
-  const auto stats = buffer.run(arrivals);
-  ASSERT_EQ(stats.played, 4u);
-  // Playout = send + min_transit(3) + target(10); experienced delay per
-  // packet = 13 - transit -> {8, 8, 10, 8}, mean 8.5. The buggy stat
-  // reported the configured 10.0 here.
-  EXPECT_NEAR(stats.mean_playout_delay_ms, 8.5, 1e-9);
-}
-
-TEST(JitterBufferTest, EmptyStream) {
-  JitterBuffer buffer;
-  const auto stats = buffer.run({});
-  EXPECT_EQ(stats.played, 0u);
-  EXPECT_DOUBLE_EQ(stats.late_rate, 0.0);
 }
 
 // --- MOS ----------------------------------------------------------------------

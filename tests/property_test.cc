@@ -8,7 +8,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "media/jitter_buffer.h"
 #include "media/mos.h"
 #include "media/rtp.h"
 #include "net/network_db.h"
@@ -114,33 +113,6 @@ INSTANTIATE_TEST_SUITE_P(
                       RtpCase{media::MediaType::kScreenShare, 0.02},
                       RtpCase{media::MediaType::kVideo, 0.001},
                       RtpCase{media::MediaType::kVideo, 0.03}));
-
-// ---- Jitter buffer late rate is monotone in jitter --------------------------
-
-class JitterSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(JitterSweepTest, LateRateBoundedAndDelayGrowsWithJitter) {
-  core::Rng rng(8100 + static_cast<std::uint64_t>(GetParam()));
-  const double jitter = 1.0 + 2.0 * GetParam();
-  media::RtpLegParams leg;
-  leg.jitter_ms = jitter;
-  leg.duration_s = 60.0;
-  const auto arrivals = media::simulate_arrivals(leg, rng);
-  media::JitterBuffer buffer;
-  const auto stats = buffer.run(arrivals);
-  EXPECT_LE(stats.late_rate, 0.10) << "jitter=" << jitter;
-  EXPECT_GE(stats.mean_playout_delay_ms, 0.0);
-  // More jitter needs more buffering.
-  if (GetParam() >= 2) {
-    core::Rng rng2(8100);
-    media::RtpLegParams calm = leg;
-    calm.jitter_ms = 1.0;
-    const auto calm_stats = buffer.run(media::simulate_arrivals(calm, rng2));
-    EXPECT_GE(stats.mean_playout_delay_ms, calm_stats.mean_playout_delay_ms);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(JitterLevels, JitterSweepTest, ::testing::Range(0, 6));
 
 // ---- MOS monotonicity over latency and loss grids ----------------------------
 

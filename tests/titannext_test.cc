@@ -887,5 +887,42 @@ TEST_F(TitanNextTest, PipelinePlansOracleAndForecast) {
   EXPECT_GT(practical.forecast_seconds, 0.0);
 }
 
+// Headroom relaxation: a compute headroom below the horizon's peak demand
+// makes the first plan LP infeasible, and the pipeline retries with the
+// headroom and e2e bound relaxed by 1.3x. The DayPlan's LP record sums the
+// work of every attempt: replaying the attempts by hand reproduces it
+// exactly, and it holds more pivots than the accepted solve alone.
+TEST_F(TitanNextTest, HeadroomRelaxationRetriesAndSumsEveryAttempt) {
+  PipelineOptions popts;
+  popts.scope = small_scope();
+  popts.scope.compute_headroom = 0.8;  // < 1: the peak slot cannot be served
+  popts.lp.e2e_bound_ms = 120.0;
+  const TitanNextPipeline pipeline(*db_, *fractions_, popts);
+  const auto counts = trace_->config_counts();
+  const DayPlan day = pipeline.plan_from_counts(*trace_, counts, 0.0);
+  ASSERT_TRUE(day.valid());
+  ASSERT_GE(day.lp.attempts, 2);
+  EXPECT_EQ(day.plan.result().attempts, 1);
+  EXPECT_GT(day.lp.iterations, day.plan.result().iterations);
+
+  PlanScope scope = popts.scope;
+  LpBuildOptions lp = popts.lp;
+  PlanLpStats replay;
+  for (int attempt = 1; attempt <= day.lp.attempts; ++attempt) {
+    PlanInputs inputs(*db_, scope, *fractions_);
+    inputs.set_demand(trace_->configs(), counts, popts.use_reduction);
+    const LpPlanResult result = solve_plan(inputs, lp);
+    EXPECT_EQ(result.status, attempt < day.lp.attempts ? lp::SolveStatus::kInfeasible
+                                                       : lp::SolveStatus::kOptimal);
+    replay += result;
+    scope.compute_headroom *= 1.3;
+    lp.e2e_bound_ms *= 1.3;
+  }
+  PlanLpStats recorded = day.lp;
+  recorded.zero_wallclock();
+  replay.zero_wallclock();
+  EXPECT_EQ(recorded, replay);
+}
+
 }  // namespace
 }  // namespace titan::titannext
