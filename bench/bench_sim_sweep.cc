@@ -13,33 +13,20 @@
 //                --out bench/baselines/sweep_baseline.json
 //   check:     bench_sim_sweep --seeds 5 --weeks 1 --peak 200
 //                --baseline bench/baselines/sweep_baseline.json --check
-//   distribute: bench_sim_sweep --seeds 8 --workers-proc 4 --out sweep.json
-//                (byte-identical to the in-process run; docs/sweep.md)
-//   worker:    bench_sim_sweep --worker   (dispatcher-spawned; speaks the
-//                sweep/protocol.h line protocol on stdin/stdout)
 //
 // --check re-runs the sweep with the baseline's spec expected to match the
 // CLI-derived spec, diffs the aggregates under per-metric relative
 // tolerances, and exits 1 on any regression (2 on an incomparable
 // baseline). Determinism is audited on every run: each (seed, scenario)
 // simulates at every --sim-threads count and any divergence fails the run.
-#include <unistd.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <iostream>
 #include <sstream>
-#include <thread>
 
 #include "bench/common.h"
 #include "core/table.h"
 #include "sweep/baseline.h"
-#include "sweep/dispatch.h"
-#include "sweep/perf_report.h"
-#include "sweep/protocol.h"
 #include "sweep/serialize.h"
 #include "sweep/sweep.h"
 
@@ -53,82 +40,6 @@ std::string read_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
-}
-
-// The worker half of the distributed sweep: one work-spec JSON line in,
-// one partial-result line out, exit 0 on stdin EOF. stdout is the protocol
-// channel, so this runs before any banner printing. Protocol errors are
-// fatal on purpose — a worker that cannot parse its dispatcher's spec must
-// die loudly, not guess (the dispatcher re-dispatches and eventually
-// surfaces the fault).
-//
-// --worker-fault MODE[:N] arms one injected fault for the protocol tests:
-// after N clean answers (default 0) the worker, instead of answering,
-//   die        exits without a byte of the answer
-//   hang       never answers (the dispatcher's timeout must fire)
-//   truncate   writes half the answer line, no newline, and exits
-//   corrupt    writes a full line that is not valid JSON
-//   bad-version answers with an unknown protocol version
-int worker_main(const bench::Cli& cli) {
-  std::string fault_mode;
-  int fault_after = 0;
-  if (!cli.worker_fault.empty()) {
-    const std::size_t colon = cli.worker_fault.find(':');
-    fault_mode = cli.worker_fault.substr(0, colon);
-    if (colon != std::string::npos)
-      fault_after = std::atoi(cli.worker_fault.c_str() + colon + 1);
-  }
-
-  int answered = 0;
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    try {
-      const sweep::WorkSpec spec = sweep::work_spec_from_text(line);
-      sweep::PartialResult partial = sweep::run_work_spec(spec);
-      if (!fault_mode.empty() && answered == fault_after) {
-        if (fault_mode == "die") return 3;
-        if (fault_mode == "hang") {
-          for (;;) std::this_thread::sleep_for(std::chrono::seconds(3600));
-        }
-        if (fault_mode == "truncate") {
-          const std::string out = sweep::to_json_line(partial);
-          std::fwrite(out.data(), 1, out.size() / 2, stdout);
-          std::fflush(stdout);
-          return 3;
-        }
-        if (fault_mode == "corrupt") {
-          std::fputs("{\"protocol\":1,this is not json}\n", stdout);
-          std::fflush(stdout);
-          ++answered;
-          continue;
-        }
-        // bad-version: a well-formed answer from a future protocol.
-        partial.protocol = sweep::kWorkProtocolVersion + 98;
-      }
-      const std::string out = sweep::to_json_line(partial);
-      std::fwrite(out.data(), 1, out.size(), stdout);
-      std::fputc('\n', stdout);
-      std::fflush(stdout);
-      ++answered;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "worker error: %s\n", e.what());
-      return 2;
-    }
-  }
-  return 0;
-}
-
-// Path of the running binary — the dispatcher re-executes itself as its
-// workers, so the distributed sweep needs no install location.
-std::string self_binary_path(const char* argv0) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return buf;
-  }
-  return argv0;  // non-procfs fallback
 }
 
 void print_aggregates(const sweep::SweepResult& result) {
@@ -151,8 +62,6 @@ void print_aggregates(const sweep::SweepResult& result) {
 
 int main(int argc, char** argv) {
   const bench::Cli cli = bench::parse_cli(argc, argv, sim::scenario_names());
-  // Worker mode owns stdout as its protocol channel: no banner, no tables.
-  if (cli.worker) return worker_main(cli);
   bench::print_header("Seed x scenario sweep: metric distributions + regression check",
                       "§8 evaluated as distributions, not single runs");
 
@@ -185,7 +94,7 @@ int main(int argc, char** argv) {
   spec.max_reduced_configs = 30;
 
   try {
-    const sweep::SweepSpec resolved = sweep::validate_sweep_spec(spec);
+    const sweep::SweepRunner runner(spec);
 
     // Validate --check prerequisites before burning minutes of sweeping:
     // a missing flag or an unreadable/malformed baseline is a CLI error,
@@ -199,49 +108,19 @@ int main(int argc, char** argv) {
       }
       baseline = sweep::from_json_text(read_file(cli.baseline_path));
     }
+    const sweep::SweepSpec& resolved = runner.spec();
+    std::string sim_threads;
+    for (const int t : resolved.sim_threads) {
+      if (!sim_threads.empty()) sim_threads += ',';
+      sim_threads += std::to_string(t);
+    }
     std::printf("\nsweeping %zu scenarios x %d seeds (base seed %llu), "
                 "sim threads {%s}, peak %.0f, %d training week(s)\n",
                 resolved.scenarios.size(), resolved.num_seeds,
-                static_cast<unsigned long long>(resolved.base_seed),
-                cli.sim_threads.empty() ? "1" : cli.sim_threads.c_str(),
+                static_cast<unsigned long long>(resolved.base_seed), sim_threads.c_str(),
                 resolved.peak_slot_calls, resolved.training_weeks);
 
-    sweep::SweepResult result;
-    if (cli.workers_proc > 0) {
-      // Distributed mode: this binary re-executed as --worker subprocesses.
-      // Same spec, same reduction, same bytes — only the scheduling (and
-      // the fault tolerance) differs. docs/sweep.md has the protocol.
-      sweep::DispatchOptions opts;
-      opts.workers = cli.workers_proc;
-      opts.task_timeout_sec = cli.worker_timeout_sec;
-      sweep::SweepDispatcher dispatcher(
-          resolved,
-          sweep::process_worker_factory({self_binary_path(argv[0]), "--worker"}), opts);
-      std::printf("\ndistributing across %d worker process(es), %.0f s/task timeout\n",
-                  cli.workers_proc, cli.worker_timeout_sec);
-      result = dispatcher.run();
-
-      const sweep::DispatchReport& dispatch = dispatcher.report();
-      std::printf("dispatch: %.2f s wall, %d retried spec(s)\n", dispatch.seconds,
-                  dispatch.retries);
-      for (const auto& w : dispatch.workers)
-        std::printf("  worker %d: %d task(s), %d fault(s), %d respawn(s), %.2f s busy\n",
-                    w.worker, w.tasks_completed, w.faults, w.respawns, w.busy_seconds);
-      // Per-worker timing artifact (CI uploads it; wall-clock only, never
-      // compared against anything).
-      if (!cli.perf_json_path.empty()) {
-        std::ofstream out(cli.perf_json_path, std::ios::binary);
-        if (!out) {
-          std::fprintf(stderr, "cannot write %s\n", cli.perf_json_path.c_str());
-          return 1;
-        }
-        out << sweep::dispatch_report_json(dispatch, dispatcher.registry()).dump(2) << "\n";
-        std::printf("wrote %s\n", cli.perf_json_path.c_str());
-      }
-    } else {
-      const sweep::SweepRunner runner(spec);
-      result = runner.run();
-    }
+    const sweep::SweepResult result = runner.run();
     print_aggregates(result);
 
     // Per-task wall time (canonical order: scenario-major, seed-minor) —

@@ -36,9 +36,7 @@ namespace titan::bench {
 //                 from the rolling-horizon drill (bench_sim_scenarios only)
 //   --perf-json PATH  throughput / latency / phase-timing performance
 //                 report (bench_sim_scenarios; docs/observability.md
-//                 documents the schema). In bench_sim_sweep's distributed
-//                 mode (--workers-proc) it writes the per-worker dispatch
-//                 timing report instead (docs/sweep.md)
+//                 documents the schema)
 //   --perf-baseline PATH  committed perf JSON to diff against,
 //                 informationally — never changes the exit code
 //   --trace-out PATH  Chrome trace_event JSON of the runs' phase spans,
@@ -59,19 +57,6 @@ namespace titan::bench {
 //   --scenarios L comma-separated scenario names, or "all"
 //   --sim-threads L  comma list of per-sim thread counts (default "1")
 //   --workers N   sweep worker pool size (default: hardware threads)
-//   --workers-proc N  distribute the sweep across N worker *subprocesses*
-//                 (bench_sim_sweep re-executed with --worker) instead of
-//                 in-process threads; byte-identical results (docs/sweep.md)
-//   --worker-timeout-sec X  per-task answer deadline in the distributed
-//                 mode; a silent worker is killed and its task re-dispatched
-//                 (default 600)
-//   --worker      run as a sweep worker: read work-spec JSON lines on
-//                 stdin, write partial-result lines on stdout, exit on EOF.
-//                 For the dispatcher's use; mutually exclusive with
-//                 --workers-proc
-//   --worker-fault MODE[:N]  fault injection for the worker protocol tests
-//                 (requires --worker): after N answered tasks (default 0)
-//                 die | hang | truncate | corrupt | bad-version
 //   --baseline P  baseline JSON to diff against with --check
 //   --check       compare against --baseline; exit 1 on regression
 //   --out P       write the sweep JSON (runs + aggregates)
@@ -99,10 +84,6 @@ struct Cli {
   std::string scenarios;    // comma list; "" or "all" = whole library
   std::string sim_threads;  // comma list; "" = {1}
   int workers = 0;          // <= 0: hardware threads
-  int workers_proc = 0;     // > 0: distribute across N worker subprocesses
-  double worker_timeout_sec = 600.0;  // distributed-mode per-task deadline
-  bool worker = false;      // run as a protocol worker (stdin/stdout)
-  std::string worker_fault;  // fault injection: MODE[:N] (tests only)
   std::string baseline_path;
   bool check = false;
   std::string out_path;
@@ -255,35 +236,6 @@ inline CliParse parse_cli_args(int argc, char** argv,
       if ((v = value())) cli.sim_threads = v;
     } else if (is("--workers")) {
       if ((v = value())) cli.workers = std::atoi(v);
-    } else if (is("--workers-proc")) {
-      if ((v = value())) {
-        cli.workers_proc = std::atoi(v);
-        if (cli.workers_proc < 1) fail("--workers-proc must be >= 1 worker processes");
-      }
-    } else if (is("--worker-timeout-sec")) {
-      if ((v = value())) {
-        cli.worker_timeout_sec = std::atof(v);
-        if (!(cli.worker_timeout_sec > 0.0)) fail("--worker-timeout-sec must be > 0");
-      }
-    } else if (is("--worker")) {
-      cli.worker = true;
-    } else if (is("--worker-fault")) {
-      if ((v = value())) {
-        cli.worker_fault = v;
-        const std::string spec = cli.worker_fault;
-        const std::size_t colon = spec.find(':');
-        const std::string mode = spec.substr(0, colon);
-        bool ok = mode == "die" || mode == "hang" || mode == "truncate" ||
-                  mode == "corrupt" || mode == "bad-version";
-        if (ok && colon != std::string::npos) {
-          const std::string after = spec.substr(colon + 1);
-          ok = !after.empty();
-          for (const char c : after) ok = ok && c >= '0' && c <= '9';
-        }
-        if (!ok)
-          fail("--worker-fault must be MODE[:N] with MODE one of: die hang truncate "
-               "corrupt bad-version");
-      }
     } else if (is("--baseline")) {
       if ((v = value())) cli.baseline_path = v;
     } else if (is("--check")) {
@@ -306,20 +258,13 @@ inline CliParse parse_cli_args(int argc, char** argv,
                       " [--rate X] [--warmup-sec X] [--measure-sec X] [--cooldown-sec X]"
                       " [--seeds N] [--scenarios A,B|all]"
                       " [--sim-threads L]"
-                      " [--workers N] [--workers-proc N] [--worker-timeout-sec X]"
-                      " [--worker] [--worker-fault MODE[:N]]"
+                      " [--workers N]"
                       " [--baseline PATH] [--check] [--out PATH]"
                       " [--list-scenarios]\n";
     } else {
       fail(std::string("unknown flag ") + argv[i] + " (try --help)");
     }
   }
-  // Cross-flag constraints, checked after the loop so they hold in any
-  // argument order.
-  if (parse.exit_code < 0 && cli.worker && cli.workers_proc > 0)
-    fail("--worker and --workers-proc are mutually exclusive (a worker never dispatches)");
-  if (parse.exit_code < 0 && !cli.worker_fault.empty() && !cli.worker)
-    fail("--worker-fault requires --worker");
   return parse;
 }
 

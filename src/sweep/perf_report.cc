@@ -40,6 +40,12 @@ std::string format_rate(double v) {
   return buf;
 }
 
+// A deterministic anchor's value as the diff prints it: strings bare,
+// numbers exact.
+std::string scalar_text(const Json& v) {
+  return v.type() == Json::Type::kString ? v.as_string() : v.dump();
+}
+
 std::string format_delta(double from, double to) {
   if (from <= 0.0) return "(n/a)";
   char buf[32];
@@ -145,29 +151,6 @@ Json registry_json(const obs::Registry& registry) {
   return out;
 }
 
-Json dispatch_report_json(const DispatchReport& report, const obs::Registry& registry) {
-  Json workers = Json::array();
-  for (const WorkerStats& w : report.workers) {
-    Json entry = Json::object();
-    entry.set("worker", Json::number(w.worker));
-    entry.set("tasks_completed", Json::number(w.tasks_completed));
-    entry.set("faults", Json::number(w.faults));
-    entry.set("respawns", Json::number(w.respawns));
-    entry.set("busy_seconds", Json::number(w.busy_seconds));
-    workers.push_back(std::move(entry));
-  }
-  Json dispatch = Json::object();
-  dispatch.set("workers", Json::number(static_cast<double>(report.workers.size())));
-  dispatch.set("retries", Json::number(report.retries));
-  dispatch.set("seconds", Json::number(report.seconds));
-  dispatch.set("worker_stats", std::move(workers));
-  Json out = Json::object();
-  out.set("schema_version", Json::number(kPerfSchemaVersion));
-  out.set("dispatch", std::move(dispatch));
-  out.set("registry", registry_json(registry));
-  return out;
-}
-
 std::string perf_diff_text(const Json& baseline, const Json& current) {
   std::string out = "perf vs baseline (informational — wall clock is machine-dependent):\n";
 
@@ -199,11 +182,22 @@ std::string perf_diff_text(const Json& baseline, const Json& current) {
       out += "  " + name + ": not in baseline (new scenario)\n";
       continue;
     }
-    double b_calls = 0, c_calls = 0;
-    if (get_number(*b, "deterministic", "calls", &b_calls) &&
-        get_number(c, "deterministic", "calls", &c_calls) && b_calls != c_calls) {
-      out += "  " + name + ": workload changed (calls " + format_rate(b_calls) + " -> " +
-             format_rate(c_calls) + "), timing deltas expected\n";
+    if (b->has("deterministic") && c.has("deterministic")) {
+      const Json& b_det = b->at("deterministic");
+      const Json& c_det = c.at("deterministic");
+      std::string changed, one_sided;
+      for (const auto& [key, value] : c_det.members()) {
+        if (!b_det.has(key))
+          one_sided += " " + key + " (not in baseline)";
+        else if (!(b_det.at(key) == value))
+          changed += " " + key + " " + scalar_text(b_det.at(key)) + " -> " + scalar_text(value);
+      }
+      for (const auto& [key, value] : b_det.members())
+        if (!c_det.has(key)) one_sided += " " + key + " (not in current)";
+      if (!changed.empty())
+        out += "  " + name + ": workload changed (" + changed.substr(1) +
+               "), timing deltas expected\n";
+      if (!one_sided.empty()) out += "  " + name + ": deterministic keys" + one_sided + "\n";
     }
     double b_cps = 0, c_cps = 0, b_eps = 0, c_eps = 0, b_p99 = 0, c_p99 = 0;
     const bool have_cps = get_number(*b, "throughput", "calls_per_sec", &b_cps) &&

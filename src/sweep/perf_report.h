@@ -22,7 +22,6 @@
 
 #include "obs/metrics.h"
 #include "sim/engine.h"
-#include "sweep/dispatch.h"
 #include "sweep/json.h"
 
 namespace titan::sweep {
@@ -48,20 +47,13 @@ inline constexpr int kPerfSchemaVersion = 1;
 // the registry contents (maps iterate name-sorted).
 [[nodiscard]] Json registry_json(const obs::Registry& registry);
 
-// Per-worker timing artifact of a distributed sweep (`bench_sim_sweep
-// --workers-proc N --perf-json PATH`): {"schema_version", "dispatch":
-// {"workers", "retries", "seconds", "worker_stats": [{"worker",
-// "tasks_completed", "faults", "respawns", "busy_seconds"}, ...]},
-// "registry": {...}}. Wall-clock observability only — never compared, never
-// part of the sweep result bytes (docs/sweep.md).
-[[nodiscard]] Json dispatch_report_json(const DispatchReport& report,
-                                        const obs::Registry& registry);
-
 // Human-readable, informational comparison of two perf reports (current vs
 // baseline): per-scenario throughput ratios, latency-quantile movement,
-// and a loud note when the deterministic anchors differ (the workload
-// changed; timing deltas are then expected). Tolerant of missing scenarios
-// or fields — reports them instead of throwing.
+// and a loud note naming every deterministic anchor whose value differs,
+// old and new (the workload changed; timing deltas are then expected). An
+// anchor present on one side only is named as "not in baseline" / "not in
+// current" — a report schema change, not a workload change. Tolerant of
+// missing scenarios or fields — reports them instead of throwing.
 [[nodiscard]] std::string perf_diff_text(const Json& baseline, const Json& current);
 
 // Assignment-latency budget gate behind `bench_assign_latency --check`

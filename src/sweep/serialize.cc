@@ -14,25 +14,6 @@ std::string hex64(std::uint64_t v) {
 
 namespace {
 
-// Strict-mode guard: every key of `j` must be in `known`. The error names
-// the first offender exactly, so protocol tests can pin the text.
-void reject_unknown_keys(const Json& j, std::initializer_list<const char*> known,
-                         const char* what) {
-  for (const auto& [key, value] : j.members()) {
-    (void)value;
-    bool ok = false;
-    for (const char* k : known)
-      if (key == k) {
-        ok = true;
-        break;
-      }
-    if (!ok)
-      throw std::invalid_argument(std::string(what) + ": unknown field '" + key + "'");
-  }
-}
-
-}  // namespace
-
 Json seed_to_json(std::uint64_t seed) { return Json::string(std::to_string(seed)); }
 
 std::uint64_t seed_from_json(const Json& j) {
@@ -51,8 +32,6 @@ std::uint64_t seed_from_json(const Json& j) {
   return v;
 }
 
-namespace {
-
 std::uint64_t parse_hex64(const std::string& s) {
   if (s.size() != 16) throw std::invalid_argument("sweep json: bad checksum '" + s + "'");
   std::uint64_t v = 0;
@@ -64,8 +43,6 @@ std::uint64_t parse_hex64(const std::string& s) {
   }
   return v;
 }
-
-}  // namespace
 
 Json sweep_spec_to_json(const SweepSpec& spec) {
   Json j = Json::object();
@@ -87,14 +64,7 @@ Json sweep_spec_to_json(const SweepSpec& spec) {
   return j;
 }
 
-SweepSpec sweep_spec_from_json(const Json& j, bool strict) {
-  if (strict)
-    reject_unknown_keys(j,
-                        {"base_seed", "num_seeds", "scenarios", "sim_threads",
-                         "peak_slot_calls", "training_weeks", "eval_days",
-                         "replan_interval_slots", "shards", "max_reduced_configs",
-                         "oracle_counts"},
-                        "sweep spec json");
+SweepSpec sweep_spec_from_json(const Json& j) {
   SweepSpec spec;
   spec.base_seed = seed_from_json(j.at("base_seed"));
   spec.num_seeds = static_cast<int>(j.at("num_seeds").as_int());
@@ -113,8 +83,6 @@ SweepSpec sweep_spec_from_json(const Json& j, bool strict) {
   spec.oracle_counts = j.at("oracle_counts").as_bool();
   return spec;
 }
-
-namespace {
 
 Json stats_to_json(const MetricStats& s, const std::string& metric) {
   Json j = Json::object();
@@ -141,8 +109,6 @@ MetricStats stats_from_json(const Json& j) {
   return s;
 }
 
-}  // namespace
-
 Json run_record_to_json(const RunRecord& run) {
   Json j = Json::object();
   j.set("scenario", Json::string(run.scenario));
@@ -155,10 +121,7 @@ Json run_record_to_json(const RunRecord& run) {
   return j;
 }
 
-RunRecord run_record_from_json(const Json& j, bool strict) {
-  if (strict)
-    reject_unknown_keys(j, {"scenario", "seed", "threads", "checksum", "values"},
-                        "run record json");
+RunRecord run_record_from_json(const Json& j) {
   RunRecord run;
   run.scenario = j.at("scenario").as_string();
   run.seed = seed_from_json(j.at("seed"));
@@ -172,6 +135,8 @@ RunRecord run_record_from_json(const Json& j, bool strict) {
     run.values.push_back(values.at(v).as_number());
   return run;
 }
+
+}  // namespace
 
 Json to_json(const SweepResult& result, bool include_runs) {
   Json doc = Json::object();

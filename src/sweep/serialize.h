@@ -4,10 +4,12 @@
 // regression baseline under bench/baselines/, and CI artifacts, so the
 // mapping is versioned (`schema`) and loss-free: serialize -> parse ->
 // re-serialize is byte-identical (doubles go through %.17g, checksums
-// through fixed-width hex, object keys keep insertion order). Execution
-// knobs (worker count, task shuffle seed) are intentionally NOT part of
-// the document — two sweeps that differ only in how they were scheduled
-// serialize to the same bytes.
+// through fixed-width hex, seeds — full uint64 values a JSON double would
+// corrupt past 2^53 — through decimal strings, object keys keep insertion
+// order). Execution knobs (worker count, task shuffle seed) are
+// intentionally NOT part of the document — two sweeps that differ only in
+// how they were scheduled serialize to the same bytes. The reader ignores
+// unknown keys, so additive fields never break an older baseline.
 #pragma once
 
 #include <string>
@@ -35,23 +37,6 @@ namespace titan::sweep {
 // dual-simplex warm path and candidate-column pruning they counted.
 // Earlier baselines must be regenerated, not compared.
 inline constexpr int kSweepSchemaVersion = 6;
-
-// Building blocks of the document mapping, exposed because the worker
-// protocol (sweep/protocol.h) transports the same spec and run-record
-// shapes line by line. `strict` additionally rejects unknown object keys
-// ("sweep spec json: unknown field 'x'" / "run record json: unknown field
-// 'x'") — protocol messages must not silently carry fields this binary
-// does not understand, while the committed baseline documents keep the
-// historical tolerant read.
-[[nodiscard]] Json sweep_spec_to_json(const SweepSpec& spec);
-[[nodiscard]] SweepSpec sweep_spec_from_json(const Json& j, bool strict = false);
-[[nodiscard]] Json run_record_to_json(const RunRecord& run);
-[[nodiscard]] RunRecord run_record_from_json(const Json& j, bool strict = false);
-
-// Seeds are full uint64 values; JSON numbers (doubles) lose precision past
-// 2^53, so they travel as decimal strings everywhere in the sweep formats.
-[[nodiscard]] Json seed_to_json(std::uint64_t seed);
-[[nodiscard]] std::uint64_t seed_from_json(const Json& j);
 
 // Checksums travel as 16-digit lowercase hex strings.
 [[nodiscard]] std::string hex64(std::uint64_t v);

@@ -174,6 +174,10 @@ sim::Scenario sweep_scenario(const SweepSpec& spec, const std::string& name,
   return s;
 }
 
+namespace {
+
+// Resolves an empty scenario list to the whole named library and rejects
+// what no simulation can run.
 SweepSpec validate_sweep_spec(SweepSpec spec) {
   if (spec.scenarios.empty()) spec.scenarios = sim::scenario_names();
   const auto& known = sim::scenario_names();
@@ -186,6 +190,16 @@ SweepSpec validate_sweep_spec(SweepSpec spec) {
     if (t < 1) throw std::invalid_argument("sim_threads entries must be >= 1");
   return spec;
 }
+
+// One (scenario, seed) task: builds the engine once, runs it at every
+// spec.sim_threads count, audits the engine's thread-count determinism
+// promise on the full SimResult, and reduces each run to its RunRecord
+// (records[v] corresponds to spec.sim_threads[v]).
+struct SweepTaskResult {
+  std::vector<RunRecord> records;
+  std::vector<std::string> determinism_violations;
+  double seconds = 0.0;  // wall time for the whole task (observability only)
+};
 
 SweepTaskResult run_sweep_task(const SweepSpec& spec, const std::string& scenario,
                                std::uint64_t seed) {
@@ -226,6 +240,11 @@ SweepTaskResult run_sweep_task(const SweepSpec& spec, const std::string& scenari
   return task;
 }
 
+// Assembles the filled canonical slots ((scenario-index * num_seeds +
+// seed-index) * |sim_threads| + variant) into the final SweepResult: sorts
+// the violations and aggregates across seeds. A pure function of its
+// inputs, so any schedule that fills the same slots produces the same
+// bytes.
 SweepResult assemble_sweep_result(const SweepSpec& spec, std::vector<RunRecord> runs,
                                   std::vector<std::string> determinism_violations,
                                   std::vector<double> task_seconds) {
@@ -262,6 +281,8 @@ SweepResult assemble_sweep_result(const SweepSpec& spec, std::vector<RunRecord> 
   }
   return result;
 }
+
+}  // namespace
 
 SweepRunner::SweepRunner(SweepSpec spec) : spec_(validate_sweep_spec(std::move(spec))) {}
 

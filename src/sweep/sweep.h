@@ -127,10 +127,11 @@ struct SweepResult {
 
   // Wall seconds each (scenario, seed) task took (engine construction plus
   // every thread-count variant), in canonical task order: scenario-major,
-  // seed-minor. Observability only — deliberately NOT serialized (the
-  // sweep JSON schema stays at v3), zeroed by mask_timing_metrics
-  // alongside the timing metrics, and excluded from operator== so the
-  // lossless round-trip contract parse(serialize(x)) == x holds.
+  // seed-minor. Observability only — deliberately NOT part of the sweep
+  // JSON schema (kSweepSchemaVersion, sweep/serialize.h), zeroed by
+  // mask_timing_metrics alongside the timing metrics, and excluded from
+  // operator== so the lossless round-trip contract
+  // parse(serialize(x)) == x holds.
   std::vector<double> task_seconds;
 
   bool operator==(const SweepResult& other) const {
@@ -143,61 +144,22 @@ struct SweepResult {
 // putting two differently-scheduled sweeps into byte-comparable form.
 void mask_timing_metrics(SweepResult& result);
 
-// --- task seam ------------------------------------------------------------
-//
-// A sweep decomposes into independent (scenario, seed) tasks plus one
-// order-invariant reduction. The three functions below are that seam made
-// explicit: SweepRunner::run threads them in-process, and the distributed
-// dispatcher (sweep/dispatch.h) runs the same task function in worker
-// subprocesses and the same assembly on the collected partials — which is
-// why an N-process sweep bit-compares equal to the in-process one.
-
-// Validates and resolves a spec: an empty scenario list becomes the whole
-// named library; unknown scenario names, a non-positive seed count, or a
-// bad sim_threads list throw std::invalid_argument. Dispatcher and runner
-// both normalize through this, so a spec that validates on the dispatcher
-// validates identically inside every worker.
-[[nodiscard]] SweepSpec validate_sweep_spec(SweepSpec spec);
-
-// One (scenario, seed) task: builds the engine once, runs it at every
-// spec.sim_threads count, audits the engine's thread-count determinism
-// promise on the full SimResult, and reduces each run to its RunRecord
-// (records[v] corresponds to spec.sim_threads[v]). Throws
-// std::invalid_argument on an unknown scenario.
-struct SweepTaskResult {
-  std::vector<RunRecord> records;  // one per spec.sim_threads entry
-  std::vector<std::string> determinism_violations;
-  double seconds = 0.0;  // wall time for the whole task (observability only)
-};
-[[nodiscard]] SweepTaskResult run_sweep_task(const SweepSpec& spec,
-                                             const std::string& scenario,
-                                             std::uint64_t seed);
-
-// Assembles task outputs into the final SweepResult: `runs` in canonical
-// slot order ((scenario-index * num_seeds + seed-index) * |sim_threads| +
-// variant), `task_seconds` scenario-major/seed-minor. Normalizes the spec
-// echo (execution knobs zeroed), sorts the violations, and aggregates
-// across seeds — the reduction is a pure function of its inputs, so any
-// scheduling (threads, worker processes, dispatch order) that fills the
-// same slots produces the same bytes.
-[[nodiscard]] SweepResult assemble_sweep_result(const SweepSpec& spec,
-                                                std::vector<RunRecord> runs,
-                                                std::vector<std::string> determinism_violations,
-                                                std::vector<double> task_seconds);
-
 class SweepRunner {
  public:
-  // Resolves and validates the spec up front (validate_sweep_spec):
-  // unknown scenario names, a non-positive seed count, or an empty
-  // sim_threads list throw std::invalid_argument before any simulation
-  // starts.
+  // Resolves and validates the spec up front: an empty scenario list
+  // becomes the whole named library; unknown scenario names, a
+  // non-positive seed count, or a bad sim_threads list throw
+  // std::invalid_argument before any simulation starts.
   explicit SweepRunner(SweepSpec spec);
 
   [[nodiscard]] const SweepSpec& spec() const { return spec_; }
 
-  // Runs the whole sweep. Blocking; thread-safe against nothing (use one
-  // runner per sweep). The result is identical for any `workers` and any
-  // `task_order_seed`.
+  // Runs the whole sweep: one task per (scenario, seed) on a pool of
+  // `workers` threads, each record written into its canonical slot, then
+  // one aggregation after the pool drains. Blocking; thread-safe against
+  // nothing (use one runner per sweep). The result is identical for any
+  // `workers` and any `task_order_seed`; the first task exception is
+  // rethrown.
   [[nodiscard]] SweepResult run() const;
 
  private:

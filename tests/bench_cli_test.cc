@@ -106,69 +106,6 @@ TEST(BenchCliTest, ParsesOpenLoopHarnessFlags) {
   EXPECT_NE(help.message.find("--cooldown-sec"), std::string::npos) << help.message;
 }
 
-TEST(BenchCliTest, ParsesDistributedSweepFlags) {
-  const CliParse p =
-      parse({"--workers-proc", "4", "--worker-timeout-sec", "30.5"}, sim::scenario_names());
-  ASSERT_LT(p.exit_code, 0) << p.message;
-  EXPECT_EQ(p.cli.workers_proc, 4);
-  EXPECT_DOUBLE_EQ(p.cli.worker_timeout_sec, 30.5);
-  EXPECT_FALSE(p.cli.worker);
-
-  // Defaults: in-process sweep, no worker mode, 10-minute task deadline.
-  const CliParse bare = parse({}, sim::scenario_names());
-  EXPECT_EQ(bare.cli.workers_proc, 0);
-  EXPECT_FALSE(bare.cli.worker);
-  EXPECT_TRUE(bare.cli.worker_fault.empty());
-  EXPECT_DOUBLE_EQ(bare.cli.worker_timeout_sec, 600.0);
-
-  const CliParse worker = parse({"--worker"}, sim::scenario_names());
-  ASSERT_LT(worker.exit_code, 0) << worker.message;
-  EXPECT_TRUE(worker.cli.worker);
-}
-
-TEST(BenchCliTest, DistributedSweepFlagUsageErrorsExitTwo) {
-  EXPECT_EQ(parse({"--workers-proc"}).exit_code, 2);       // missing value
-  EXPECT_EQ(parse({"--workers-proc", "0"}).exit_code, 2);  // needs >= 1 process
-  EXPECT_EQ(parse({"--workers-proc", "-2"}).exit_code, 2);
-  EXPECT_EQ(parse({"--worker-timeout-sec"}).exit_code, 2);
-  EXPECT_EQ(parse({"--worker-timeout-sec", "0"}).exit_code, 2);
-  EXPECT_EQ(parse({"--worker-timeout-sec", "-1"}).exit_code, 2);
-  // A worker never dispatches: the two modes cannot be combined, in either
-  // argument order.
-  const CliParse both = parse({"--worker", "--workers-proc", "2"});
-  EXPECT_EQ(both.exit_code, 2);
-  EXPECT_NE(both.message.find("mutually exclusive"), std::string::npos) << both.message;
-  EXPECT_EQ(parse({"--workers-proc", "2", "--worker"}).exit_code, 2);
-  // The help text advertises the distributed-mode flags.
-  const CliParse help = parse({"--help"});
-  ASSERT_EQ(help.exit_code, 0);
-  EXPECT_NE(help.message.find("--workers-proc"), std::string::npos) << help.message;
-  EXPECT_NE(help.message.find("--worker-timeout-sec"), std::string::npos) << help.message;
-  EXPECT_NE(help.message.find("--worker"), std::string::npos) << help.message;
-  EXPECT_NE(help.message.find("--worker-fault"), std::string::npos) << help.message;
-}
-
-TEST(BenchCliTest, WorkerFaultInjectionFlagValidatesItsGrammar) {
-  for (const std::string mode : {"die", "hang", "truncate", "corrupt", "bad-version"}) {
-    const CliParse p = parse({"--worker", "--worker-fault", mode});
-    ASSERT_LT(p.exit_code, 0) << mode << ": " << p.message;
-    EXPECT_EQ(p.cli.worker_fault, mode);
-    const CliParse with_count = parse({"--worker", "--worker-fault", mode + ":3"});
-    ASSERT_LT(with_count.exit_code, 0) << with_count.message;
-    EXPECT_EQ(with_count.cli.worker_fault, mode + ":3");
-  }
-  EXPECT_EQ(parse({"--worker", "--worker-fault"}).exit_code, 2);  // missing value
-  EXPECT_EQ(parse({"--worker", "--worker-fault", "explode"}).exit_code, 2);
-  EXPECT_EQ(parse({"--worker", "--worker-fault", "die:"}).exit_code, 2);
-  EXPECT_EQ(parse({"--worker", "--worker-fault", "die:x"}).exit_code, 2);
-  EXPECT_EQ(parse({"--worker", "--worker-fault", "die:1x"}).exit_code, 2);
-  // Fault injection only exists inside a worker.
-  const CliParse no_worker = parse({"--worker-fault", "die"});
-  EXPECT_EQ(no_worker.exit_code, 2);
-  EXPECT_NE(no_worker.message.find("requires --worker"), std::string::npos)
-      << no_worker.message;
-}
-
 TEST(BenchCliTest, UnknownScenarioExitsTwoWithTheValidList) {
   const CliParse p = parse({"--scenario", "no-such"}, sim::scenario_names());
   EXPECT_EQ(p.exit_code, 2);

@@ -2,8 +2,9 @@
 // (bit-identical SimResults across thread counts for every named scenario,
 // and sweep output invariant under task-order shuffling and worker count),
 // distribution statistics, lossless JSON round-trips of per-run and
-// aggregate results, and baseline regression comparison (passing on self,
-// failing on perturbation beyond tolerance).
+// aggregate results, baseline regression comparison (passing on self,
+// failing on perturbation beyond tolerance), the informational perf-report
+// diff, and the assignment-latency budget gate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +14,6 @@
 #include "sweep/baseline.h"
 #include "sweep/json.h"
 #include "sweep/perf_report.h"
-#include "sweep/protocol.h"
 #include "sweep/serialize.h"
 #include "sweep/sweep.h"
 
@@ -411,139 +411,43 @@ TEST(SweepBaselineTest, IncomparableSpecsThrow) {
                std::invalid_argument);
 }
 
-// --- worker protocol (sweep/protocol.h) ----------------------------------
+// --- perf report diff (bench_sim_scenarios --perf-baseline) --------------
 
-// The message the thrown exception carried, for pinning exact error text —
-// the dispatcher's fault log and the fault-injection tests both match on
-// these strings verbatim.
-template <typename Fn>
-std::string thrown_message(Fn&& fn) {
-  try {
-    fn();
-  } catch (const std::exception& e) {
-    return e.what();
-  }
-  return "<no exception>";
+// A one-scenario perf report whose deterministic block is `det` (a JSON
+// object literal) and whose throughput is fixed.
+Json perf_report_with(const std::string& det) {
+  return Json::parse(R"({"config": {"peak_slot_calls": 200},
+    "scenarios": [{"scenario": "steady-week", "deterministic": )" + det + R"(,
+                   "throughput": {"calls_per_sec": 1000}}]})");
 }
 
-WorkSpec sample_work_spec() {
-  WorkSpec spec;
-  spec.scenario = "steady-week";
-  spec.seed = 18446744073709551615ULL;  // 2^64 - 1: must survive as a string
-  spec.spec = small_spec();
-  spec.spec.scenarios = {"steady-week", "dc-drain"};
-  spec.spec.sim_threads = {1, 2};
-  return spec;
+TEST(PerfDiffTest, NamesEveryChangedDeterministicAnchor) {
+  const std::string text = perf_diff_text(
+      perf_report_with(R"({"calls": 25459, "lp_iterations": 155980, "checksum": "00aa"})"),
+      perf_report_with(R"({"calls": 25459, "lp_iterations": 311960, "checksum": "00bb"})"));
+  EXPECT_NE(text.find("workload changed"), std::string::npos) << text;
+  EXPECT_NE(text.find("lp_iterations 155980 -> 311960"), std::string::npos) << text;
+  EXPECT_NE(text.find("checksum 00aa -> 00bb"), std::string::npos) << text;
+  EXPECT_EQ(text.find("calls 25459"), std::string::npos) << text;  // unchanged: not named
 }
 
-PartialResult sample_partial_result() {
-  PartialResult partial;
-  partial.scenario = "steady-week";
-  partial.seed = 18446744073709551615ULL;
-  partial.task_seconds = 1.25;
-  for (int t : {1, 2}) {
-    RunRecord run;
-    run.scenario = partial.scenario;
-    run.seed = partial.seed;
-    run.threads = t;
-    run.checksum = 0xdeadbeefcafef00dULL;
-    // Doubles that are not exactly representable: %.17g must carry them.
-    for (std::size_t m = 0; m < metric_names().size(); ++m)
-      run.values.push_back(0.1 + static_cast<double>(m) / 3.0);
-    partial.records.push_back(std::move(run));
-  }
-  partial.determinism_violations = {"steady-week seed 7: threads 1 vs 2 diverged"};
-  return partial;
+// A key the baseline predates (the committed throughput baseline has no
+// lp_fallback_pivots) is a schema difference, not a workload change.
+TEST(PerfDiffTest, OneSidedKeysAreAbsentNotChanged) {
+  const std::string text =
+      perf_diff_text(perf_report_with(R"({"calls": 7, "stale": 1})"),
+                     perf_report_with(R"({"calls": 7, "lp_fallback_pivots": 0})"));
+  EXPECT_EQ(text.find("workload changed"), std::string::npos) << text;
+  EXPECT_NE(text.find("lp_fallback_pivots (not in baseline)"), std::string::npos) << text;
+  EXPECT_NE(text.find("stale (not in current)"), std::string::npos) << text;
 }
 
-// encode -> decode -> encode is the identity on the wire bytes, and the
-// decoded structs compare equal — for both message types. A line never
-// embeds a newline (the framing delimiter).
-TEST(SweepProtocolTest, MessagesRoundTripByteStable) {
-  const WorkSpec spec = sample_work_spec();
-  const std::string spec_line = to_json_line(spec);
-  EXPECT_EQ(spec_line.find('\n'), std::string::npos);
-  const WorkSpec spec_back = work_spec_from_text(spec_line);
-  EXPECT_TRUE(spec_back == spec);
-  EXPECT_EQ(to_json_line(spec_back), spec_line);
-  EXPECT_EQ(spec_back.seed, 18446744073709551615ULL);
-
-  const PartialResult partial = sample_partial_result();
-  const std::string partial_line = to_json_line(partial);
-  EXPECT_EQ(partial_line.find('\n'), std::string::npos);
-  const PartialResult partial_back = partial_result_from_text(partial_line);
-  EXPECT_TRUE(partial_back == partial);
-  EXPECT_EQ(to_json_line(partial_back), partial_line);
-}
-
-// Version skew fails before anything else, with the version named; unknown
-// fields — top-level or in the nested spec/record objects — are rejected
-// with the exact offending key. A dispatcher must never merge an answer it
-// only partially understood.
-TEST(SweepProtocolTest, RejectsUnknownVersionsAndFieldsWithExactText) {
-  const std::string spec_line = to_json_line(sample_work_spec());
-  const std::string partial_line = to_json_line(sample_partial_result());
-
-  {
-    Json j = Json::parse(spec_line);
-    j.set("protocol", Json::number(99));
-    j.set("surprise", Json::number(1));  // version beats unknown-field
-    EXPECT_EQ(thrown_message([&] { (void)work_spec_from_json(j); }),
-              "work spec json: protocol version 99 (this binary speaks 2)");
-  }
-  {
-    Json j = Json::parse(spec_line);
-    j.set("surprise", Json::number(1));
-    EXPECT_EQ(thrown_message([&] { (void)work_spec_from_json(j); }),
-              "work spec json: unknown field 'surprise'");
-  }
-  {
-    Json j = Json::parse(spec_line);
-    Json inner = j.at("spec");
-    inner.set("future_knob", Json::number(3));
-    j.set("spec", std::move(inner));
-    EXPECT_EQ(thrown_message([&] { (void)work_spec_from_json(j); }),
-              "sweep spec json: unknown field 'future_knob'");
-  }
-  {
-    Json j = Json::parse(partial_line);
-    j.set("protocol", Json::number(3));
-    EXPECT_EQ(thrown_message([&] { (void)partial_result_from_json(j); }),
-              "partial result json: protocol version 3 (this binary speaks 2)");
-  }
-  {
-    Json j = Json::parse(partial_line);
-    j.set("elapsed", Json::number(1.0));
-    EXPECT_EQ(thrown_message([&] { (void)partial_result_from_json(j); }),
-              "partial result json: unknown field 'elapsed'");
-  }
-  {
-    Json j = Json::parse(partial_line);
-    Json records = j.at("records");
-    Json first = records.at(0);
-    first.set("notes", Json::string("hi"));
-    Json rebuilt = Json::array();
-    rebuilt.push_back(std::move(first));
-    rebuilt.push_back(records.at(1));
-    j.set("records", std::move(rebuilt));
-    EXPECT_EQ(thrown_message([&] { (void)partial_result_from_json(j); }),
-              "run record json: unknown field 'notes'");
-  }
-  // Truncated / non-JSON lines fail in the parser, loudly.
-  EXPECT_THROW((void)work_spec_from_text(spec_line.substr(0, spec_line.size() / 2)),
-               std::invalid_argument);
-  EXPECT_THROW((void)partial_result_from_text("not json at all"), std::invalid_argument);
-}
-
-// The committed-baseline document reader stays tolerant (additive fields do
-// not break old binaries), while the same object parsed strictly rejects:
-// the strictness boundary is the wire, not the file format.
-TEST(SweepProtocolTest, StrictnessAppliesToWireNotBaselineDocuments) {
-  Json spec_json = sweep_spec_to_json(small_spec());
-  spec_json.set("added_in_v9", Json::number(1));
-  EXPECT_NO_THROW((void)sweep_spec_from_json(spec_json));
-  EXPECT_THROW((void)sweep_spec_from_json(spec_json, /*strict=*/true),
-               std::invalid_argument);
+TEST(PerfDiffTest, IdenticalDeterministicBlocksPrintNoNote) {
+  const Json report = perf_report_with(R"({"calls": 7, "checksum": "00aa"})");
+  const std::string text = perf_diff_text(report, report);
+  EXPECT_EQ(text.find("workload changed"), std::string::npos) << text;
+  EXPECT_EQ(text.find("not in"), std::string::npos) << text;
+  EXPECT_NE(text.find("calls/sec"), std::string::npos) << text;
 }
 
 // --- assignment-latency budget gate (bench_assign_latency --check) ------
