@@ -43,18 +43,6 @@ struct Op {
   titan::core::SlotIndex t = 0;
 };
 
-titan::sweep::Json histogram_json(const titan::obs::Histogram& h) {
-  using titan::sweep::Json;
-  Json out = Json::object();
-  out.set("count", Json::number(static_cast<double>(h.total_count())));
-  out.set("mean", Json::number(h.mean()));
-  out.set("p50", Json::number(h.quantile(0.50)));
-  out.set("p90", Json::number(h.quantile(0.90)));
-  out.set("p99", Json::number(h.quantile(0.99)));
-  out.set("max", Json::number(h.max()));
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -204,8 +192,8 @@ int main(int argc, char** argv) {
   scenario.set("scenario", sweep::Json::string("assign-open-loop"));
   scenario.set("deterministic", std::move(det));
   scenario.set("throughput", std::move(thr));
-  scenario.set("assign_latency_us", histogram_json(measured));
-  scenario.set("excluded_latency_us", histogram_json(excluded));
+  scenario.set("assign_latency_us", sweep::latency_json(measured));
+  scenario.set("excluded_latency_us", sweep::latency_json(excluded));
 
   sweep::Json report = sweep::Json::object();
   report.set("schema_version", sweep::Json::number(sweep::kPerfSchemaVersion));

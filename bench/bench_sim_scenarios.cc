@@ -16,7 +16,6 @@
 #include "sim/engine.h"
 #include "sweep/perf_report.h"
 #include "sweep/serialize.h"
-#include "sweep/sweep.h"
 
 namespace {
 
@@ -216,26 +215,33 @@ int main(int argc, char** argv) {
   results.reserve(names.size());
   for (const auto& name : names) results.push_back(run_one(name, cli, trace_ptr));
 
-  // Machine-readable per-scenario summary (CI uploads this as an artifact;
-  // the determinism checksums double as cheap golden values): every metric
-  // of the sweep schema, plus the run's throughput.
+  // Per-scenario report (docs/observability.md): every metric_table() row,
+  // the checksum and the latency histograms. CI uploads it as an artifact;
+  // the checksums double as cheap golden values.
   if (!cli.json_path.empty()) {
-    sweep::Json scenarios = sweep::Json::array();
-    for (const auto& r : results) {
-      sweep::Json entry = sweep::Json::object();
-      entry.set("scenario", sweep::Json::string(r.scenario));
-      entry.set("checksum", sweep::Json::string(sweep::hex64(r.checksum)));
-      for (const sweep::MetricDef& m : sweep::metric_table())
-        entry.set(m.name, sweep::Json::number(m.value(r)));
-      entry.set("calls_per_sec", sweep::Json::number(r.calls_per_sec()));
-      entry.set("events_per_sec", sweep::Json::number(r.events_per_sec()));
-      scenarios.push_back(std::move(entry));
+    const sweep::Json report = sweep::perf_report_json(results, cli.peak_or(1200.0), cli.weeks,
+                                                       cli.threads, cli.seed);
+    if (!write_json(cli.json_path, report)) return 1;
+
+    // Informational diff against a committed baseline: printed, never
+    // fatal — wall clock is machine-dependent, the trajectory is the point.
+    if (!cli.perf_baseline_path.empty()) {
+      std::ifstream in(cli.perf_baseline_path);
+      if (!in) {
+        std::fprintf(stderr, "perf baseline %s unreadable; skipping diff\n",
+                     cli.perf_baseline_path.c_str());
+      } else {
+        std::ostringstream text;
+        text << in.rdbuf();
+        try {
+          const sweep::Json baseline = sweep::Json::parse(text.str());
+          std::printf("\n%s", sweep::perf_diff_text(baseline, report).c_str());
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "perf baseline %s unparsable (%s); skipping diff\n",
+                       cli.perf_baseline_path.c_str(), e.what());
+        }
+      }
     }
-    sweep::Json doc = sweep::Json::object();
-    doc.set("seed", sweep::Json::number(static_cast<double>(cli.seed)));
-    doc.set("threads", sweep::Json::number(cli.threads));
-    doc.set("scenarios", std::move(scenarios));
-    if (!write_json(cli.json_path, doc)) return 1;
   }
 
   // Cold-vs-warm replan latency at the production (rolling-horizon)
@@ -277,54 +283,6 @@ int main(int argc, char** argv) {
     doc.set("seed", sweep::Json::number(static_cast<double>(cli.seed)));
     doc.set("scenarios", std::move(scenarios));
     if (!write_json(cli.replan_json_path, doc)) return 1;
-  }
-
-  // Performance-trajectory report (docs/observability.md): stable schema
-  // with throughput, assignment-latency quantiles, phase timings, and the
-  // deterministic anchors that make cross-machine diffs interpretable.
-  if (!cli.perf_json_path.empty()) {
-    sweep::Json report = sweep::perf_report_json(results, cli.peak_or(1200.0), cli.weeks,
-                                                 cli.threads, cli.seed);
-    // Cross-scenario aggregate registry: one merged latency histogram and
-    // the run-total counters, exported alongside the per-scenario entries.
-    obs::Registry registry;
-    for (const auto& r : results) {
-      registry.counter("calls").add(r.calls);
-      registry.counter("events").add(r.perf.events_processed);
-      registry.counter("replans").add(r.replans);
-      registry.counter("rejected_calls").add(r.rejected_calls);
-      registry.counter("degraded_calls").add(r.degraded_calls);
-      registry.gauge("wall_seconds_last").set(r.wall_seconds);
-      registry
-          .histogram("assign_latency_us", r.perf.assign_latency_us.options())
-          .merge(r.perf.assign_latency_us);
-      registry
-          .histogram("admission_latency_us", r.perf.admission_latency_us.options())
-          .merge(r.perf.admission_latency_us);
-    }
-    report.set("registry", sweep::registry_json(registry));
-
-    if (!write_json(cli.perf_json_path, report)) return 1;
-
-    // Informational diff against a committed baseline: printed, never
-    // fatal — wall clock is machine-dependent, the trajectory is the point.
-    if (!cli.perf_baseline_path.empty()) {
-      std::ifstream in(cli.perf_baseline_path);
-      if (!in) {
-        std::fprintf(stderr, "perf baseline %s unreadable; skipping diff\n",
-                     cli.perf_baseline_path.c_str());
-      } else {
-        std::ostringstream text;
-        text << in.rdbuf();
-        try {
-          const sweep::Json baseline = sweep::Json::parse(text.str());
-          std::printf("\n%s", sweep::perf_diff_text(baseline, report).c_str());
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "perf baseline %s unparsable (%s); skipping diff\n",
-                       cli.perf_baseline_path.c_str(), e.what());
-        }
-      }
-    }
   }
 
   // Chrome trace_event export of the runs' phase spans (Perfetto-loadable).

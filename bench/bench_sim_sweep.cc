@@ -15,10 +15,10 @@
 //                --baseline bench/baselines/sweep_baseline.json --check
 //
 // --check re-runs the sweep with the baseline's spec expected to match the
-// CLI-derived spec, diffs the aggregates under per-metric relative
-// tolerances, and exits 1 on any regression (2 on an incomparable
-// baseline). Determinism is audited on every run: each (seed, scenario)
-// simulates at every --sim-threads count and any divergence fails the run.
+// CLI-derived spec, diffs the aggregates within each metric row's band,
+// and exits 1 on any regression (2 on an incomparable baseline).
+// Determinism is audited on every run: each (seed, scenario) simulates at
+// every --sim-threads count and any divergence fails the run.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -139,16 +139,14 @@ int main(int argc, char** argv) {
 
     // Write the JSON before any failure exit: on a red run it is exactly
     // the artifact that diagnoses the failure (CI uploads it regardless).
-    // The shared --json flag is honored as an alias for --out.
-    const std::string& out_path = !cli.out_path.empty() ? cli.out_path : cli.json_path;
-    if (!out_path.empty()) {
-      std::ofstream out(out_path, std::ios::binary);
+    if (!cli.out_path.empty()) {
+      std::ofstream out(cli.out_path, std::ios::binary);
       if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+        std::fprintf(stderr, "cannot write %s\n", cli.out_path.c_str());
         return 1;
       }
       out << sweep::to_json_text(result);
-      std::printf("\nwrote %s\n", out_path.c_str());
+      std::printf("\nwrote %s\n", cli.out_path.c_str());
     }
 
     if (!result.determinism_violations.empty()) {
@@ -174,8 +172,7 @@ int main(int argc, char** argv) {
     }
 
     if (cli.check) {
-      const auto regressions =
-          sweep::compare_to_baseline(result, baseline, sweep::default_tolerances());
+      const auto regressions = sweep::compare_to_baseline(result, baseline);
       if (!regressions.empty()) {
         std::fprintf(stderr, "\n%zu metric regression(s) vs %s:\n", regressions.size(),
                      cli.baseline_path.c_str());

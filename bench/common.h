@@ -31,13 +31,12 @@ namespace titan::bench {
 //   --peak X      busiest-slot call volume    (default: per bench)
 //   --scenario S  named scenario, a comma list of names, or "all"
 //                 (sim benches only)
-//   --json PATH   machine-readable per-scenario results (sim benches only)
+//   --json PATH   per-scenario report: every metric_table() row, the
+//                 checksum and the latency histograms (bench_sim_scenarios;
+//                 docs/observability.md documents the schema)
 //   --replan-json PATH  per-scenario cold-vs-warm replan-latency report
 //                 from the rolling-horizon drill (bench_sim_scenarios only)
-//   --perf-json PATH  throughput / latency / phase-timing performance
-//                 report (bench_sim_scenarios; docs/observability.md
-//                 documents the schema)
-//   --perf-baseline PATH  committed perf JSON to diff against,
+//   --perf-baseline PATH  committed --json report to diff against,
 //                 informationally — never changes the exit code
 //   --trace-out PATH  Chrome trace_event JSON of the runs' phase spans,
 //                 loadable in Perfetto (bench_sim_scenarios only)
@@ -71,7 +70,6 @@ struct Cli {
   std::string scenario;
   std::string json_path;
   std::string replan_json_path;
-  std::string perf_json_path;
   std::string perf_baseline_path;
   std::string trace_out_path;
   // Open-loop latency harness (bench_assign_latency) only.
@@ -201,8 +199,6 @@ inline CliParse parse_cli_args(int argc, char** argv,
       if ((v = value())) cli.json_path = v;
     } else if (is("--replan-json")) {
       if ((v = value())) cli.replan_json_path = v;
-    } else if (is("--perf-json")) {
-      if ((v = value())) cli.perf_json_path = v;
     } else if (is("--perf-baseline")) {
       if ((v = value())) cli.perf_baseline_path = v;
     } else if (is("--trace-out")) {
@@ -253,7 +249,7 @@ inline CliParse parse_cli_args(int argc, char** argv,
       parse.exit_code = 0;
       parse.message = std::string("usage: ") + argv0 +
                       " [--seed N] [--weeks N] [--threads N] [--peak X] [--scenario S]"
-                      " [--json PATH] [--replan-json PATH] [--perf-json PATH]"
+                      " [--json PATH] [--replan-json PATH]"
                       " [--perf-baseline PATH] [--trace-out PATH]"
                       " [--rate X] [--warmup-sec X] [--measure-sec X] [--cooldown-sec X]"
                       " [--seeds N] [--scenarios A,B|all]"

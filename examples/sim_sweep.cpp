@@ -53,17 +53,16 @@ int main() {
   }
 
   // The regression check: a sweep against itself is green; nudge one
-  // metric past its tolerance and the diff names the exact regression.
-  const sweep::Tolerances tol = sweep::default_tolerances();
+  // metric past its row's band and the diff names the exact regression.
   std::printf("\nself-check regressions: %zu\n",
-              sweep::compare_to_baseline(result, result, tol).size());
+              sweep::compare_to_baseline(result, result).size());
 
   sweep::SweepResult drifted = result;
   for (std::size_t m = 0; m < sweep::metric_names().size(); ++m)
     if (sweep::metric_names()[m] == "internet_share")
       drifted.aggregates[0].stats[m].mean *= 1.25;
   std::printf("after +25%% internet_share drift:\n");
-  for (const auto& r : sweep::compare_to_baseline(drifted, result, tol))
+  for (const auto& r : sweep::compare_to_baseline(drifted, result))
     std::printf("  REGRESSION %s\n", r.describe().c_str());
 
   // The sweep JSON is what bench_sim_sweep commits as a baseline.

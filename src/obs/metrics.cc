@@ -107,26 +107,4 @@ double Histogram::quantile(double q) const {
   return max_;
 }
 
-Histogram& Registry::histogram(const std::string& name, const Histogram::Options& options) {
-  const auto it = histograms_.find(name);
-  if (it == histograms_.end())
-    return histograms_.emplace(name, Histogram(options)).first->second;
-  if (it->second.options() != options)
-    throw std::invalid_argument("registry: histogram '" + name +
-                                "' already exists with a different bucket layout");
-  return it->second;
-}
-
-void Registry::merge(const Registry& other) {
-  for (const auto& [name, c] : other.counters_) counters_[name].add(c.value());
-  for (const auto& [name, g] : other.gauges_) gauges_[name].set(g.value());
-  for (const auto& [name, h] : other.histograms_) {
-    const auto it = histograms_.find(name);
-    if (it == histograms_.end())
-      histograms_.emplace(name, h);
-    else
-      it->second.merge(h);
-  }
-}
-
 }  // namespace titan::obs

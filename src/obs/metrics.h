@@ -1,5 +1,4 @@
-// Observability metrics: counters, gauges, fixed-bucket log-scale
-// histograms, and a named registry.
+// Observability metrics: fixed-bucket log-scale histograms.
 //
 // Design rules (docs/observability.md has the full contract):
 //
@@ -18,38 +17,14 @@
 //    assignment latencies is not and must be masked (see
 //    sim::SimResult::zero_wallclock) before bitwise compares.
 //
-// None of these types are thread-safe; the intended pattern is one
-// instance per shard/worker, merged single-threaded in a fixed order.
+// Histogram is not thread-safe; the intended pattern is one instance per
+// shard/worker, merged single-threaded in a fixed order.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace titan::obs {
-
-// Monotonic integer count.
-class Counter {
- public:
-  void add(std::int64_t n = 1) { value_ += n; }
-  [[nodiscard]] std::int64_t value() const { return value_; }
-  friend bool operator==(const Counter&, const Counter&) = default;
-
- private:
-  std::int64_t value_ = 0;
-};
-
-// Last-written instantaneous value.
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  [[nodiscard]] double value() const { return value_; }
-  friend bool operator==(const Gauge&, const Gauge&) = default;
-
- private:
-  double value_ = 0.0;
-};
 
 // Log-scale histogram with fixed, deterministic bucket edges.
 //
@@ -120,36 +95,6 @@ class Histogram {
   double sum_ = 0.0;
   double min_ = 0.0;  // valid only when total_ > 0
   double max_ = 0.0;
-};
-
-// Named metrics, grouped by kind. Accessors create on first use;
-// `histogram` of an existing name verifies the requested bucket layout
-// matches (throws std::invalid_argument otherwise — silently merging two
-// layouts under one name would corrupt the counts). Iteration over the
-// underlying maps is name-sorted, so any export of a registry is
-// deterministic in its contents.
-class Registry {
- public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  Gauge& gauge(const std::string& name) { return gauges_[name]; }
-  Histogram& histogram(const std::string& name, const Histogram::Options& options = {});
-
-  [[nodiscard]] const std::map<std::string, Counter>& counters() const { return counters_; }
-  [[nodiscard]] const std::map<std::string, Gauge>& gauges() const { return gauges_; }
-  [[nodiscard]] const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
-
-  // Folds `other` in: counters add, histograms merge (created with the
-  // source layout when absent here), gauges take `other`'s value.
-  void merge(const Registry& other);
-
-  friend bool operator==(const Registry&, const Registry&) = default;
-
- private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Histogram> histograms_;
 };
 
 }  // namespace titan::obs

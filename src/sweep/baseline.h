@@ -2,14 +2,12 @@
 //
 // The committed file (bench/baselines/sweep_baseline.json) freezes the
 // metric distributions of a fixed sweep spec; `compare_to_baseline` diffs
-// a freshly computed sweep against it with per-metric relative tolerances
-// so a controller/LP/scenario change is judged against distributions, not
-// one golden point. On one platform the engine is bit-deterministic and
-// every delta is exactly zero; the tolerances absorb cross-compiler
-// floating-point drift while still catching behavioural regressions.
+// a freshly computed sweep against it, each deterministic metric within
+// the band its metric_table() row carries (sweep/sweep.h), so a
+// controller/LP/scenario change is judged against distributions, not one
+// golden point. Wall-clock rows are skipped.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -17,43 +15,23 @@
 
 namespace titan::sweep {
 
-struct Tolerances {
-  // A comparison passes when
-  //   |current - baseline| <= max(rel * max(|current|, |baseline|), abs).
-  double default_rel = 0.05;
-  double default_abs = 1e-9;
-  // Per-metric overrides (by metric_names() entry).
-  std::map<std::string, double> rel;
-  std::map<std::string, double> abs;
-
-  [[nodiscard]] double rel_for(const std::string& metric) const;
-  [[nodiscard]] double abs_for(const std::string& metric) const;
-};
-
-// The tolerances the bench and CI use: tight by default, zero slack for
-// leaked_calls (any leak is a regression), and a couple of counts of
-// absolute slack for the small-population event counters whose relative
-// deltas are meaningless near zero.
-[[nodiscard]] Tolerances default_tolerances();
-
 struct Regression {
   std::string scenario;
   std::string metric;
   std::string stat;  // "mean" or "p95"
   double baseline = 0.0;
   double current = 0.0;
-  double allowed = 0.0;  // the absolute slack the tolerance granted
+  double allowed = 0.0;  // the absolute slack the row's band granted
 
   [[nodiscard]] std::string describe() const;
 };
 
-// Compares the mean and p95 of every (scenario, metric) aggregate. Returns
-// every violation, ordered by scenario then metric. Throws
-// std::invalid_argument when the sweeps are not comparable (different
-// spec, scenario set, or seed count) — a baseline from another spec must
-// be regenerated, not silently compared.
+// Compares the mean and p95 of every (scenario, deterministic metric)
+// aggregate within the row's band. Returns every violation, ordered by
+// scenario then metric. Throws std::invalid_argument when the sweeps are
+// not comparable (different spec, scenario set, or seed count) — a
+// baseline from another spec must be regenerated, not silently compared.
 [[nodiscard]] std::vector<Regression> compare_to_baseline(const SweepResult& current,
-                                                          const SweepResult& baseline,
-                                                          const Tolerances& tol);
+                                                          const SweepResult& baseline);
 
 }  // namespace titan::sweep

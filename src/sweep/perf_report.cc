@@ -4,21 +4,11 @@
 #include <cstdio>
 
 #include "sweep/serialize.h"
+#include "sweep/sweep.h"
 
 namespace titan::sweep {
 
 namespace {
-
-Json latency_json(const obs::Histogram& h) {
-  Json out = Json::object();
-  out.set("count", Json::number(static_cast<double>(h.total_count())));
-  out.set("mean", Json::number(h.mean()));
-  out.set("p50", Json::number(h.quantile(0.50)));
-  out.set("p90", Json::number(h.quantile(0.90)));
-  out.set("p99", Json::number(h.quantile(0.99)));
-  out.set("max", Json::number(h.max()));
-  return out;
-}
 
 // Pulls `path.field` out of a scenario entry, tolerating absence.
 bool get_number(const Json& scenario, const char* block, const char* field, double* out) {
@@ -40,12 +30,6 @@ std::string format_rate(double v) {
   return buf;
 }
 
-// A deterministic anchor's value as the diff prints it: strings bare,
-// numbers exact.
-std::string scalar_text(const Json& v) {
-  return v.type() == Json::Type::kString ? v.as_string() : v.dump();
-}
-
 std::string format_delta(double from, double to) {
   if (from <= 0.0) return "(n/a)";
   char buf[32];
@@ -55,50 +39,32 @@ std::string format_delta(double from, double to) {
 
 }  // namespace
 
+Json latency_json(const obs::Histogram& h) {
+  Json out = Json::object();
+  out.set("count", Json::number(static_cast<double>(h.total_count())));
+  out.set("mean", Json::number(h.mean()));
+  out.set("p50", Json::number(h.quantile(0.50)));
+  out.set("p90", Json::number(h.quantile(0.90)));
+  out.set("p99", Json::number(h.quantile(0.99)));
+  out.set("max", Json::number(h.max()));
+  return out;
+}
+
 Json perf_scenario_json(const sim::SimResult& r) {
-  // Run totals of the per-replan LP records, summed in replan order.
-  titannext::PlanLpStats lp;
-  for (const auto& stat : r.replan_stats) lp += stat;
-
   Json det = Json::object();
-  det.set("calls", Json::number(static_cast<double>(r.calls)));
-  det.set("events", Json::number(static_cast<double>(r.perf.events_processed)));
-  det.set("eval_slots", Json::number(r.eval_slots));
-  det.set("replans", Json::number(r.replans));
-  det.set("lp_iterations", Json::number(lp.iterations));
-  det.set("lp_refactorizations", Json::number(lp.refactorizations));
-  det.set("lp_blocks_solved", Json::number(lp.blocks_solved));
-  det.set("lp_fallback_pivots", Json::number(lp.fallback_pivots));
-  det.set("rejected_calls", Json::number(static_cast<double>(r.rejected_calls)));
-  det.set("degraded_calls", Json::number(static_cast<double>(r.degraded_calls)));
-  det.set("checksum", Json::string(hex64(r.checksum)));
-
-  Json thr = Json::object();
-  thr.set("wall_seconds", Json::number(r.wall_seconds));
-  thr.set("calls_per_sec", Json::number(r.calls_per_sec()));
-  thr.set("events_per_sec", Json::number(r.events_per_sec()));
-
-  Json phases = Json::object();
-  phases.set("event_apply", Json::number(r.perf.event_apply_seconds));
-  phases.set("metric_aggregation", Json::number(r.perf.metric_aggregation_seconds));
-  phases.set("replan", Json::number(r.perf.replan_seconds));
-  phases.set("shard_work", Json::number(r.perf.shard_work_seconds));
-  phases.set("lp_build", Json::number(lp.build_seconds));
-  phases.set("lp_phase1", Json::number(lp.phase1_seconds));
-  phases.set("lp_phase2", Json::number(lp.phase2_seconds));
-  phases.set("lp_refactor", Json::number(lp.refactor_seconds));
-  phases.set("plan_total", Json::number(r.plan_seconds));
-  phases.set("forecast_total", Json::number(r.forecast_seconds));
+  Json wall = Json::object();
+  for (const MetricDef& m : metric_table())
+    (m.wall_clock ? wall : det).set(m.name, Json::number(m.value(r)));
 
   Json out = Json::object();
   out.set("scenario", Json::string(r.scenario));
+  out.set("checksum", Json::string(hex64(r.checksum)));
   out.set("deterministic", std::move(det));
-  out.set("throughput", std::move(thr));
+  out.set("wall_clock", std::move(wall));
   out.set("assign_latency_us", latency_json(r.perf.assign_latency_us));
   // Admission/degradation decision latency: empty (count 0) outside the
   // overload scenarios.
   out.set("admission_latency_us", latency_json(r.perf.admission_latency_us));
-  out.set("phases_seconds", std::move(phases));
   return out;
 }
 
@@ -117,37 +83,6 @@ Json perf_report_json(const std::vector<sim::SimResult>& results, double peak_sl
   out.set("schema_version", Json::number(kPerfSchemaVersion));
   out.set("config", std::move(config));
   out.set("scenarios", std::move(scenarios));
-  return out;
-}
-
-Json registry_json(const obs::Registry& registry) {
-  Json counters = Json::object();
-  for (const auto& [name, c] : registry.counters())
-    counters.set(name, Json::number(static_cast<double>(c.value())));
-  Json gauges = Json::object();
-  for (const auto& [name, g] : registry.gauges()) gauges.set(name, Json::number(g.value()));
-  Json histograms = Json::object();
-  for (const auto& [name, h] : registry.histograms()) {
-    Json entry = latency_json(h);
-    Json buckets = Json::array();
-    for (std::size_t i = 0; i < h.num_buckets(); ++i) {
-      if (h.bucket_count(i) == 0) continue;
-      Json b = Json::array();
-      b.push_back(Json::number(h.bucket_lower(i)));
-      // The overflow bucket's +inf upper edge is not representable in
-      // JSON; report the recorded max instead.
-      const double upper = h.bucket_upper(i);
-      b.push_back(Json::number(std::isfinite(upper) ? upper : h.max()));
-      b.push_back(Json::number(static_cast<double>(h.bucket_count(i))));
-      buckets.push_back(std::move(b));
-    }
-    entry.set("buckets", std::move(buckets));
-    histograms.set(name, std::move(entry));
-  }
-  Json out = Json::object();
-  out.set("counters", std::move(counters));
-  out.set("gauges", std::move(gauges));
-  out.set("histograms", std::move(histograms));
   return out;
 }
 
@@ -182,28 +117,31 @@ std::string perf_diff_text(const Json& baseline, const Json& current) {
       out += "  " + name + ": not in baseline (new scenario)\n";
       continue;
     }
+    std::string changed, one_sided;
+    if (b->has("checksum") && c.has("checksum") && !(b->at("checksum") == c.at("checksum")))
+      changed += " checksum " + b->at("checksum").as_string() + " -> " +
+                 c.at("checksum").as_string();
     if (b->has("deterministic") && c.has("deterministic")) {
       const Json& b_det = b->at("deterministic");
       const Json& c_det = c.at("deterministic");
-      std::string changed, one_sided;
       for (const auto& [key, value] : c_det.members()) {
         if (!b_det.has(key))
           one_sided += " " + key + " (not in baseline)";
         else if (!(b_det.at(key) == value))
-          changed += " " + key + " " + scalar_text(b_det.at(key)) + " -> " + scalar_text(value);
+          changed += " " + key + " " + b_det.at(key).dump() + " -> " + value.dump();
       }
       for (const auto& [key, value] : b_det.members())
         if (!c_det.has(key)) one_sided += " " + key + " (not in current)";
-      if (!changed.empty())
-        out += "  " + name + ": workload changed (" + changed.substr(1) +
-               "), timing deltas expected\n";
-      if (!one_sided.empty()) out += "  " + name + ": deterministic keys" + one_sided + "\n";
     }
+    if (!changed.empty())
+      out += "  " + name + ": workload changed (" + changed.substr(1) +
+             "), timing deltas expected\n";
+    if (!one_sided.empty()) out += "  " + name + ": deterministic keys" + one_sided + "\n";
     double b_cps = 0, c_cps = 0, b_eps = 0, c_eps = 0, b_p99 = 0, c_p99 = 0;
-    const bool have_cps = get_number(*b, "throughput", "calls_per_sec", &b_cps) &&
-                          get_number(c, "throughput", "calls_per_sec", &c_cps);
-    const bool have_eps = get_number(*b, "throughput", "events_per_sec", &b_eps) &&
-                          get_number(c, "throughput", "events_per_sec", &c_eps);
+    const bool have_cps = get_number(*b, "wall_clock", "calls_per_sec", &b_cps) &&
+                          get_number(c, "wall_clock", "calls_per_sec", &c_cps);
+    const bool have_eps = get_number(*b, "wall_clock", "events_per_sec", &b_eps) &&
+                          get_number(c, "wall_clock", "events_per_sec", &c_eps);
     const bool have_p99 = get_number(*b, "assign_latency_us", "p99", &b_p99) &&
                           get_number(c, "assign_latency_us", "p99", &c_p99);
     out += "  " + name + ":";

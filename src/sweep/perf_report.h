@@ -1,15 +1,19 @@
-// Performance-trajectory report: the JSON schema behind
-// `bench_sim_scenarios --perf-json` and the committed
-// bench/baselines/BENCH_sim_throughput.json baseline.
+// Per-scenario report: the JSON schema behind `bench_sim_scenarios --json`
+// and the committed bench/baselines/BENCH_sim_throughput.json baseline.
 //
-// The report captures, per scenario, the run's throughput (calls/sec,
-// events/sec over the wall clock), the controller's per-call
-// assignment-latency distribution (p50/p90/p99/max from the
-// obs::Histogram), the engine's phase-timing totals, and a small block of
-// *deterministic* companions (calls, events, replans, simplex iterations,
-// LU refactorizations) that anchor cross-machine comparisons: when the
-// deterministic block differs, the workload changed and throughput deltas
-// are not comparable.
+// Every number in a scenario entry is a row of sweep::metric_table(),
+// under the row's name, in the block its kind names:
+//
+//   * `deterministic` — bit-stable per platform (calls, events, replans,
+//     the LP work counters, every sweep metric). When this block differs,
+//     the workload changed and timing deltas are not comparable.
+//   * `wall_clock` — throughput (calls/sec, events/sec) and the phase
+//     timings, engine and LP.
+//
+// Besides the rows, an entry carries the run's `checksum` and the
+// controller's assignment and admission latency histograms, summarized by
+// latency_json. A metric added to the table therefore appears here, in
+// the sweep schema and in the baseline check at once.
 //
 // The diff against a committed baseline is informational by design — wall
 // clock varies across machines and CI hosts — so perf_diff_text never
@@ -28,10 +32,20 @@ namespace titan::sweep {
 
 // Bumped when the report layout changes shape (field renames/removals);
 // additive fields do not bump it.
-inline constexpr int kPerfSchemaVersion = 1;
+// v2: the `throughput` and `phases_seconds` blocks became the `wall_clock`
+// block of metric_table() rows, the `deterministic` block holds every
+// deterministic row (lp_* anchors renamed to their replan_* rows),
+// `checksum` moved to the entry's top level, and the `registry` block is
+// gone.
+inline constexpr int kPerfSchemaVersion = 2;
 
-// One scenario entry of the "scenarios" array: throughput, latency
-// quantiles, phase totals, and the deterministic anchors.
+// {count, mean, p50, p90, p99, max} of a latency histogram: the summary
+// every perf-schema report (this one and bench_assign_latency's) uses.
+[[nodiscard]] Json latency_json(const obs::Histogram& h);
+
+// One scenario entry of the "scenarios" array: {scenario, checksum,
+// deterministic: {...}, wall_clock: {...}, assign_latency_us,
+// admission_latency_us}.
 [[nodiscard]] Json perf_scenario_json(const sim::SimResult& r);
 
 // The full report: {"schema_version", "config": {...}, "scenarios": [...]}.
@@ -41,26 +55,21 @@ inline constexpr int kPerfSchemaVersion = 1;
                                     double peak_slot_calls, int weeks, int threads,
                                     std::uint64_t seed);
 
-// Generic registry export: {"counters": {...}, "gauges": {...},
-// "histograms": {name: {count, sum, mean, min, max, p50, p90, p99,
-// buckets: [[lower, upper, count], ...nonzero only]}}}. Deterministic in
-// the registry contents (maps iterate name-sorted).
-[[nodiscard]] Json registry_json(const obs::Registry& registry);
-
 // Human-readable, informational comparison of two perf reports (current vs
 // baseline): per-scenario throughput ratios, latency-quantile movement,
-// and a loud note naming every deterministic anchor whose value differs,
-// old and new (the workload changed; timing deltas are then expected). An
-// anchor present on one side only is named as "not in baseline" / "not in
-// current" — a report schema change, not a workload change. Tolerant of
-// missing scenarios or fields — reports them instead of throwing.
+// and a loud note naming the checksum and every deterministic row whose
+// value differs, old and new (the workload changed; timing deltas are then
+// expected). A row present on one side only is named as "not in baseline"
+// / "not in current" — a report schema change, not a workload change.
+// Tolerant of missing scenarios or fields — reports them instead of
+// throwing.
 [[nodiscard]] std::string perf_diff_text(const Json& baseline, const Json& current);
 
 // Assignment-latency budget gate behind `bench_assign_latency --check`
 // (docs/observability.md, "Assignment-latency budget"). `budget` is the
 // committed bench/baselines/assign_latency_budget.json:
 //
-//   {"schema_version": 1,
+//   {"schema_version": 2,
 //    "config": {"rate_per_sec": ..., "warmup_seconds": ...,
 //               "measure_seconds": ..., "cooldown_seconds": ...},
 //    "budget": {"p99_us": ..., "min_samples": ...}}

@@ -36,7 +36,14 @@ namespace titan::sweep {
 // v6: the dual-simplex pivot and pruned-column counters dropped with the
 // dual-simplex warm path and candidate-column pruning they counted.
 // Earlier baselines must be regenerated, not compared.
-inline constexpr int kSweepSchemaVersion = 6;
+// v7: every number the scenario report printed outside the table became a
+// row — deterministic events, eval_slots, replan_refactorizations and
+// replan_fallback_pivots; wall-clock wall_seconds, calls_per_sec,
+// events_per_sec, forecast_seconds, replan_seconds, event_apply_seconds,
+// metric_aggregation_seconds, shard_work_seconds, lp_build_seconds,
+// lp_phase1_seconds, lp_phase2_seconds and lp_refactor_seconds. Earlier
+// baselines must be regenerated, not compared.
+inline constexpr int kSweepSchemaVersion = 7;
 
 // Checksums travel as 16-digit lowercase hex strings.
 [[nodiscard]] std::string hex64(std::uint64_t v);

@@ -15,9 +15,8 @@
 // records land in canonical (scenario, seed, threads) slots and
 // aggregation runs after the pool drains — so a sweep JSON is comparable
 // across machines and committable as a regression baseline (see
-// sweep/baseline.h; the baseline check grants the timing metrics unbounded
-// tolerance, and mask_timing_metrics puts two sweeps into fully
-// byte-comparable form).
+// sweep/baseline.h; the baseline check skips the timing metrics, and
+// mask_timing_metrics puts two sweeps into fully byte-comparable form).
 #pragma once
 
 #include <cstdint>
@@ -57,19 +56,30 @@ struct SweepSpec {
   bool operator==(const SweepSpec&) const = default;
 };
 
-// One per-run metric of the sweep schema: its name, how it reads off a
-// SimResult, and whether it is wall clock. Every metric is a pure function
-// of the spec except the wall-clock ones; comparison surfaces — the
-// determinism audits, byte-equality of differently-scheduled sweeps — mask
-// those first, and the baseline check grants them unbounded tolerance.
+// Baseline band of a deterministic metric: a comparison passes when
+//   |current - baseline| <= max(rel * max(|current|, |baseline|), abs).
+// On one platform the engine is bit-deterministic and every delta is zero;
+// the band absorbs cross-compiler floating-point drift.
+struct Band {
+  double rel = 0.05;
+  double abs = 1e-9;
+};
+
+// One per-run metric: its name, how it reads off a SimResult, and its kind.
+// A deterministic row is a pure function of the spec and carries the band
+// the baseline check grants it. A wall-clock row is machine-dependent:
+// comparison surfaces (the determinism audits, byte-equality of
+// differently-scheduled sweeps) mask it, and the baseline check skips it.
 struct MetricDef {
   const char* name = "";
   double (*value)(const sim::SimResult&) = nullptr;
+  Band band = {};  // deterministic rows only
   bool wall_clock = false;
 };
 
-// The metric schema, in report order: the one list every sweep surface
-// (names, values, masking, tolerances, bench --json) derives from.
+// The metric table, in report order: the one list every surface derives
+// from — the sweep schema, masking, baseline bands, and the per-scenario
+// report of bench_sim_scenarios --json (sweep/perf_report.h).
 [[nodiscard]] const std::vector<MetricDef>& metric_table();
 
 // Views of metric_table(): the names, one value per name, and the indices

@@ -161,16 +161,11 @@ lp::LpModel build_model(const PlanInputs& inputs, const LpBuildOptions& options)
   for (int t = 0; t < lay.timeslots; ++t)
     for (std::size_t l = 0; l < links.size(); ++l) {
       const int row = model.add_constraint(lp::Sense::kLe, 0.0);
-      bool any = false;
       for (int c = 0; c < lay.configs; ++c)
         for (int m = 0; m < lay.dcs; ++m)
           for (const auto& [li, bw] : loads[static_cast<std::size_t>(c)][static_cast<std::size_t>(m)])
-            if (li == static_cast<int>(l)) {
-              model.add_coefficient(row, lay.x(t, c, m, 0), bw);
-              any = true;
-            }
+            if (li == static_cast<int>(l)) model.add_coefficient(row, lay.x(t, c, m, 0), bw);
       model.add_coefficient(row, yvar[l], -1.0);
-      (void)any;
     }
 
   return model;
@@ -521,7 +516,6 @@ std::optional<LpPlanResult> solve_decomposed(const PlanInputs& inputs,
       if (!claimed_links.insert(l.value()).second) return std::nullopt;
 
     LpBuildOptions block_options = options;
-    block_options.decomposition = Decomposition::kOff;
     // Blocks solve the C4-free relaxation; the global bound is verified on
     // the composed plan below (a relaxation optimum that satisfies the
     // bound is optimal for the bounded problem too). The degenerate block

@@ -50,30 +50,40 @@ TEST(BenchCliTest, ParsesReplanJsonPath) {
 }
 
 TEST(BenchCliTest, ParsesObservabilityPaths) {
-  const CliParse p = parse({"--perf-json", "perf.json", "--perf-baseline", "base_perf.json",
+  const CliParse p = parse({"--json", "report.json", "--perf-baseline", "base_perf.json",
                             "--trace-out", "trace.json"},
                            sim::scenario_names());
   ASSERT_LT(p.exit_code, 0) << p.message;
-  EXPECT_EQ(p.cli.perf_json_path, "perf.json");
+  EXPECT_EQ(p.cli.json_path, "report.json");
   EXPECT_EQ(p.cli.perf_baseline_path, "base_perf.json");
   EXPECT_EQ(p.cli.trace_out_path, "trace.json");
   // Off by default: the hot paths must not pay for tracing unasked.
   const CliParse bare = parse({}, sim::scenario_names());
-  EXPECT_TRUE(bare.cli.perf_json_path.empty());
+  EXPECT_TRUE(bare.cli.json_path.empty());
   EXPECT_TRUE(bare.cli.perf_baseline_path.empty());
   EXPECT_TRUE(bare.cli.trace_out_path.empty());
 }
 
 TEST(BenchCliTest, ObservabilityFlagsMissingValuesExitTwo) {
-  EXPECT_EQ(parse({"--perf-json"}).exit_code, 2);
+  EXPECT_EQ(parse({"--json"}).exit_code, 2);
   EXPECT_EQ(parse({"--perf-baseline"}).exit_code, 2);
   EXPECT_EQ(parse({"--trace-out"}).exit_code, 2);
-  // The help text advertises every new flag.
+  // The help text advertises every observability flag.
   const CliParse help = parse({"--help"});
   ASSERT_EQ(help.exit_code, 0);
-  EXPECT_NE(help.message.find("--perf-json"), std::string::npos) << help.message;
+  EXPECT_NE(help.message.find("--json"), std::string::npos) << help.message;
   EXPECT_NE(help.message.find("--perf-baseline"), std::string::npos) << help.message;
   EXPECT_NE(help.message.find("--trace-out"), std::string::npos) << help.message;
+}
+
+// --json is the one scenario report; the separate perf report flag is
+// gone and is rejected like any unknown flag.
+TEST(BenchCliTest, PerfJsonFlagIsRejected) {
+  const CliParse p = parse({"--perf-json", "perf.json"}, sim::scenario_names());
+  EXPECT_EQ(p.exit_code, 2);
+  EXPECT_NE(p.message.find("unknown flag --perf-json"), std::string::npos) << p.message;
+  const CliParse help = parse({"--help"});
+  EXPECT_EQ(help.message.find("--perf-json"), std::string::npos) << help.message;
 }
 
 TEST(BenchCliTest, ParsesOpenLoopHarnessFlags) {

@@ -1,9 +1,8 @@
 // Tests for the obs:: observability primitives (src/obs): histogram bucket
-// determinism and merge-order invariance, quantile behaviour, registry
-// semantics, and the trace recorder's Chrome trace_event export. The
-// engine-level wiring (SimPerf, zero_wallclock masking, golden checksums)
-// is covered in sim_test.cc; the cross-thread histogram identity in
-// sweep_test.cc.
+// determinism and merge-order invariance, quantile behaviour, and the
+// trace recorder's Chrome trace_event export. The engine-level wiring
+// (SimPerf, zero_wallclock masking, golden checksums) is covered in
+// sim_test.cc; the cross-thread histogram identity in sweep_test.cc.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -119,45 +118,6 @@ TEST(ObsHistogramTest, ResetKeepsLayoutAndZerosState) {
   h.reset();
   EXPECT_EQ(h, pristine);  // the masking primitive: bitwise back to empty
   EXPECT_EQ(h.total_count(), 0u);
-}
-
-TEST(ObsRegistryTest, CountersGaugesAndLayoutConflicts) {
-  Registry r;
-  r.counter("calls").add(3);
-  r.counter("calls").add(4);
-  EXPECT_EQ(r.counter("calls").value(), 7);
-  r.gauge("load").set(0.5);
-  r.gauge("load").set(0.75);
-  EXPECT_DOUBLE_EQ(r.gauge("load").value(), 0.75);
-
-  const Histogram::Options opts{1.0, 100.0, 4};
-  r.histogram("lat", opts).record(5.0);
-  EXPECT_EQ(r.histogram("lat", opts).total_count(), 1u);
-  // Same name, different layout: refused rather than silently corrupting.
-  EXPECT_THROW(r.histogram("lat", Histogram::Options{1.0, 100.0, 8}),
-               std::invalid_argument);
-}
-
-TEST(ObsRegistryTest, MergeAddsCountersMergesHistogramsOverwritesGauges) {
-  const Histogram::Options opts{1.0, 100.0, 4};
-  Registry a;
-  a.counter("n").add(1);
-  a.gauge("g").set(1.0);
-  a.histogram("h", opts).record(2.0);
-
-  Registry b;
-  b.counter("n").add(10);
-  b.counter("only_b").add(5);
-  b.gauge("g").set(2.0);
-  b.histogram("h", opts).record(20.0);
-  b.histogram("only_b_h", opts).record(3.0);
-
-  a.merge(b);
-  EXPECT_EQ(a.counter("n").value(), 11);
-  EXPECT_EQ(a.counter("only_b").value(), 5);
-  EXPECT_DOUBLE_EQ(a.gauge("g").value(), 2.0);
-  EXPECT_EQ(a.histogram("h", opts).total_count(), 2u);
-  EXPECT_EQ(a.histogram("only_b_h", opts).total_count(), 1u);
 }
 
 TEST(ObsTraceTest, NullRecorderSpansAreNoOps) {

@@ -3,8 +3,8 @@
 // and sweep output invariant under task-order shuffling and worker count),
 // distribution statistics, lossless JSON round-trips of per-run and
 // aggregate results, baseline regression comparison (passing on self,
-// failing on perturbation beyond tolerance), the informational perf-report
-// diff, and the assignment-latency budget gate.
+// failing on perturbation beyond a row's band), the per-scenario report and
+// its informational diff, and the assignment-latency budget gate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -143,12 +143,15 @@ TEST(SweepDeterminismTest, SweepAuditsThreadInvarianceForEveryScenario) {
   }
 }
 
-// The timing mask is surgical: it has exactly the declared indices to
-// touch (currently plan_solve_seconds), and every *other* metric of two
-// thread-count replicas is already bit-identical unmasked.
+// The timing mask is surgical: every row that is not wall clock is already
+// bit-identical across two thread-count replicas, unmasked, and every
+// wall-clock row is among the masked indices.
 TEST(SweepDeterminismTest, OnlyDeclaredTimingMetricsAreNondeterministic) {
-  ASSERT_EQ(timing_metric_indices().size(), 1u);
-  EXPECT_EQ(metric_names()[timing_metric_indices().front()], "plan_solve_seconds");
+  const auto& table = metric_table();
+  const auto& timing = timing_metric_indices();
+  for (std::size_t m = 0; m < table.size(); ++m)
+    EXPECT_EQ(table[m].wall_clock, std::find(timing.begin(), timing.end(), m) != timing.end())
+        << table[m].name;
 
   SweepSpec spec = small_spec();
   spec.num_seeds = 1;
@@ -156,9 +159,9 @@ TEST(SweepDeterminismTest, OnlyDeclaredTimingMetricsAreNondeterministic) {
   spec.sim_threads = {1, 2};
   const SweepResult result = SweepRunner(spec).run();
   ASSERT_EQ(result.runs.size(), 2u);
-  for (std::size_t m = 0; m < metric_names().size(); ++m) {
-    if (m == timing_metric_indices().front()) continue;
-    EXPECT_EQ(result.runs[0].values[m], result.runs[1].values[m]) << metric_names()[m];
+  for (std::size_t m = 0; m < table.size(); ++m) {
+    if (table[m].wall_clock) continue;
+    EXPECT_EQ(result.runs[0].values[m], result.runs[1].values[m]) << table[m].name;
   }
 }
 
@@ -177,9 +180,9 @@ TEST(SweepDeterminismTest, ShuffledTaskOrderAndWorkerCountProduceIdenticalResult
 
   SweepResult a = SweepRunner(canonical).run();
   SweepResult b = SweepRunner(shuffled).run();
-  // The unmasked results still pass the tolerance-based baseline check
-  // against each other (the timing metric has unbounded slack there)...
-  EXPECT_TRUE(compare_to_baseline(a, b, default_tolerances()).empty());
+  // The unmasked results still pass the baseline check against each other
+  // (it skips the wall-clock rows)...
+  EXPECT_TRUE(compare_to_baseline(a, b).empty());
   // ...and masked, they are the same result down to the byte.
   mask_timing_metrics(a);
   mask_timing_metrics(b);
@@ -350,12 +353,11 @@ TEST(SweepBaselineTest, SelfComparePassesAndPerturbationFails) {
   SweepSpec spec = small_spec();
   spec.scenarios = {"steady-week", "dc-drain"};
   const SweepResult result = SweepRunner(spec).run();
-  const Tolerances tol = default_tolerances();
 
   // A sweep compared against itself can never regress.
-  EXPECT_TRUE(compare_to_baseline(result, result, tol).empty());
+  EXPECT_TRUE(compare_to_baseline(result, result).empty());
 
-  // Perturb one metric's mean past its tolerance: exactly that (scenario,
+  // Perturb one metric's mean past its band: exactly that (scenario,
   // metric, stat) must be flagged.
   const auto& names = metric_names();
   const std::size_t mos =
@@ -363,18 +365,18 @@ TEST(SweepBaselineTest, SelfComparePassesAndPerturbationFails) {
                                names.begin());
   ASSERT_LT(mos, names.size());
   SweepResult perturbed = result;
-  perturbed.aggregates[1].stats[mos].mean *= 1.10;  // +10% vs 5% tolerance
-  const auto regressions = compare_to_baseline(perturbed, result, tol);
+  perturbed.aggregates[1].stats[mos].mean *= 1.10;  // +10% vs its 5% band
+  const auto regressions = compare_to_baseline(perturbed, result);
   ASSERT_EQ(regressions.size(), 1u);
   EXPECT_EQ(regressions[0].scenario, "dc-drain");
   EXPECT_EQ(regressions[0].metric, "mean_mos");
   EXPECT_EQ(regressions[0].stat, "mean");
   EXPECT_FALSE(regressions[0].describe().empty());
 
-  // A perturbation inside the tolerance stays green.
+  // A perturbation inside the band stays green.
   SweepResult nudged = result;
   nudged.aggregates[1].stats[mos].mean *= 1.01;  // +1%, within 5%
-  EXPECT_TRUE(compare_to_baseline(nudged, result, tol).empty());
+  EXPECT_TRUE(compare_to_baseline(nudged, result).empty());
 }
 
 TEST(SweepBaselineTest, LeakedCallsHaveZeroSlack) {
@@ -390,9 +392,37 @@ TEST(SweepBaselineTest, LeakedCallsHaveZeroSlack) {
 
   SweepResult leaky = result;
   leaky.aggregates[0].stats[leaked].mean = 0.5;  // even a fractional mean leak
-  const auto regressions = compare_to_baseline(leaky, result, default_tolerances());
+  const auto regressions = compare_to_baseline(leaky, result);
   ASSERT_FALSE(regressions.empty());
   EXPECT_EQ(regressions[0].metric, "leaked_calls");
+}
+
+// Bands live on the rows: a deterministic LP work counter added in schema
+// v7 is gated at its simplex-work band, and a wall-clock row is skipped
+// however far it moves.
+TEST(SweepBaselineTest, DeterministicRowsAreGatedAndWallClockRowsSkipped) {
+  SweepSpec spec = small_spec();
+  spec.scenarios = {"steady-week"};
+  const SweepResult result = SweepRunner(spec).run();
+  const auto index = [](const char* name) {
+    const auto& names = metric_names();
+    return static_cast<std::size_t>(std::find(names.begin(), names.end(), name) -
+                                    names.begin());
+  };
+  const std::size_t refactors = index("replan_refactorizations");
+  const std::size_t wall = index("wall_seconds");
+  ASSERT_LT(refactors, metric_names().size());
+  ASSERT_LT(wall, metric_names().size());
+  ASSERT_GT(result.aggregates[0].stats[refactors].mean, 0.0);
+
+  SweepResult perturbed = result;
+  perturbed.aggregates[0].stats[refactors].mean *= 1.5;  // +50% vs a 25% band
+  perturbed.aggregates[0].stats[wall].mean = 1e9;
+  perturbed.aggregates[0].stats[wall].p95 = 1e9;
+  const auto regressions = compare_to_baseline(perturbed, result);
+  ASSERT_EQ(regressions.size(), 1u);
+  EXPECT_EQ(regressions[0].metric, "replan_refactorizations");
+  EXPECT_EQ(regressions[0].stat, "mean");
 }
 
 TEST(SweepBaselineTest, IncomparableSpecsThrow) {
@@ -402,48 +432,81 @@ TEST(SweepBaselineTest, IncomparableSpecsThrow) {
 
   SweepResult other = result;
   other.spec.num_seeds = result.spec.num_seeds + 1;
-  EXPECT_THROW((void)compare_to_baseline(result, other, default_tolerances()),
-               std::invalid_argument);
+  EXPECT_THROW((void)compare_to_baseline(result, other), std::invalid_argument);
 
   SweepResult different_peak = result;
   different_peak.spec.peak_slot_calls = 999.0;
-  EXPECT_THROW((void)compare_to_baseline(result, different_peak, default_tolerances()),
-               std::invalid_argument);
+  EXPECT_THROW((void)compare_to_baseline(result, different_peak), std::invalid_argument);
+}
+
+// --- per-scenario report (bench_sim_scenarios --json) --------------------
+
+// Every number of a scenario entry is a metric_table() row, in the block
+// its kind names, with the value metric_values reads; besides the rows the
+// entry holds only the scenario name, the checksum and the two latency
+// histograms.
+TEST(PerfReportTest, ScenarioEntryIsExactlyTheMetricTable) {
+  SweepSpec spec = small_spec();
+  spec.num_seeds = 1;
+  const sim::SimResult r =
+      sim::SimEngine(sweep_scenario(spec, "steady-week", spec.base_seed)).run(1);
+  const Json entry = perf_scenario_json(r);
+
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : entry.members()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"scenario", "checksum", "deterministic",
+                                            "wall_clock", "assign_latency_us",
+                                            "admission_latency_us"}));
+  EXPECT_EQ(entry.at("checksum").as_string(), hex64(r.checksum));
+
+  const Json& det = entry.at("deterministic");
+  const Json& wall = entry.at("wall_clock");
+  EXPECT_EQ(det.size() + wall.size(), metric_table().size());
+  const auto values = metric_values(r);
+  for (std::size_t i = 0; i < metric_table().size(); ++i) {
+    const MetricDef& m = metric_table()[i];
+    const Json& block = m.wall_clock ? wall : det;
+    const Json& other = m.wall_clock ? det : wall;
+    ASSERT_TRUE(block.has(m.name)) << m.name;
+    EXPECT_FALSE(other.has(m.name)) << m.name;
+    EXPECT_EQ(block.at(m.name).as_number(), values[i]) << m.name;
+  }
 }
 
 // --- perf report diff (bench_sim_scenarios --perf-baseline) --------------
 
-// A one-scenario perf report whose deterministic block is `det` (a JSON
-// object literal) and whose throughput is fixed.
-Json perf_report_with(const std::string& det) {
+// A one-scenario perf report with checksum `checksum`, deterministic block
+// `det` (a JSON object literal) and a fixed throughput.
+Json perf_report_with(const std::string& det, const std::string& checksum = "00aa") {
   return Json::parse(R"({"config": {"peak_slot_calls": 200},
-    "scenarios": [{"scenario": "steady-week", "deterministic": )" + det + R"(,
-                   "throughput": {"calls_per_sec": 1000}}]})");
+    "scenarios": [{"scenario": "steady-week", "checksum": ")" + checksum + R"(",
+                   "deterministic": )" + det + R"(,
+                   "wall_clock": {"calls_per_sec": 1000}}]})");
 }
 
 TEST(PerfDiffTest, NamesEveryChangedDeterministicAnchor) {
   const std::string text = perf_diff_text(
-      perf_report_with(R"({"calls": 25459, "lp_iterations": 155980, "checksum": "00aa"})"),
-      perf_report_with(R"({"calls": 25459, "lp_iterations": 311960, "checksum": "00bb"})"));
+      perf_report_with(R"({"calls": 25459, "replan_iterations": 155980})", "00aa"),
+      perf_report_with(R"({"calls": 25459, "replan_iterations": 311960})", "00bb"));
   EXPECT_NE(text.find("workload changed"), std::string::npos) << text;
-  EXPECT_NE(text.find("lp_iterations 155980 -> 311960"), std::string::npos) << text;
+  EXPECT_NE(text.find("replan_iterations 155980 -> 311960"), std::string::npos) << text;
   EXPECT_NE(text.find("checksum 00aa -> 00bb"), std::string::npos) << text;
   EXPECT_EQ(text.find("calls 25459"), std::string::npos) << text;  // unchanged: not named
 }
 
-// A key the baseline predates (the committed throughput baseline has no
-// lp_fallback_pivots) is a schema difference, not a workload change.
+// A row the baseline predates is a schema difference, not a workload
+// change.
 TEST(PerfDiffTest, OneSidedKeysAreAbsentNotChanged) {
   const std::string text =
       perf_diff_text(perf_report_with(R"({"calls": 7, "stale": 1})"),
-                     perf_report_with(R"({"calls": 7, "lp_fallback_pivots": 0})"));
+                     perf_report_with(R"({"calls": 7, "replan_fallback_pivots": 0})"));
   EXPECT_EQ(text.find("workload changed"), std::string::npos) << text;
-  EXPECT_NE(text.find("lp_fallback_pivots (not in baseline)"), std::string::npos) << text;
+  EXPECT_NE(text.find("replan_fallback_pivots (not in baseline)"), std::string::npos) << text;
   EXPECT_NE(text.find("stale (not in current)"), std::string::npos) << text;
 }
 
 TEST(PerfDiffTest, IdenticalDeterministicBlocksPrintNoNote) {
-  const Json report = perf_report_with(R"({"calls": 7, "checksum": "00aa"})");
+  const Json report = perf_report_with(R"({"calls": 7})");
   const std::string text = perf_diff_text(report, report);
   EXPECT_EQ(text.find("workload changed"), std::string::npos) << text;
   EXPECT_EQ(text.find("not in"), std::string::npos) << text;
