@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <optional>
 
@@ -463,9 +462,6 @@ Solution solve(const LpModel& model, const SolveOptions& options) {
 
   Solution sol = solve_from(model, t, cold_basis(t, m), /*warm=*/false, options);
   sol.solve_seconds = seconds_since(t_start);
-  if (options.verbose)
-    std::printf("[lp] %d rows, %d cols, %d iters (%d phase1), obj=%.6g, %.2fs\n", m, t.n_total,
-                sol.iterations, sol.phase1_iterations, sol.objective, sol.solve_seconds);
   return sol;
 }
 
@@ -512,9 +508,6 @@ Solution solve(const LpModel& model, const Basis& warm, const SolveOptions& opti
     return sol;
   }
   sol.solve_seconds = seconds_since(t_start);
-  if (options.verbose)
-    std::printf("[lp] warm: %d rows, %d cols, %d iters, obj=%.6g, %.2fs\n", m, t.n_total,
-                sol.iterations, sol.objective, sol.solve_seconds);
   return sol;
 }
 

@@ -47,7 +47,6 @@ struct SolveOptions {
   // little to pay off — measured on the plan LPs, majority-fresh repairs
   // cost multiples of a cold solve — so the solver falls back cold instead.
   double warm_repair_limit = 0.1;
-  bool verbose = false;
 };
 
 // One simplex-basis member, in model-relative terms: either a structural
@@ -85,9 +84,10 @@ struct SolveStats {
   int stall_pivots = 0;
   int bland_pivots = 0;
   int refactorizations = 0;  // LU factorizations, counted in either phase
-  // Pivots of a failed warm attempt (restoration or phase 2) that the cold
-  // fallback discarded; not part of `iterations`, but their time is in
-  // solve_seconds.
+  // Pivots of any discarded attempt: a failed warm attempt (restoration or
+  // phase 2) that the cold fallback replaced, or a decomposed plan attempt
+  // that failed a gate (titannext::solve_plan). Not part of `iterations`,
+  // but their time is in solve_seconds.
   int fallback_pivots = 0;
   // Solved from a caller basis (phase 1 skipped); `+=` ORs it, so a summed
   // record says whether any of its solves ran warm.

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <set>
 
 namespace titan::titannext {
@@ -54,12 +55,21 @@ bool has_e2e_row(const PlanInputs& inputs, const LpBuildOptions& options) {
   return total_units > 0.0;
 }
 
+// Per-link peak over the slots of a plan's use.
+std::vector<double> link_peaks(const PlanUse& use) {
+  std::vector<double> peak(use.links.size(), 0.0);
+  for (const auto& slot : use.link)
+    for (std::size_t l = 0; l < peak.size(); ++l) peak[l] = std::max(peak[l], slot[l]);
+  return peak;
+}
+
 }  // namespace
 
-lp::LpModel build_model(const PlanInputs& inputs, const LpBuildOptions& options) {
+lp::LpModel build_model(const PlanInputs& inputs, const LpBuildOptions& options,
+                        const PlanUse* committed) {
   const auto& demands = inputs.demands();
   const auto& dcs = inputs.dcs();
-  const auto& links = inputs.links();
+  const auto& links = committed != nullptr ? committed->links : inputs.links();
   const Layout lay{inputs.scope().timeslots, static_cast<int>(demands.size()),
                    static_cast<int>(dcs.size())};
 
@@ -116,11 +126,14 @@ lp::LpModel build_model(const PlanInputs& inputs, const LpBuildOptions& options)
         for (int p = 0; p < 2; ++p) model.add_coefficient(row, lay.x(t, c, m, p), 1.0);
     }
 
-  // C2: MP compute per (t, m).
+  // C2: MP compute per (t, m), net of the committed use.
   for (int t = 0; t < lay.timeslots; ++t)
     for (int m = 0; m < lay.dcs; ++m) {
-      const int row = model.add_constraint(lp::Sense::kLe,
-                                           inputs.dc_capacity(dcs[static_cast<std::size_t>(m)]));
+      double cap = inputs.dc_capacity(dcs[static_cast<std::size_t>(m)]);
+      if (committed != nullptr)
+        cap = std::max(0.0, cap - committed->compute[static_cast<std::size_t>(t)]
+                                                   [static_cast<std::size_t>(m)]);
+      const int row = model.add_constraint(lp::Sense::kLe, cap);
       for (int c = 0; c < lay.configs; ++c) {
         const double cores = demands[static_cast<std::size_t>(c)].config.compute_cores();
         for (int p = 0; p < 2; ++p)
@@ -128,11 +141,14 @@ lp::LpModel build_model(const PlanInputs& inputs, const LpBuildOptions& options)
       }
     }
 
-  // C3: Internet path capacity per (t, m).
+  // C3: Internet path capacity per (t, m), net of the committed use.
   for (int t = 0; t < lay.timeslots; ++t)
     for (int m = 0; m < lay.dcs; ++m) {
-      const int row = model.add_constraint(
-          lp::Sense::kLe, inputs.internet_capacity(dcs[static_cast<std::size_t>(m)]));
+      double cap = inputs.internet_capacity(dcs[static_cast<std::size_t>(m)]);
+      if (committed != nullptr)
+        cap = std::max(0.0, cap - committed->internet[static_cast<std::size_t>(t)]
+                                                   [static_cast<std::size_t>(m)]);
+      const int row = model.add_constraint(lp::Sense::kLe, cap);
       for (int c = 0; c < lay.configs; ++c)
         model.add_coefficient(row, lay.x(t, c, m, 1),
                               demands[static_cast<std::size_t>(c)].config.network_mbps());
@@ -157,10 +173,15 @@ lp::LpModel build_model(const PlanInputs& inputs, const LpBuildOptions& options)
           }
   }
 
-  // C5: per-link peak definition, y_l >= slot WAN usage.
+  // C5: per-link peak definition, y_l >= slot WAN usage. Against committed
+  // use, y_l is the growth above the link's committed peak.
+  const std::vector<double> peak = committed ? link_peaks(*committed) : std::vector<double>{};
   for (int t = 0; t < lay.timeslots; ++t)
     for (std::size_t l = 0; l < links.size(); ++l) {
-      const int row = model.add_constraint(lp::Sense::kLe, 0.0);
+      const int row = model.add_constraint(
+          lp::Sense::kLe,
+          committed ? std::max(0.0, peak[l] - committed->link[static_cast<std::size_t>(t)][l])
+                    : 0.0);
       for (int c = 0; c < lay.configs; ++c)
         for (int m = 0; m < lay.dcs; ++m)
           for (const auto& [li, bw] : loads[static_cast<std::size_t>(c)][static_cast<std::size_t>(m)])
@@ -331,34 +352,48 @@ std::optional<lp::Basis> remap_basis(const PlanBasisContext& prev, const PlanInp
 
 namespace {
 
-// Realized sum over links of peak WAN bandwidth of a fractional plan —
-// recomputed from the weights (not the LP objective) so monolithic and
-// decomposed solves report the same physical quantity.
-double sum_wan_peaks(const PlanInputs& inputs,
-                     const std::vector<std::vector<AssignmentWeights>>& weights) {
+// Per-slot compute, Internet and WAN link use of a plan's weights over the
+// inputs' DCs and links, summed in (t, c, entry) order.
+PlanUse plan_use(const PlanInputs& inputs,
+                 const std::vector<std::vector<AssignmentWeights>>& weights) {
   const auto& demands = inputs.demands();
+  const auto& dcs = inputs.dcs();
   const auto& links = inputs.links();
   std::map<int, int> link_index;
   for (std::size_t l = 0; l < links.size(); ++l) link_index[links[l].value()] = static_cast<int>(l);
-  std::vector<double> peak(links.size(), 0.0);
-  for (std::size_t t = 0; t < weights.size(); ++t) {
-    std::vector<double> usage(links.size(), 0.0);
+  const auto zeros = [&](std::size_t n) {
+    return std::vector<std::vector<double>>(weights.size(), std::vector<double>(n, 0.0));
+  };
+  PlanUse use{links, zeros(dcs.size()), zeros(dcs.size()), zeros(links.size())};
+  for (std::size_t t = 0; t < weights.size(); ++t)
     for (std::size_t c = 0; c < weights[t].size(); ++c) {
+      const auto& config = demands[c].config;
       for (const auto& e : weights[t][c].entries) {
-        if (e.path != net::PathType::kWan) continue;
-        for (const auto& [country, count] : demands[c].config.participants) {
-          const double bw = demands[c].config.network_mbps_from(country) * e.units;
+        const auto m = static_cast<std::size_t>(std::ranges::find(dcs, e.dc) - dcs.begin());
+        use.compute[t][m] += e.units * config.compute_cores();
+        if (e.path == net::PathType::kInternet) {
+          use.internet[t][m] += e.units * config.network_mbps();
+          continue;
+        }
+        for (const auto& [country, count] : config.participants) {
+          const double bw = config.network_mbps_from(country) * e.units;
           for (const auto lid : inputs.net().topology().path(country, e.dc).links) {
             const auto it = link_index.find(lid.value());
-            if (it != link_index.end()) usage[static_cast<std::size_t>(it->second)] += bw;
+            if (it != link_index.end()) use.link[t][static_cast<std::size_t>(it->second)] += bw;
           }
         }
       }
     }
-    for (std::size_t l = 0; l < links.size(); ++l) peak[l] = std::max(peak[l], usage[l]);
-  }
+  return use;
+}
+
+// Realized sum over links of peak WAN bandwidth of a fractional plan —
+// recomputed from the weights (not the LP objective) so whole-scope and
+// decomposed solves report the same physical quantity.
+double sum_wan_peaks(const PlanInputs& inputs,
+                     const std::vector<std::vector<AssignmentWeights>>& weights) {
   double sum = 0.0;
-  for (const double p : peak) sum += p;
+  for (const double p : link_peaks(plan_use(inputs, weights))) sum += p;
   return sum;
 }
 
@@ -378,39 +413,41 @@ void snapshot_context(PlanBasisContext& ctx, const PlanInputs& inputs,
   ctx.plan_begin = plan_begin;
 }
 
-// The historical single-LP solve path. kOff and single-region kAuto run
-// exactly this — byte for byte the pre-decomposition behaviour.
-LpPlanResult solve_monolithic(const PlanInputs& inputs, const LpBuildOptions& options,
-                              WarmStartCache* warm) {
-  LpPlanResult result;
-  const auto& demands = inputs.demands();
-  const auto& dcs = inputs.dcs();
-  const Layout lay{inputs.scope().timeslots, static_cast<int>(demands.size()),
-                   static_cast<int>(dcs.size())};
-
+// The one plan-LP step: builds the LP over `part` (`parent` itself or a
+// restriction of it), seeds it from `ctx` when given, solves it, snapshots
+// the basis back into `ctx`, and folds the solution into `result`'s
+// weights (indexed like `parent`; sized on first use, so a failed
+// whole-scope solve leaves them empty) and objective. The work is added to
+// `result` whatever the status.
+lp::SolveStatus solve_part(const PlanInputs& parent, const PlanInputs& part,
+                           const LpBuildOptions& options, const PlanUse* committed,
+                           PlanBasisContext* ctx, core::SlotIndex plan_begin,
+                           LpPlanResult& result) {
   const auto build_start = std::chrono::steady_clock::now();
-  const lp::LpModel model = build_model(inputs, options);
-  result.build_seconds =
+  const lp::LpModel model = build_model(part, options, committed);
+  result.build_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - build_start).count();
   std::optional<lp::Basis> seed;
-  if (warm != nullptr)
-    seed = remap_basis(warm->last, inputs, options, warm->next_plan_begin - warm->last.plan_begin);
+  if (ctx != nullptr) seed = remap_basis(*ctx, part, options, plan_begin - ctx->plan_begin);
   const lp::Solution sol =
       seed ? lp::solve(model, *seed, options.solver) : lp::solve(model, options.solver);
-  result.status = sol.status;
-  result.objective = sol.objective;
   result += sol;
-  if (sol.status != lp::SolveStatus::kOptimal) return result;
+  if (sol.status != lp::SolveStatus::kOptimal) return sol.status;
+  if (ctx != nullptr) snapshot_context(*ctx, part, options, sol, plan_begin);
 
-  // Snapshot the fresh basis + model identity for the next replan.
-  if (warm != nullptr)
-    snapshot_context(warm->last, inputs, options, sol, warm->next_plan_begin);
-
-  result.weights.assign(static_cast<std::size_t>(lay.timeslots),
-                        std::vector<AssignmentWeights>(demands.size()));
+  result.objective += sol.objective;
+  const auto& dcs = part.dcs();
+  const Layout lay{part.scope().timeslots, static_cast<int>(part.demands().size()),
+                   static_cast<int>(dcs.size())};
+  if (result.weights.empty())
+    result.weights.assign(static_cast<std::size_t>(lay.timeslots),
+                          std::vector<AssignmentWeights>(parent.demands().size()));
+  std::vector<std::size_t> to_parent;
+  for (const auto& d : part.demands())
+    to_parent.push_back(static_cast<std::size_t>(parent.demand_index(d.config)));
   for (int t = 0; t < lay.timeslots; ++t)
     for (int c = 0; c < lay.configs; ++c) {
-      auto& w = result.weights[static_cast<std::size_t>(t)][static_cast<std::size_t>(c)];
+      auto& w = result.weights[static_cast<std::size_t>(t)][to_parent[static_cast<std::size_t>(c)]];
       for (int m = 0; m < lay.dcs; ++m)
         for (int p = 0; p < 2; ++p) {
           const double units = sol.x[static_cast<std::size_t>(lay.x(t, c, m, p))];
@@ -420,9 +457,7 @@ LpPlanResult solve_monolithic(const PlanInputs& inputs, const LpBuildOptions& op
                                  units});
         }
     }
-
-  result.sum_of_wan_peaks_mbps = sum_wan_peaks(inputs, result.weights);
-  return result;
+  return lp::SolveStatus::kOptimal;
 }
 
 // One region block of the decomposition: parent-relative DC and demand
@@ -433,22 +468,24 @@ struct RegionBlock {
   std::vector<int> demand_idx;
 };
 
-// Block-angular decomposed solve. Returns nullopt on any gate failure —
+// Block-angular decomposed solve: one part per region block, then one
+// coupling part. Returns a non-optimal status on any gate failure —
 // overlapping block link sets, a non-infeasible block failure, a failed
-// coupling solve, a violated global e2e bound — and the caller falls back
-// to the monolithic path. See docs/solver.md, "Region-block decomposition"
-// for the contract this implements.
-std::optional<LpPlanResult> solve_decomposed(const PlanInputs& inputs,
-                                             const LpBuildOptions& options,
-                                             WarmStartCache* warm) {
+// coupling solve, a violated global e2e bound — and the caller discards it
+// for the whole-scope solve. See docs/solver.md, "Region-block
+// decomposition" for the contract this implements.
+LpPlanResult solve_decomposed(const PlanInputs& inputs, const LpBuildOptions& options,
+                              WarmStartCache* warm) {
   const auto& world = inputs.net().world();
   const auto& demands = inputs.demands();
   const auto& dcs = inputs.dcs();
-  const auto& links = inputs.links();
   const int T = inputs.scope().timeslots;
-  const int M = static_cast<int>(dcs.size());
-  const int L = static_cast<int>(links.size());
-  if (demands.empty() || dcs.empty()) return std::nullopt;
+  LpPlanResult result;
+  if (demands.empty() || dcs.empty()) return result;
+  // Sized up front: the coupling LP is built against the blocks' use even
+  // when no block folded into it.
+  result.weights.assign(static_cast<std::size_t>(T),
+                        std::vector<AssignmentWeights>(demands.size()));
 
   // ---- Partition. A DC belongs to its continent's block; a demand is
   // homed to a block when every participant is on that block's continent
@@ -459,7 +496,7 @@ std::optional<LpPlanResult> solve_decomposed(const PlanInputs& inputs,
   for (const geo::Continent cont : inputs.scope().regions.continents()) {
     RegionBlock b;
     b.continent = cont;
-    for (int m = 0; m < M; ++m)
+    for (int m = 0; m < static_cast<int>(dcs.size()); ++m)
       if (world.dc(dcs[static_cast<std::size_t>(m)]).continent == cont) b.dc_idx.push_back(m);
     blocks.push_back(std::move(b));
   }
@@ -483,218 +520,56 @@ std::optional<LpPlanResult> solve_decomposed(const PlanInputs& inputs,
     if (!homed) coupling.push_back(c);
   }
 
-  // The degenerate single-block case: one block owning every DC and every
-  // demand. The block model then IS the monolithic model (same inputs,
-  // e2e row kept), which is what makes kForce on a single-region scope a
-  // genuine bit-for-bit equivalence check of the block machinery.
-  const bool degenerate = blocks.size() == 1 && coupling.empty() &&
-                          static_cast<int>(blocks.front().dc_idx.size()) == M &&
-                          blocks.front().demand_idx.size() == demands.size();
-
-  LpPlanResult result;
-  result.weights.assign(static_cast<std::size_t>(T),
-                        std::vector<AssignmentWeights>(demands.size()));
-  // Parent-indexed resource usage by the block solutions, feeding the
-  // coupling LP's residual capacities and incremental-peak rows.
-  std::vector<std::vector<double>> compute_usage(static_cast<std::size_t>(T),
-                                                 std::vector<double>(static_cast<std::size_t>(M), 0.0));
-  std::vector<std::vector<double>> internet_usage(compute_usage);
-  std::vector<std::vector<double>> link_usage(static_cast<std::size_t>(T),
-                                              std::vector<double>(static_cast<std::size_t>(L), 0.0));
-  std::map<int, int> link_index;
-  for (int l = 0; l < L; ++l) link_index[links[static_cast<std::size_t>(l)].value()] = l;
+  // Blocks and coupling solve the C4-free relaxation; the global bound is
+  // verified on the composed plan below (a relaxation optimum that
+  // satisfies the bound is optimal for the bounded problem too).
+  LpBuildOptions relaxed = options;
+  relaxed.e2e_bound_ms = -1.0;
+  const core::SlotIndex plan_begin = warm != nullptr ? warm->next_plan_begin : 0;
 
   // Blocks must not share WAN links, or summing per-block peaks would
   // double-count a link's objective contribution.
   std::set<int> claimed_links;
-
-  double objective = 0.0;
   for (auto& b : blocks) {
     if (b.demand_idx.empty()) continue;
     const PlanInputs block_inputs = inputs.restricted(b.dc_idx, b.demand_idx);
     for (const auto l : block_inputs.links())
-      if (!claimed_links.insert(l.value()).second) return std::nullopt;
-
-    LpBuildOptions block_options = options;
-    // Blocks solve the C4-free relaxation; the global bound is verified on
-    // the composed plan below (a relaxation optimum that satisfies the
-    // bound is optimal for the bounded problem too). The degenerate block
-    // keeps the row so its model matches the monolithic one exactly.
-    if (!degenerate) block_options.e2e_bound_ms = -1.0;
-
-    const auto build_start = std::chrono::steady_clock::now();
-    const lp::LpModel model = build_model(block_inputs, block_options);
-    result.build_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - build_start).count();
-
-    std::optional<lp::Basis> seed;
-    PlanBasisContext* ctx = nullptr;
-    if (warm != nullptr) {
-      ctx = &warm->blocks[b.continent];
-      seed = remap_basis(*ctx, block_inputs, block_options, warm->next_plan_begin - ctx->plan_begin);
-    }
-    const lp::Solution sol =
-        seed ? lp::solve(model, *seed, options.solver) : lp::solve(model, options.solver);
-    result += sol;
-    if (sol.status == lp::SolveStatus::kInfeasible) {
+      if (!claimed_links.insert(l.value()).second) return result;
+    PlanBasisContext* ctx = warm != nullptr ? &warm->blocks[b.continent] : nullptr;
+    const lp::SolveStatus status =
+        solve_part(inputs, block_inputs, relaxed, nullptr, ctx, plan_begin, result);
+    if (status == lp::SolveStatus::kInfeasible) {
       // The block alone cannot serve its demands (e.g. its DCs are
       // drained). Promote them to the coupling LP, which sees every DC —
-      // the load shifts cross-region exactly as the monolithic LP would
+      // the load shifts cross-region exactly as the whole-scope LP would
       // shift it.
       for (const int c : b.demand_idx) coupling.push_back(c);
       if (ctx != nullptr) *ctx = PlanBasisContext{};
       continue;
     }
-    if (sol.status != lp::SolveStatus::kOptimal) return std::nullopt;
+    if (status != lp::SolveStatus::kOptimal) return result;
     ++result.blocks_solved;
-    if (ctx != nullptr)
-      snapshot_context(*ctx, block_inputs, block_options, sol, warm->next_plan_begin);
-    objective += sol.objective;
-
-    // Fold the block solution into parent-indexed weights and usage.
-    const Layout block_lay{T, static_cast<int>(b.demand_idx.size()),
-                           static_cast<int>(b.dc_idx.size())};
-    for (int t = 0; t < T; ++t)
-      for (int bc = 0; bc < block_lay.configs; ++bc) {
-        const int c = b.demand_idx[static_cast<std::size_t>(bc)];
-        auto& w = result.weights[static_cast<std::size_t>(t)][static_cast<std::size_t>(c)];
-        for (int bm = 0; bm < block_lay.dcs; ++bm) {
-          const int m = b.dc_idx[static_cast<std::size_t>(bm)];
-          for (int p = 0; p < 2; ++p) {
-            const double units = sol.x[static_cast<std::size_t>(block_lay.x(t, bc, bm, p))];
-            if (units <= 1e-7) continue;
-            const auto path = p == 0 ? net::PathType::kWan : net::PathType::kInternet;
-            w.entries.push_back({dcs[static_cast<std::size_t>(m)], path, units});
-            const auto& config = demands[static_cast<std::size_t>(c)].config;
-            compute_usage[static_cast<std::size_t>(t)][static_cast<std::size_t>(m)] +=
-                units * config.compute_cores();
-            if (p == 1) {
-              internet_usage[static_cast<std::size_t>(t)][static_cast<std::size_t>(m)] +=
-                  units * config.network_mbps();
-            } else {
-              for (const auto& [country, count] : config.participants) {
-                const double bw = config.network_mbps_from(country) * units;
-                for (const auto lid :
-                     inputs.net().topology().path(country, dcs[static_cast<std::size_t>(m)]).links) {
-                  const auto it = link_index.find(lid.value());
-                  if (it != link_index.end())
-                    link_usage[static_cast<std::size_t>(t)][static_cast<std::size_t>(it->second)] +=
-                        bw;
-                }
-              }
-            }
-          }
-        }
-      }
   }
 
   // ---- Coupling LP: the cross-region (and promoted) demands over every
-  // DC, against residual capacities, with *incremental* peak rows — y'_l
-  // is the increase of link l's peak above what the blocks already pay
-  // for, so sum(block objectives) + coupling objective prices the composed
-  // plan's true sum of per-link peaks.
+  // DC, built against the blocks' committed use — residual capacities and
+  // incremental peak rows over every parent link, so sum(block objectives)
+  // + coupling objective prices the composed plan's true sum of peaks.
   if (!coupling.empty()) {
     std::sort(coupling.begin(), coupling.end());
-    std::vector<double> block_peak(static_cast<std::size_t>(L), 0.0);
-    for (int t = 0; t < T; ++t)
-      for (int l = 0; l < L; ++l)
-        block_peak[static_cast<std::size_t>(l)] =
-            std::max(block_peak[static_cast<std::size_t>(l)],
-                     link_usage[static_cast<std::size_t>(t)][static_cast<std::size_t>(l)]);
-
-    const Layout clay{T, static_cast<int>(coupling.size()), M};
-    const auto build_start = std::chrono::steady_clock::now();
-    lp::LpModel model;
-    for (int i = 0; i < clay.num_x(); ++i) model.add_variable(0.0);
-    std::vector<int> yvar(static_cast<std::size_t>(L));
-    for (int l = 0; l < L; ++l)
-      yvar[static_cast<std::size_t>(l)] = model.add_variable(1.0);
-
-    // C1: every coupling demand fully assigned.
-    for (int t = 0; t < T; ++t)
-      for (int cc = 0; cc < clay.configs; ++cc) {
-        const auto& d = demands[static_cast<std::size_t>(coupling[static_cast<std::size_t>(cc)])];
-        const int row =
-            model.add_constraint(lp::Sense::kEq, d.units_per_slot[static_cast<std::size_t>(t)]);
-        for (int m = 0; m < M; ++m)
-          for (int p = 0; p < 2; ++p) model.add_coefficient(row, clay.x(t, cc, m, p), 1.0);
-      }
-    // C2/C3: residual compute and Internet capacity after the blocks.
-    for (int t = 0; t < T; ++t)
-      for (int m = 0; m < M; ++m) {
-        const double residual =
-            std::max(0.0, inputs.dc_capacity(dcs[static_cast<std::size_t>(m)]) -
-                              compute_usage[static_cast<std::size_t>(t)][static_cast<std::size_t>(m)]);
-        const int row = model.add_constraint(lp::Sense::kLe, residual);
-        for (int cc = 0; cc < clay.configs; ++cc) {
-          const double cores =
-              demands[static_cast<std::size_t>(coupling[static_cast<std::size_t>(cc)])]
-                  .config.compute_cores();
-          for (int p = 0; p < 2; ++p) model.add_coefficient(row, clay.x(t, cc, m, p), cores);
-        }
-      }
-    for (int t = 0; t < T; ++t)
-      for (int m = 0; m < M; ++m) {
-        const double residual = std::max(
-            0.0, inputs.internet_capacity(dcs[static_cast<std::size_t>(m)]) -
-                     internet_usage[static_cast<std::size_t>(t)][static_cast<std::size_t>(m)]);
-        const int row = model.add_constraint(lp::Sense::kLe, residual);
-        for (int cc = 0; cc < clay.configs; ++cc)
-          model.add_coefficient(
-              row, clay.x(t, cc, m, 1),
-              demands[static_cast<std::size_t>(coupling[static_cast<std::size_t>(cc)])]
-                  .config.network_mbps());
-      }
-    // C5 (incremental): coupling usage - y'_l <= block_peak_l - block usage.
-    for (int t = 0; t < T; ++t)
-      for (int l = 0; l < L; ++l) {
-        const double headroom = std::max(
-            0.0, block_peak[static_cast<std::size_t>(l)] -
-                     link_usage[static_cast<std::size_t>(t)][static_cast<std::size_t>(l)]);
-        const int row = model.add_constraint(lp::Sense::kLe, headroom);
-        for (int cc = 0; cc < clay.configs; ++cc) {
-          const auto& config =
-              demands[static_cast<std::size_t>(coupling[static_cast<std::size_t>(cc)])].config;
-          for (int m = 0; m < M; ++m) {
-            double bw = 0.0;
-            for (const auto& [country, count] : config.participants) {
-              for (const auto lid :
-                   inputs.net().topology().path(country, dcs[static_cast<std::size_t>(m)]).links)
-                if (lid == links[static_cast<std::size_t>(l)])
-                  bw += config.network_mbps_from(country);
-            }
-            if (bw > 0.0) model.add_coefficient(row, clay.x(t, cc, m, 0), bw);
-          }
-        }
-        model.add_coefficient(row, yvar[static_cast<std::size_t>(l)], -1.0);
-      }
-    result.build_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - build_start).count();
-
-    const lp::Solution sol = lp::solve(model, options.solver);
-    result += sol;
-    if (sol.status != lp::SolveStatus::kOptimal) return std::nullopt;
-    objective += sol.objective;
-    for (int t = 0; t < T; ++t)
-      for (int cc = 0; cc < clay.configs; ++cc) {
-        const int c = coupling[static_cast<std::size_t>(cc)];
-        auto& w = result.weights[static_cast<std::size_t>(t)][static_cast<std::size_t>(c)];
-        for (int m = 0; m < M; ++m)
-          for (int p = 0; p < 2; ++p) {
-            const double units = sol.x[static_cast<std::size_t>(clay.x(t, cc, m, p))];
-            if (units > 1e-7)
-              w.entries.push_back({dcs[static_cast<std::size_t>(m)],
-                                   p == 0 ? net::PathType::kWan : net::PathType::kInternet,
-                                   units});
-          }
-      }
+    const PlanUse committed = plan_use(inputs, result.weights);
+    std::vector<int> every_dc(dcs.size());
+    std::iota(every_dc.begin(), every_dc.end(), 0);
+    if (solve_part(inputs, inputs.restricted(every_dc, coupling), relaxed, &committed, nullptr,
+                   plan_begin, result) != lp::SolveStatus::kOptimal)
+      return result;
   }
 
-  // ---- Global e2e bound (C4) on the composed plan. The blocks solved the
-  // relaxation; satisfied here means the composition is feasible — and as
-  // good as the relaxation allows — for the bounded problem. Violated
-  // means block-local optima spent too much latency: monolithic fallback.
-  if (!degenerate && has_e2e_row(inputs, options)) {
+  // ---- Global e2e bound (C4) on the composed plan. Satisfied means the
+  // composition is feasible — and as good as the relaxation allows — for
+  // the bounded problem; violated means block-local optima spent too much
+  // latency.
+  if (has_e2e_row(inputs, options)) {
     double lhs = 0.0;
     double total_units = 0.0;
     for (const auto& d : demands) total_units += d.total_units;
@@ -702,11 +577,10 @@ std::optional<LpPlanResult> solve_decomposed(const PlanInputs& inputs,
       for (std::size_t c = 0; c < demands.size(); ++c)
         for (const auto& e : result.weights[static_cast<std::size_t>(t)][c].entries)
           lhs += e.units * inputs.max_e2e_ms(demands[c].config, e.dc, e.path);
-    if (lhs > options.e2e_bound_ms * total_units * (1.0 + 1e-9) + 1e-6) return std::nullopt;
+    if (lhs > options.e2e_bound_ms * total_units * (1.0 + 1e-9) + 1e-6) return result;
   }
 
   result.status = lp::SolveStatus::kOptimal;
-  result.objective = objective;
   result.sum_of_wan_peaks_mbps = sum_wan_peaks(inputs, result.weights);
   return result;
 }
@@ -723,16 +597,25 @@ PlanLpStats& PlanLpStats::operator+=(const PlanLpStats& o) {
 
 LpPlanResult solve_plan(const PlanInputs& inputs, const LpBuildOptions& options,
                         WarmStartCache* warm) {
-  const bool multi_region = inputs.scope().regions.size() > 1;
-  const bool decompose =
-      options.objective == Objective::kMinimizeWanPeaks &&
-      (options.decomposition == Decomposition::kForce ||
-       (options.decomposition == Decomposition::kAuto && multi_region));
-  std::optional<LpPlanResult> result;
-  if (decompose) result = solve_decomposed(inputs, options, warm);
-  if (!result) result = solve_monolithic(inputs, options, warm);
-  result->attempts = 1;
-  return std::move(*result);
+  LpPlanResult result;  // kNumericalFailure until a solve succeeds
+  if (options.objective == Objective::kMinimizeWanPeaks && inputs.scope().regions.size() > 1)
+    result = solve_decomposed(inputs, options, warm);
+  if (result.status != lp::SolveStatus::kOptimal) {
+    // The whole scope as one part. A discarded decomposed attempt's work
+    // is counted, not dropped.
+    const PlanLpStats discarded = result;
+    result = LpPlanResult{};
+    result.status = solve_part(inputs, inputs, options, nullptr,
+                               warm != nullptr ? &warm->last : nullptr,
+                               warm != nullptr ? warm->next_plan_begin : 0, result);
+    if (result.status == lp::SolveStatus::kOptimal)
+      result.sum_of_wan_peaks_mbps = sum_wan_peaks(inputs, result.weights);
+    result.fallback_pivots += discarded.iterations + discarded.fallback_pivots;
+    result.solve_seconds += discarded.solve_seconds;
+    result.build_seconds += discarded.build_seconds;
+  }
+  result.attempts = 1;
+  return result;
 }
 
 }  // namespace titan::titannext

@@ -31,26 +31,11 @@ enum class Objective {
   kMinimizeTotalMaxE2e,   // LF variant optimizing total max-E2E latency
 };
 
-// Region-block decomposition policy for solve_plan (docs/solver.md):
-//  * kAuto: decompose multi-continent scopes; single-continent scopes take
-//    the monolithic path — byte for byte the historical behaviour, which is
-//    what keeps every single-region golden checksum unchanged.
-//  * kForce: decompose whenever the scope supports it, including the
-//    degenerate single-block case (the equivalence tests run this against
-//    kOff on the same inputs).
-//  * kOff: always monolithic.
-// Decomposition only applies to the kMinimizeWanPeaks objective (the LF
-// baselines solve monolithically), and every gate failure — overlapping
-// block link sets, a failed block or coupling solve, a violated global e2e
-// bound — falls back to the monolithic solve transparently.
-enum class Decomposition { kOff, kAuto, kForce };
-
 struct LpBuildOptions {
   Objective objective = Objective::kMinimizeWanPeaks;
   // C4 bound: average (over assigned units) of max-E2E latency, msec.
   // <= 0 disables the constraint (the LF baselines drop it).
   double e2e_bound_ms = 80.0;
-  Decomposition decomposition = Decomposition::kAuto;
   lp::SolveOptions solver;
 };
 
@@ -65,15 +50,15 @@ struct AssignmentWeights {
 };
 
 // The LP work record of plan solves: lp::SolveStats summed over every LP
-// a plan solve ran (one for a monolithic solve; per-block + coupling for a
-// decomposed one), plus the work around the simplex. `+=` sums every field,
-// so the pipeline's headroom-relaxation retries and the simulator's replans
-// report the work of every attempt.
+// a plan solve ran (the whole scope, or each region block plus the
+// coupling LP), plus the work around the simplex. `+=` sums every field,
+// so the pipeline's headroom-relaxation retries and the simulator's
+// replans report the work of every attempt.
 struct PlanLpStats : lp::SolveStats {
   // Model construction (wall clock); solve_seconds excludes it.
   double build_seconds = 0.0;
-  // Region blocks solved to optimality by the decomposed path; 0 for a
-  // monolithic solve (the coupling LP is not counted as a block).
+  // Region blocks solved to optimality by a decomposed solve that was
+  // kept; 0 for a whole-scope solve (the coupling LP is not a block).
   int blocks_solved = 0;
   int attempts = 0;  // solve_plan calls (headroom-relaxation attempts)
 
@@ -153,16 +138,29 @@ struct WarmStartCache {
 // updated with the new basis on success. A transferred seed reaches the
 // same objective as a cold solve but may stop at a different vertex of the
 // optimal face; when nothing transfers (disjoint windows, failed gates)
-// the solve IS the cold path, byte for byte. Under the decomposition
-// policy above, multi-continent scopes are split into per-region block
-// LPs plus a coupling LP over the cross-region demands, each block warm-
-// started from its own cached context. See docs/solver.md, "Warm-start
-// lifecycle" and "Region-block decomposition".
+// the solve IS the cold path, byte for byte. A kMinimizeWanPeaks plan over
+// a multi-region scope is first decomposed into region-block LPs and a
+// coupling LP; a failed gate discards that attempt (its work counted in
+// `fallback_pivots`) for the whole-scope LP. See docs/solver.md,
+// "Warm-start lifecycle" and "Region-block decomposition".
 [[nodiscard]] LpPlanResult solve_plan(const PlanInputs& inputs, const LpBuildOptions& options,
                                       WarmStartCache* warm = nullptr);
 
-// Exposed for tests: just build the model (variable layout documented in
-// the .cc file).
-[[nodiscard]] lp::LpModel build_model(const PlanInputs& inputs, const LpBuildOptions& options);
+// Per-slot use of a plan's weights, `[t][m]` over a PlanInputs' DCs and
+// `[t][l]` over `links`.
+struct PlanUse {
+  std::vector<core::LinkId> links;
+  std::vector<std::vector<double>> compute;   // cores
+  std::vector<std::vector<double>> internet;  // Internet-path Mbps
+  std::vector<std::vector<double>> link;      // WAN Mbps
+};
+
+// The plan LP over the inputs (variable and row layout documented in the
+// .cc file and docs/solver.md). With `committed` — the use other parts of
+// the same plan already take, over the inputs' DCs — C2/C3 get residual
+// capacities and the C5 rows and y columns run over `committed->links`,
+// each y charging only its link's growth above the committed peak.
+[[nodiscard]] lp::LpModel build_model(const PlanInputs& inputs, const LpBuildOptions& options,
+                                      const PlanUse* committed = nullptr);
 
 }  // namespace titan::titannext

@@ -118,8 +118,9 @@ TEST_F(PoliciesTest, TitanUsesRandomDcButOffloads) {
   EXPECT_GT(eval::internet_share(*eval_, run.assignments), 0.05);
   // German calls never go to the Internet (fraction 0).
   for (std::size_t i = 0; i < eval_->calls().size(); ++i) {
-    if (eval_->calls()[i].first_joiner == world_->find_country("germany"))
+    if (eval_->calls()[i].first_joiner == world_->find_country("germany")) {
       EXPECT_EQ(run.assignments[i].path, net::PathType::kWan);
+    }
   }
 }
 

@@ -165,8 +165,9 @@ TEST_P(ReductionPropertyTest, ReductionIsIdempotentAndPreservesResources) {
   EXPECT_EQ(twice.config, reduced.config);
   EXPECT_EQ(twice.multiplier, 1);
   // Intra-country reduces all the way to one participant.
-  if (reduced.config.intra_country())
+  if (reduced.config.intra_country()) {
     EXPECT_EQ(reduced.config.participants.front().second, 1);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomConfigs, ReductionPropertyTest, ::testing::Range(0, 30));

@@ -51,8 +51,9 @@ TEST(EventStreamTest, SortedAndComplete) {
   for (const auto& e : events) {
     seen[e.call_index] |= 1 << static_cast<int>(e.kind);
     EXPECT_LE(e.slot, trace.num_slots());
-    if (e.kind == workload::CallEventKind::kArrival)
+    if (e.kind == workload::CallEventKind::kArrival) {
       EXPECT_EQ(e.slot, trace.calls()[e.call_index].start_slot);
+    }
   }
   for (const int mask : seen) EXPECT_EQ(mask, 0b111);
 }
@@ -1023,7 +1024,9 @@ TEST(SimOverloadTest, SustainedOverloadShedsFairlyWithoutLeaks) {
     const auto region = static_cast<geo::Continent>(reg);
     const auto ri = static_cast<std::size_t>(reg);
     EXPECT_LE(r.shed_fraction(region), s.admission_max_shed) << "region " << reg;
-    if (r.calls_by_region[ri] == 0) EXPECT_EQ(r.rejected_by_region[ri], 0);
+    if (r.calls_by_region[ri] == 0) {
+      EXPECT_EQ(r.rejected_by_region[ri], 0);
+    }
     EXPECT_EQ(static_cast<double>(r.rejected_by_region[ri]),
               r.streams.region_rejected_total(region));
     EXPECT_EQ(static_cast<double>(r.degraded_by_region[ri]),
@@ -1049,7 +1052,9 @@ TEST(SimOverloadTest, CompoundCatastrophesShedWithoutLeaks) {
     EXPECT_GT(r.rejected_calls + r.degraded_calls, 0) << name;
     for (int reg = 0; reg < geo::kNumContinents; ++reg) {
       const auto ri = static_cast<std::size_t>(reg);
-      if (r.calls_by_region[ri] == 0) EXPECT_EQ(r.rejected_by_region[ri], 0) << name;
+      if (r.calls_by_region[ri] == 0) {
+        EXPECT_EQ(r.rejected_by_region[ri], 0) << name;
+      }
     }
   }
 }

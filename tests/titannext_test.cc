@@ -2,6 +2,8 @@
 // latency helpers), the Fig. 13 LP (constraint satisfaction, offload
 // behaviour, ablations), the offline plan, the online controller, and the
 // forecasting pipeline.
+#include <numeric>
+
 #include <gtest/gtest.h>
 
 #include "sim/engine.h"
@@ -212,8 +214,9 @@ TEST_F(PlanTest, TighterE2eBoundCostsPeaks) {
   const auto t = solve_plan(inputs, tight);
   ASSERT_EQ(l.status, lp::SolveStatus::kOptimal);
   // Tight bound is either infeasible or at least as expensive.
-  if (t.status == lp::SolveStatus::kOptimal)
+  if (t.status == lp::SolveStatus::kOptimal) {
     EXPECT_GE(t.sum_of_wan_peaks_mbps, l.sum_of_wan_peaks_mbps - 1e-6);
+  }
   // Unreasonably tight bound must be infeasible.
   LpBuildOptions impossible = lp_options();
   impossible.e2e_bound_ms = 1.0;
@@ -631,51 +634,48 @@ MultiRegionSetup make_na_eu_setup(const geo::World& world, const net::NetworkDb&
   return s;
 }
 
-// On a single-region scope the forced decomposition has exactly one block
-// owning every DC and every demand, and that block's model IS the
-// monolithic model — so kForce must reproduce the kOff plan bit for bit
-// (the equivalence the single-region golden checksums rely on via kAuto).
-TEST_F(PlanTest, ForcedDecompositionMatchesMonolithicOnSingleRegionScope) {
-  PlanInputs inputs(*db_, small_scope(), *fractions_);
-  inputs.set_demand(trace_->configs(), trace_->config_counts(), true);
+// Restricting inputs to every DC and every demand reproduces them, so
+// build_model emits the whole-scope model for that restriction, row for row
+// and coefficient for coefficient. A decomposed solve builds its coupling
+// LP from such a restriction.
+TEST_F(PlanTest, RestrictionToEverythingBuildsTheWholeScopeModel) {
+  const auto setup = make_na_eu_setup(*world_, *db_);
+  PlanInputs single(*db_, small_scope(), *fractions_);
+  single.set_demand(trace_->configs(), trace_->config_counts(), true);
+  PlanInputs multi(*db_, setup.scope, setup.fractions);
+  multi.set_demand(setup.trace.configs(), setup.counts, true);
 
-  LpBuildOptions off = lp_options();
-  off.decomposition = Decomposition::kOff;
-  LpBuildOptions force = lp_options();
-  force.decomposition = Decomposition::kForce;
-
-  const LpPlanResult mono = solve_plan(inputs, off);
-  const LpPlanResult dec = solve_plan(inputs, force);
-  ASSERT_EQ(mono.status, lp::SolveStatus::kOptimal);
-  ASSERT_EQ(dec.status, lp::SolveStatus::kOptimal);
-  EXPECT_EQ(mono.blocks_solved, 0);
-  EXPECT_EQ(dec.blocks_solved, 1);
-
-  // Identical model + identical (cold) solve: exact equality, not "near".
-  EXPECT_EQ(dec.objective, mono.objective);
-  EXPECT_EQ(dec.sum_of_wan_peaks_mbps, mono.sum_of_wan_peaks_mbps);
-  EXPECT_EQ(dec.iterations, mono.iterations);
-  ASSERT_EQ(dec.weights.size(), mono.weights.size());
-  for (std::size_t t = 0; t < mono.weights.size(); ++t) {
-    ASSERT_EQ(dec.weights[t].size(), mono.weights[t].size());
-    for (std::size_t c = 0; c < mono.weights[t].size(); ++c) {
-      const auto& a = mono.weights[t][c].entries;
-      const auto& b = dec.weights[t][c].entries;
-      ASSERT_EQ(a.size(), b.size()) << "t=" << t << " c=" << c;
-      for (std::size_t e = 0; e < a.size(); ++e) {
-        EXPECT_EQ(a[e].dc, b[e].dc);
-        EXPECT_EQ(a[e].path, b[e].path);
-        EXPECT_EQ(a[e].units, b[e].units);
+  for (const PlanInputs* inputs : {&single, &multi}) {
+    std::vector<int> every_dc(inputs->dcs().size());
+    std::vector<int> every_demand(inputs->demands().size());
+    std::iota(every_dc.begin(), every_dc.end(), 0);
+    std::iota(every_demand.begin(), every_demand.end(), 0);
+    const lp::LpModel whole = build_model(*inputs, lp_options());
+    const lp::LpModel part =
+        build_model(inputs->restricted(every_dc, every_demand), lp_options());
+    EXPECT_EQ(part.costs(), whole.costs());
+    EXPECT_EQ(part.senses(), whole.senses());
+    EXPECT_EQ(part.rhs(), whole.rhs());
+    const lp::SparseMatrix a = whole.matrix();
+    const lp::SparseMatrix b = part.matrix();
+    ASSERT_EQ(b.rows(), a.rows());
+    ASSERT_EQ(b.cols(), a.cols());
+    ASSERT_EQ(b.nnz(), a.nnz());
+    for (int j = 0; j < a.cols(); ++j) {
+      ASSERT_EQ(b.col_begin(j), a.col_begin(j)) << "column " << j;
+      for (int k = a.col_begin(j); k < a.col_end(j); ++k) {
+        EXPECT_EQ(b.row_index(k), a.row_index(k));
+        EXPECT_EQ(b.value(k), a.value(k));
       }
     }
   }
 }
 
-// A genuine NA+EU scope under the default policy (kAuto) splits into two
-// region blocks plus a coupling LP over the cross-continent demands. The
-// composed plan is feasible for the monolithic LP, so its cost can only
-// meet or exceed the monolithic optimum — and every demand stays fully
-// assigned.
+// A genuine NA+EU scope splits into two region blocks plus a coupling LP
+// over the cross-continent demands. The composed plan is feasible for the
+// whole-scope LP, so its cost can only meet or exceed that LP's optimum;
+// the coupling LP's incremental peak rows price it exactly; and every
+// demand stays fully assigned.
 TEST_F(PlanTest, MultiRegionScopeDecomposesIntoRegionBlocks) {
   const auto setup = make_na_eu_setup(*world_, *db_);
   PlanInputs inputs(*db_, setup.scope, setup.fractions);
@@ -697,17 +697,16 @@ TEST_F(PlanTest, MultiRegionScopeDecomposesIntoRegionBlocks) {
   }
   ASSERT_GT(cross_demands, 0);
 
-  const LpPlanResult dec = solve_plan(inputs, lp_options());  // kAuto default
+  const LpPlanResult dec = solve_plan(inputs, lp_options());
   ASSERT_EQ(dec.status, lp::SolveStatus::kOptimal);
   EXPECT_EQ(dec.blocks_solved, 2) << "NA+EU scope did not decompose into two blocks";
   EXPECT_FALSE(dec.warm_started);
+  EXPECT_NEAR(dec.objective, dec.sum_of_wan_peaks_mbps,
+              1e-6 * std::max(1.0, dec.sum_of_wan_peaks_mbps));
 
-  LpBuildOptions off = lp_options();
-  off.decomposition = Decomposition::kOff;
-  const LpPlanResult mono = solve_plan(inputs, off);
-  ASSERT_EQ(mono.status, lp::SolveStatus::kOptimal);
-  EXPECT_EQ(mono.blocks_solved, 0);
-  EXPECT_GE(dec.sum_of_wan_peaks_mbps, mono.sum_of_wan_peaks_mbps - 1e-6);
+  const lp::Solution whole = lp::solve(build_model(inputs, lp_options()));
+  ASSERT_EQ(whole.status, lp::SolveStatus::kOptimal);
+  EXPECT_GE(dec.sum_of_wan_peaks_mbps, whole.objective - 1e-6);
 
   // C1 on the composed plan: every demand fully assigned in every slot.
   for (int t = 0; t < setup.scope.timeslots; ++t)
@@ -727,11 +726,8 @@ TEST_F(PlanTest, MultiRegionScopeDecomposesIntoRegionBlocks) {
 // objective. Both solves share one trace so the demand shapes overlap.
 TEST_F(PlanTest, RemapBasisSurvivesRegionEnterAndLeave) {
   const auto setup = make_na_eu_setup(*world_, *db_);
-  // Monolithic both ways (the decomposed path keeps per-block contexts
-  // instead of `last`), C4 off so the EU-only solve of the NA-heavy trace
-  // stays feasible.
+  // C4 off so the EU-only solve of the NA-heavy trace stays feasible.
   LpBuildOptions options = lp_options();
-  options.decomposition = Decomposition::kOff;
   options.e2e_bound_ms = -1.0;
 
   PlanScope eu_scope = setup.scope;
@@ -742,32 +738,61 @@ TEST_F(PlanTest, RemapBasisSurvivesRegionEnterAndLeave) {
   both.set_demand(setup.trace.configs(), setup.counts, true);
   ASSERT_GT(both.dcs().size(), eu.dcs().size());
 
-  // Region enter: EU basis remapped onto the NA+EU model.
-  WarmStartCache cache;
-  ASSERT_EQ(solve_plan(eu, options, &cache).status, lp::SolveStatus::kOptimal);
-  ASSERT_TRUE(cache.last.valid());
-  const std::size_t eu_basis_size = cache.last.basis.entries.size();
-  const auto entered = remap_basis(cache.last, both, options, 0);
-  ASSERT_TRUE(entered.has_value()) << "region enter produced no candidate basis";
-  EXPECT_GT(entered->entries.size(), eu_basis_size);
+  // The warm context a solve of the whole of `inputs` leaves behind.
+  const auto context = [](const PlanInputs& inputs, const lp::Solution& sol) {
+    PlanBasisContext ctx;
+    ctx.basis = sol.basis;
+    for (const auto& d : inputs.demands()) ctx.shapes.push_back(d.config);
+    ctx.dcs = inputs.dcs();
+    ctx.links = inputs.links();
+    ctx.timeslots = inputs.scope().timeslots;
+    return ctx;
+  };
+  const lp::LpModel eu_model = build_model(eu, options);
+  const lp::LpModel both_model = build_model(both, options);
+  const lp::Solution cold_eu = lp::solve(eu_model);
+  const lp::Solution cold_both = lp::solve(both_model);
+  ASSERT_EQ(cold_eu.status, lp::SolveStatus::kOptimal);
+  ASSERT_EQ(cold_both.status, lp::SolveStatus::kOptimal);
 
-  const LpPlanResult cold_both = solve_plan(both, options);
-  const LpPlanResult warm_both = solve_plan(both, options, &cache);
+  // Region enter: EU basis remapped onto the NA+EU model.
+  const auto entered = remap_basis(context(eu, cold_eu), both, options);
+  ASSERT_TRUE(entered.has_value()) << "region enter produced no candidate basis";
+  EXPECT_GT(entered->entries.size(), cold_eu.basis.entries.size());
+  const lp::Solution warm_both = lp::solve(both_model, *entered);
   ASSERT_EQ(warm_both.status, lp::SolveStatus::kOptimal);
   EXPECT_NEAR(warm_both.objective, cold_both.objective,
               1e-6 * std::max(1.0, std::abs(cold_both.objective)));
-  EXPECT_EQ(cache.last.dcs.size(), both.dcs().size());
 
   // Region leave: the NA+EU basis remapped back onto the EU-only model.
-  const auto left = remap_basis(cache.last, eu, options, 0);
+  const auto left = remap_basis(context(both, warm_both), eu, options);
   ASSERT_TRUE(left.has_value()) << "region leave produced no candidate basis";
-  EXPECT_LT(left->entries.size(), cache.last.basis.entries.size());
-
-  const LpPlanResult cold_eu = solve_plan(eu, options);
-  const LpPlanResult warm_eu = solve_plan(eu, options, &cache);
+  EXPECT_LT(left->entries.size(), warm_both.basis.entries.size());
+  const lp::Solution warm_eu = lp::solve(eu_model, *left);
   ASSERT_EQ(warm_eu.status, lp::SolveStatus::kOptimal);
   EXPECT_NEAR(warm_eu.objective, cold_eu.objective,
               1e-6 * std::max(1.0, std::abs(cold_eu.objective)));
+}
+
+// A decomposed attempt that fails a gate is discarded for the whole-scope
+// solve, and its work is counted, not dropped: at a 22 ms E2E bound the
+// composed NA+EU plan violates C4, so the result is the cold whole-scope
+// solve with the attempt's pivots in fallback_pivots.
+TEST_F(PlanTest, DiscardedDecompositionCountsAsFallbackPivots) {
+  const auto setup = make_na_eu_setup(*world_, *db_);
+  PlanInputs inputs(*db_, setup.scope, setup.fractions);
+  inputs.set_demand(setup.trace.configs(), setup.counts, true);
+  LpBuildOptions options = lp_options();
+  options.e2e_bound_ms = 22.0;
+
+  const LpPlanResult result = solve_plan(inputs, options);
+  ASSERT_EQ(result.status, lp::SolveStatus::kOptimal);
+  EXPECT_EQ(result.blocks_solved, 0);
+  EXPECT_GT(result.fallback_pivots, 0);
+  const lp::Solution whole = lp::solve(build_model(inputs, options));
+  ASSERT_EQ(whole.status, lp::SolveStatus::kOptimal);
+  EXPECT_EQ(result.iterations, whole.iterations);
+  EXPECT_EQ(result.objective, whole.objective);
 }
 
 // Decomposed replans carry one warm context per region block: re-solving
