@@ -23,7 +23,12 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
   u_diag_.assign(static_cast<std::size_t>(m_), 0.0);
   pivot_row_of_.assign(static_cast<std::size_t>(m_), -1);
   row_perm_.assign(static_cast<std::size_t>(m_), -1);
-  etas_.clear();
+  eta_pivot_pos_.clear();
+  eta_pivot_val_.clear();
+  eta_begin_.assign(1, 0);
+  eta_pos_.clear();
+  eta_val_.clear();
+  scratch_.resize(static_cast<std::size_t>(m_));
 
   // Factor sparse columns first: the unit slack/artificial columns pivot
   // without creating any fill, leaving a small structural kernel.
@@ -156,6 +161,17 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
     pivot_row_of_[static_cast<std::size_t>(j)] = pivot;
     row_perm_[static_cast<std::size_t>(pivot)] = j;
   }
+  // The solves' shortcuts: the leading unit block, and the L columns that
+  // hold any entry.
+  n_unit_ = 0;
+  while (n_unit_ < m_ && u_col_ptr_[static_cast<std::size_t>(n_unit_) + 1] == 0 &&
+         l_col_ptr_[static_cast<std::size_t>(n_unit_) + 1] == 0 &&
+         std::abs(u_diag_[static_cast<std::size_t>(n_unit_)]) == 1.0)
+    ++n_unit_;
+  l_nonempty_.clear();
+  for (int k = 0; k < m_; ++k)
+    if (l_col_ptr_[static_cast<std::size_t>(k) + 1] > l_col_ptr_[static_cast<std::size_t>(k)])
+      l_nonempty_.push_back(k);
   if (deficiency != nullptr && deficiency->any()) {
     for (int r = 0; r < m_; ++r)
       if (row_perm_[static_cast<std::size_t>(r)] < 0) deficiency->rows.push_back(r);
@@ -165,95 +181,108 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
   return true;
 }
 
-void BasisLu::ftran(std::vector<double>& x) const {
+void BasisLu::ftran(std::vector<double>& x) {
   assert(static_cast<int>(x.size()) == m_);
-  // Forward: apply L^{-1} in original row space.
-  for (int k = 0; k < m_; ++k) {
-    const double xk = x[static_cast<std::size_t>(pivot_row_of_[static_cast<std::size_t>(k)])];
+  double* const xs = x.data();
+  double* const y = scratch_.data();
+  const int* const pivot_row = pivot_row_of_.data();
+  const double* const diag = u_diag_.data();
+  const int* const col_order = col_order_.data();
+  // Forward: apply L^{-1} in original row space, in pivot order (empty L
+  // columns skipped), then gather into pivot coordinates.
+  const int* const l_ptr = l_col_ptr_.data();
+  const int* const l_rows = l_rows_.data();
+  const double* const l_vals = l_vals_.data();
+  for (const int k : l_nonempty_) {
+    const double xk = xs[pivot_row[k]];
     if (xk == 0.0) continue;
-    for (int t = l_col_ptr_[static_cast<std::size_t>(k)];
-         t < l_col_ptr_[static_cast<std::size_t>(k) + 1]; ++t)
-      x[static_cast<std::size_t>(l_rows_[static_cast<std::size_t>(t)])] -=
-          l_vals_[static_cast<std::size_t>(t)] * xk;
+    for (int t = l_ptr[k]; t < l_ptr[k + 1]; ++t) xs[l_rows[t]] -= l_vals[t] * xk;
   }
-  // Gather into pivot coordinates, then backward U solve.
-  std::vector<double> y(static_cast<std::size_t>(m_));
-  for (int k = 0; k < m_; ++k)
-    y[static_cast<std::size_t>(k)] =
-        x[static_cast<std::size_t>(pivot_row_of_[static_cast<std::size_t>(k)])];
-  for (int k = m_ - 1; k >= 0; --k) {
-    const double t = y[static_cast<std::size_t>(k)] / u_diag_[static_cast<std::size_t>(k)];
-    y[static_cast<std::size_t>(k)] = t;
+  for (int k = 0; k < m_; ++k) y[k] = xs[pivot_row[k]];
+  // Backward U solve in pivot coordinates. U column k touches only
+  // positions before k, so position k is final when step k solves it and
+  // is scattered straight to its basis position col_order_[k]. The unit
+  // block has no U entries and goes last; its quotients by +-1 are the
+  // exact products.
+  const int* const u_ptr = u_col_ptr_.data();
+  const int* const u_rows = u_rows_.data();
+  const double* const u_vals = u_vals_.data();
+  for (int k = m_ - 1; k >= n_unit_; --k) {
+    const double t = y[k] / diag[k];
+    xs[col_order[k]] = t;
     if (t == 0.0) continue;
-    for (int q = u_col_ptr_[static_cast<std::size_t>(k)];
-         q < u_col_ptr_[static_cast<std::size_t>(k) + 1]; ++q)
-      y[static_cast<std::size_t>(u_rows_[static_cast<std::size_t>(q)])] -=
-          u_vals_[static_cast<std::size_t>(q)] * t;
+    for (int q = u_ptr[k]; q < u_ptr[k + 1]; ++q) y[u_rows[q]] -= u_vals[q] * t;
   }
-  // Undo the column ordering: LU position k corresponds to basis position
-  // col_order_[k].
-  for (int k = 0; k < m_; ++k)
-    x[static_cast<std::size_t>(col_order_[static_cast<std::size_t>(k)])] =
-        y[static_cast<std::size_t>(k)];
+  for (int k = 0; k < n_unit_; ++k) xs[col_order[k]] = y[k] * diag[k];
   // Eta updates, oldest first: B = B0 E1 ... Ek, so
   // x = Ek^{-1} ... E1^{-1} B0^{-1} b.
-  for (const auto& eta : etas_) {
-    const double t = x[static_cast<std::size_t>(eta.pivot_pos)] / eta.pivot_value;
+  const int* const eta_pos = eta_pos_.data();
+  const double* const eta_val = eta_val_.data();
+  for (std::size_t e = 0; e < eta_pivot_pos_.size(); ++e) {
+    const int p = eta_pivot_pos_[e];
+    const double t = xs[p] / eta_pivot_val_[e];
     if (t != 0.0) {
-      for (const auto& [pos, v] : eta.others) x[static_cast<std::size_t>(pos)] -= v * t;
+      for (int q = eta_begin_[e]; q < eta_begin_[e + 1]; ++q) xs[eta_pos[q]] -= eta_val[q] * t;
     }
-    x[static_cast<std::size_t>(eta.pivot_pos)] = t;
+    xs[p] = t;
   }
 }
 
-void BasisLu::btran(std::vector<double>& y) const {
+void BasisLu::btran(std::vector<double>& y) {
   assert(static_cast<int>(y.size()) == m_);
+  double* const ys = y.data();
   // Eta transposes, newest first.
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    double acc = y[static_cast<std::size_t>(it->pivot_pos)];
-    for (const auto& [pos, v] : it->others) acc -= v * y[static_cast<std::size_t>(pos)];
-    y[static_cast<std::size_t>(it->pivot_pos)] = acc / it->pivot_value;
+  const int* const eta_pos = eta_pos_.data();
+  const double* const eta_val = eta_val_.data();
+  for (std::size_t e = eta_pivot_pos_.size(); e-- > 0;) {
+    const int p = eta_pivot_pos_[e];
+    double acc = ys[p];
+    for (int q = eta_begin_[e]; q < eta_begin_[e + 1]; ++q) acc -= eta_val[q] * ys[eta_pos[q]];
+    ys[p] = acc / eta_pivot_val_[e];
   }
-  // U^T forward solve in pivot coordinates (inputs gathered through the
+  // U^T forward solve into pivot coordinates (inputs gathered through the
   // column ordering: LU position k holds basis position col_order_[k]).
-  std::vector<double> t(static_cast<std::size_t>(m_), 0.0);
-  for (int k = 0; k < m_; ++k) {
-    double acc = y[static_cast<std::size_t>(col_order_[static_cast<std::size_t>(k)])];
-    for (int q = u_col_ptr_[static_cast<std::size_t>(k)];
-         q < u_col_ptr_[static_cast<std::size_t>(k) + 1]; ++q)
-      acc -= u_vals_[static_cast<std::size_t>(q)] *
-             t[static_cast<std::size_t>(u_rows_[static_cast<std::size_t>(q)])];
-    t[static_cast<std::size_t>(k)] = acc / u_diag_[static_cast<std::size_t>(k)];
+  double* const t = scratch_.data();
+  const double* const diag = u_diag_.data();
+  const int* const col_order = col_order_.data();
+  const int* const u_ptr = u_col_ptr_.data();
+  const int* const u_rows = u_rows_.data();
+  const double* const u_vals = u_vals_.data();
+  for (int k = 0; k < n_unit_; ++k) t[k] = ys[col_order[k]] * diag[k];  // exact: +-1
+  for (int k = n_unit_; k < m_; ++k) {
+    double acc = ys[col_order[k]];
+    for (int q = u_ptr[k]; q < u_ptr[k + 1]; ++q) acc -= u_vals[q] * t[u_rows[q]];
+    t[k] = acc / diag[k];
   }
-  // Scatter to original rows, then L^T backward pass.
-  std::vector<double> w(static_cast<std::size_t>(m_), 0.0);
-  for (int k = 0; k < m_; ++k)
-    w[static_cast<std::size_t>(pivot_row_of_[static_cast<std::size_t>(k)])] =
-        t[static_cast<std::size_t>(k)];
-  for (int k = m_ - 1; k >= 0; --k) {
-    double acc = w[static_cast<std::size_t>(pivot_row_of_[static_cast<std::size_t>(k)])];
-    for (int q = l_col_ptr_[static_cast<std::size_t>(k)];
-         q < l_col_ptr_[static_cast<std::size_t>(k) + 1]; ++q)
-      acc -= l_vals_[static_cast<std::size_t>(q)] *
-             w[static_cast<std::size_t>(l_rows_[static_cast<std::size_t>(q)])];
-    w[static_cast<std::size_t>(pivot_row_of_[static_cast<std::size_t>(k)])] = acc;
+  // Scatter to original rows, then the L^T backward pass in place over the
+  // nonempty L columns: column k reads only rows pivoted after k, which
+  // are final by then.
+  const int* const pivot_row = pivot_row_of_.data();
+  const int* const l_ptr = l_col_ptr_.data();
+  const int* const l_rows = l_rows_.data();
+  const double* const l_vals = l_vals_.data();
+  for (int k = 0; k < m_; ++k) ys[pivot_row[k]] = t[k];
+  for (auto it = l_nonempty_.rbegin(); it != l_nonempty_.rend(); ++it) {
+    const int k = *it;
+    double acc = t[k];
+    for (int q = l_ptr[k]; q < l_ptr[k + 1]; ++q) acc -= l_vals[q] * ys[l_rows[q]];
+    ys[pivot_row[k]] = acc;
   }
-  y = std::move(w);
 }
 
 bool BasisLu::update(int leaving_pos, const std::vector<double>& alpha,
-                     double pivot_tolerance) {
+                     std::span<const int> nonzeros, double pivot_tolerance) {
   const double pivot = alpha[static_cast<std::size_t>(leaving_pos)];
   if (std::abs(pivot) < pivot_tolerance) return false;
-  Eta eta;
-  eta.pivot_pos = leaving_pos;
-  eta.pivot_value = pivot;
-  for (int i = 0; i < m_; ++i) {
+  eta_pivot_pos_.push_back(leaving_pos);
+  eta_pivot_val_.push_back(pivot);
+  for (const int i : nonzeros) {
+    assert(alpha[static_cast<std::size_t>(i)] != 0.0);
     if (i == leaving_pos) continue;
-    const double v = alpha[static_cast<std::size_t>(i)];
-    if (v != 0.0) eta.others.emplace_back(i, v);
+    eta_pos_.push_back(i);
+    eta_val_.push_back(alpha[static_cast<std::size_t>(i)]);
   }
-  etas_.push_back(std::move(eta));
+  eta_begin_.push_back(static_cast<int>(eta_pos_.size()));
   return true;
 }
 

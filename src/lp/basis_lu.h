@@ -8,8 +8,29 @@
 // the factorization is extended with product-form eta updates: replacing
 // the basis column at position r by a column whose FTRAN image is alpha
 // appends an eta (r, alpha) and both solves apply it in O(nnz(alpha)).
+//
+// The etas live in one flat eta file (pivot positions and values, plus
+// begin/pos/val arrays of the off-pivot entries) whose capacity survives
+// refactorization, and both solves run in place through one member
+// scratch vector, so ftran, btran and update allocate nothing once the
+// first refactorization cycle has sized them. The solves skip what the
+// factorization makes trivial: the leading unit block (the +-1 singleton
+// columns, factored first, with empty L and U columns) is one gather or
+// scatter pass, and only L columns that hold entries are visited.
+//
+// Every solve is bit for bit the plain sequence of operations it
+// replaces, by three rules:
+//  * summation order: each triangular and eta pass accumulates its terms
+//    in the order of the stored entries; permutations are fused in or
+//    split out, and empty columns skipped, without reordering any sum;
+//  * exact divides only are replaced: a quotient by a +-1 diagonal (the
+//    unit block's) equals the product by it, signed zeros included; every
+//    other diagonal and eta pivot is divided;
+//  * ascending nonzero order: update takes alpha's nonzero positions in
+//    ascending order, the order a dense scan would visit them in.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "lp/sparse.h"
@@ -41,31 +62,28 @@ class BasisLu {
   // Solves B * x = b. `x` enters holding b (dense, length m) and exits
   // holding the solution *in basis-position coordinates*: x[k] multiplies
   // basis column k.
-  void ftran(std::vector<double>& x) const;
+  void ftran(std::vector<double>& x);
 
   // Solves B^T * y = c. `y` enters holding c indexed by basis position and
   // exits holding the row-space solution (length m, original row indices).
-  void btran(std::vector<double>& y) const;
+  void btran(std::vector<double>& y);
 
   // Registers a basis change: position `leaving_pos` is replaced by a column
-  // whose FTRAN image (before this update) is `alpha`. Returns false when
-  // the pivot element alpha[leaving_pos] is too small (caller should
-  // refactorize instead).
-  bool update(int leaving_pos, const std::vector<double>& alpha, double pivot_tolerance = 1e-9);
+  // whose FTRAN image (before this update) is `alpha`, and `nonzeros` lists
+  // exactly the positions i with alpha[i] != 0, in ascending order.
+  // Returns false when the pivot element alpha[leaving_pos] is too small
+  // (caller should refactorize instead).
+  bool update(int leaving_pos, const std::vector<double>& alpha, std::span<const int> nonzeros,
+              double pivot_tolerance = 1e-9);
 
-  [[nodiscard]] int eta_count() const { return static_cast<int>(etas_.size()); }
+  [[nodiscard]] int eta_count() const { return static_cast<int>(eta_pivot_pos_.size()); }
   [[nodiscard]] int dimension() const { return m_; }
 
  private:
-  struct Eta {
-    int pivot_pos;
-    double pivot_value;                          // alpha[pivot_pos]
-    std::vector<std::pair<int, double>> others;  // (pos, alpha[pos]) off-pivot
-  };
-
   int m_ = 0;
   // L: unit lower triangular in pivot order; entries stored with
-  // *original row* indices (they acquire pivot positions later).
+  // *original row* indices (they acquire pivot positions later). Column k
+  // holds only rows pivoted after step k.
   std::vector<int> l_col_ptr_;
   std::vector<int> l_rows_;
   std::vector<double> l_vals_;
@@ -80,7 +98,22 @@ class BasisLu {
   // unit (slack/artificial) columns pivot first with zero fill-in;
   // col_order_[k] is the basis position factored at step k.
   std::vector<int> col_order_;
-  std::vector<Eta> etas_;
+  // Positions [0, n_unit_) are the unit block: columns with one entry of
+  // +-1, so empty L and U columns and a +-1 diagonal. Only the columns in
+  // l_nonempty_ (ascending) hold L entries.
+  int n_unit_ = 0;
+  std::vector<int> l_nonempty_;
+  // The eta file, oldest first: eta e pivots on basis position
+  // eta_pivot_pos_[e] with value eta_pivot_val_[e] (alpha there), and its
+  // off-pivot entries are (eta_pos_[q], eta_val_[q]) for q in
+  // [eta_begin_[e], eta_begin_[e + 1]), ascending in position.
+  std::vector<int> eta_pivot_pos_;
+  std::vector<double> eta_pivot_val_;
+  std::vector<int> eta_begin_;
+  std::vector<int> eta_pos_;
+  std::vector<double> eta_val_;
+  // Pivot-coordinate workspace of the solves (length m).
+  std::vector<double> scratch_;
 };
 
 }  // namespace titan::lp

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 
 #include "lp/basis_lu.h"
 
@@ -58,24 +59,21 @@ Tableau build_tableau(const LpModel& model) {
   t.slack_of.assign(static_cast<std::size_t>(m), -1);
   t.artificial_of.assign(static_cast<std::size_t>(m), -1);
 
-  std::vector<SparseMatrix::Triplet> trips;
-  const SparseMatrix structural = model.matrix();
-  for (int j = 0; j < n; ++j)
-    for (int k = structural.col_begin(j); k < structural.col_end(j); ++k)
-      trips.push_back({structural.row_index(k), j, structural.value(k)});
-
+  // The structural columns, then the single-entry slack and artificial
+  // columns appended to the same CSC.
+  t.a = model.matrix();
   t.cost = model.costs();
   int col = n;
   // Slack / surplus columns.
   for (int i = 0; i < m; ++i) {
     const Sense s = model.senses()[static_cast<std::size_t>(i)];
     if (s == Sense::kLe) {
-      trips.push_back({i, col, 1.0});
+      t.a.append_column(i, 1.0);
       t.slack_of[static_cast<std::size_t>(i)] = col;
       t.cost.push_back(0.0);
       ++col;
     } else if (s == Sense::kGe) {
-      trips.push_back({i, col, -1.0});
+      t.a.append_column(i, -1.0);
       t.slack_of[static_cast<std::size_t>(i)] = col;
       t.cost.push_back(0.0);
       ++col;
@@ -87,7 +85,7 @@ Tableau build_tableau(const LpModel& model) {
     const double b = t.rhs[static_cast<std::size_t>(i)];
     const bool slack_feasible = (s == Sense::kLe && b >= 0.0) || (s == Sense::kGe && b <= 0.0);
     if (!slack_feasible) {
-      trips.push_back({i, col, b >= 0.0 ? 1.0 : -1.0});
+      t.a.append_column(i, b >= 0.0 ? 1.0 : -1.0);
       t.artificial_of[static_cast<std::size_t>(i)] = col;
       t.cost.push_back(0.0);
       ++col;
@@ -97,7 +95,6 @@ Tableau build_tableau(const LpModel& model) {
   t.artificial.assign(static_cast<std::size_t>(col), false);
   for (const int j : t.artificial_of)
     if (j >= 0) t.artificial[static_cast<std::size_t>(j)] = true;
-  t.a = SparseMatrix::from_triplets(m, col, std::move(trips));
   return t;
 }
 
@@ -175,9 +172,6 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   sol.warm_started = warm;
   const int m = model.num_constraints();
 
-  std::vector<bool> in_basis(static_cast<std::size_t>(t.n_total), false);
-  for (const int j : basis) in_basis[static_cast<std::size_t>(j)] = true;
-
   // Every LU factorization is counted and its wall time accumulated —
   // the refactorization share of the phase-timing breakdown.
   const auto timed_factorize = [&](BasisLu& lu_) {
@@ -219,11 +213,30 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   //    be zero on every column it may price (phase1_cost, with artificials
   //    blocked).
   // Returns kIterationLimit once `iteration_counter` reaches `cap`.
+  //
+  // Only alpha's nonzero rows (alpha_nz, ascending) enter the ratio test,
+  // the x_B update and the eta: a zero alpha never blocks, ascending order
+  // keeps every tie-break, Bland's included, and the skipped
+  // xb - theta * (+-0) could only flip the sign of a zero x_B, which every
+  // reader below (comparisons, std::max(0.0, .)) ignores.
+  std::vector<double> y(static_cast<std::size_t>(m));
+  std::vector<double> alpha(static_cast<std::size_t>(m));
+  std::vector<int> alpha_nz(static_cast<std::size_t>(m));
+  std::vector<double> cost_b(static_cast<std::size_t>(m));
+  std::vector<char> blocked(static_cast<std::size_t>(t.n_total));
   auto run_phase = [&](const std::vector<double>& cost, bool block_artificials, bool restore,
                        int cap, int& iteration_counter) -> SolveStatus {
     int degenerate_streak = 0;
-    std::vector<double> y(static_cast<std::size_t>(m));
-    std::vector<double> alpha(static_cast<std::size_t>(m));
+    // The phase's pricing mask: basic columns, and artificials when they
+    // are blocked, are never priced. c_B is kept in step with the basis.
+    for (int j = 0; j < t.n_total; ++j)
+      blocked[static_cast<std::size_t>(j)] =
+          static_cast<char>(block_artificials && t.artificial[static_cast<std::size_t>(j)]);
+    for (int i = 0; i < m; ++i) {
+      const int j = basis[static_cast<std::size_t>(i)];
+      blocked[static_cast<std::size_t>(j)] = 1;
+      cost_b[static_cast<std::size_t>(i)] = cost[static_cast<std::size_t>(j)];
+    }
     // Partial (cyclic) pricing: scan a window of columns per iteration,
     // remembering where we stopped. A full fruitless sweep proves
     // optimality. Bland mode scans from column 0 instead.
@@ -248,9 +261,7 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
         }
         if (!infeasible) return SolveStatus::kOptimal;
       } else {
-        for (int i = 0; i < m; ++i)
-          y[static_cast<std::size_t>(i)] =
-              cost[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])];
+        std::copy(cost_b.begin(), cost_b.end(), y.begin());
       }
       if (iteration_counter >= cap) return SolveStatus::kIterationLimit;
 
@@ -265,8 +276,7 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
       for (int scanned = 0; scanned < t.n_total && entering < 0;) {
         const int stop = use_bland ? t.n_total : std::min(cursor + window, t.n_total);
         for (int j = cursor; j < stop; ++j) {
-          if (in_basis[static_cast<std::size_t>(j)]) continue;
-          if (block_artificials && t.artificial[static_cast<std::size_t>(j)]) continue;
+          if (blocked[static_cast<std::size_t>(j)]) continue;
           const double dj = cost[static_cast<std::size_t>(j)] - t.a.dot_column(j, y);
           if (dj < best_dj) {
             best_dj = dj;
@@ -286,6 +296,12 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
       std::fill(alpha.begin(), alpha.end(), 0.0);
       t.a.axpy_column(entering, 1.0, alpha);
       lu.ftran(alpha);
+      int nnz = 0;
+      for (int i = 0; i < m; ++i) {
+        alpha_nz[static_cast<std::size_t>(nnz)] = i;
+        nnz += alpha[static_cast<std::size_t>(i)] != 0.0;
+      }
+      const std::span<const int> nonzeros(alpha_nz.data(), static_cast<std::size_t>(nnz));
 
       // Ratio test. A phase replaces its incumbent only on a ratio smaller
       // by more than feasibility_tol (Bland: or a near-tie with a lower
@@ -293,7 +309,7 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
       int leaving = -1;
       double theta = std::numeric_limits<double>::infinity();
       const double margin = restore ? 0.0 : options.feasibility_tol;
-      for (int i = 0; i < m; ++i) {
+      for (const int i : nonzeros) {
         const double ai = alpha[static_cast<std::size_t>(i)];
         const double v = xb[static_cast<std::size_t>(i)];
         double ratio = -1.0;
@@ -324,14 +340,18 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
       }
 
       // Apply the pivot.
-      for (int i = 0; i < m; ++i) xb[static_cast<std::size_t>(i)] -= theta * alpha[static_cast<std::size_t>(i)];
+      for (const int i : nonzeros)
+        xb[static_cast<std::size_t>(i)] -= theta * alpha[static_cast<std::size_t>(i)];
       xb[static_cast<std::size_t>(leaving)] = theta;
-      in_basis[static_cast<std::size_t>(basis[static_cast<std::size_t>(leaving)])] = false;
-      in_basis[static_cast<std::size_t>(entering)] = true;
+      const int left = basis[static_cast<std::size_t>(leaving)];
+      blocked[static_cast<std::size_t>(left)] =
+          static_cast<char>(block_artificials && t.artificial[static_cast<std::size_t>(left)]);
+      blocked[static_cast<std::size_t>(entering)] = 1;
       basis[static_cast<std::size_t>(leaving)] = entering;
+      cost_b[static_cast<std::size_t>(leaving)] = cost[static_cast<std::size_t>(entering)];
       ++iteration_counter;
 
-      const bool updated = lu.update(leaving, alpha, options.pivot_tol);
+      const bool updated = lu.update(leaving, alpha, nonzeros, options.pivot_tol);
       if (!updated || lu.eta_count() >= options.refactor_interval) {
         if (!timed_factorize(lu)) return SolveStatus::kNumericalFailure;
         xb = t.rhs;

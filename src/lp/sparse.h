@@ -8,7 +8,8 @@
 
 namespace titan::lp {
 
-// Immutable CSC matrix. Built from triplets; duplicate entries are summed.
+// CSC matrix. Built from triplets (duplicate entries are summed), then
+// only ever extended by whole single-entry columns.
 class SparseMatrix {
  public:
   SparseMatrix() = default;
@@ -37,12 +38,21 @@ class SparseMatrix {
     return acc;
   }
 
+  // Appends a column whose one entry is (row, value), value != 0: the
+  // simplex tableau's slack and artificial columns.
+  void append_column(int row, double value) {
+    row_idx_.push_back(row);
+    values_.push_back(value);
+    col_ptr_.push_back(static_cast<int>(row_idx_.size()));
+    ++cols_;
+  }
+
   struct Triplet {
     int row;
     int col;
     double value;
   };
-  static SparseMatrix from_triplets(int rows, int cols, std::vector<Triplet> triplets);
+  static SparseMatrix from_triplets(int rows, int cols, const std::vector<Triplet>& triplets);
 
  private:
   int rows_ = 0;
@@ -53,7 +63,7 @@ class SparseMatrix {
 };
 
 inline SparseMatrix SparseMatrix::from_triplets(int rows, int cols,
-                                                std::vector<Triplet> triplets) {
+                                                const std::vector<Triplet>& triplets) {
   SparseMatrix m(rows, cols);
   // Count, prefix-sum, scatter; then compact duplicates per column.
   std::vector<int> count(static_cast<std::size_t>(cols), 0);
@@ -76,11 +86,11 @@ inline SparseMatrix SparseMatrix::from_triplets(int rows, int cols,
   std::vector<double> out_vals;
   out_rows.reserve(m.row_idx_.size());
   out_vals.reserve(m.values_.size());
+  std::vector<std::pair<int, double>> entries;  // one column's, reused
   for (int j = 0; j < cols; ++j) {
     const int b = m.col_ptr_[static_cast<std::size_t>(j)];
     const int e = m.col_ptr_[static_cast<std::size_t>(j) + 1];
-    std::vector<std::pair<int, double>> entries;
-    entries.reserve(static_cast<std::size_t>(e - b));
+    entries.clear();
     for (int k = b; k < e; ++k)
       entries.emplace_back(m.row_idx_[static_cast<std::size_t>(k)],
                            m.values_[static_cast<std::size_t>(k)]);

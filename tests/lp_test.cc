@@ -164,7 +164,10 @@ TEST_P(BasisLuRandomTest, EtaUpdateMatchesRefactorization) {
   std::vector<double> alpha = extra_col;
   lu.ftran(alpha);
   if (std::abs(alpha[static_cast<std::size_t>(r)]) < 1e-6) GTEST_SKIP();
-  ASSERT_TRUE(lu.update(r, alpha));
+  std::vector<int> nonzeros;
+  for (int i = 0; i < m; ++i)
+    if (alpha[static_cast<std::size_t>(i)] != 0.0) nonzeros.push_back(i);
+  ASSERT_TRUE(lu.update(r, alpha, nonzeros));
 
   // Reference: dense basis with column r replaced.
   auto dense2 = rb.dense;
@@ -204,6 +207,75 @@ TEST(BasisLuTest, ReportsSingularMatrix) {
   const SparseMatrix a = SparseMatrix::from_triplets(2, 2, trips);
   BasisLu lu;
   EXPECT_FALSE(lu.factorize(a, {0, 1}));
+}
+
+// Equal values with equal signs of zero: the divide-free paths of the
+// solves must reproduce the plain divides bit for bit.
+void expect_same_bits(const std::vector<double>& actual, const std::vector<double>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i], expected[i]) << "entry " << i;
+    EXPECT_EQ(std::signbit(actual[i]), std::signbit(expected[i])) << "entry " << i;
+  }
+}
+
+// Surplus (-1) columns put -1 on the U diagonal, and zeros in b and c
+// reach the divides as signed zeros; a -1 eta pivot follows. Every output
+// matches literals recorded from solves that divided every time, the signs
+// of zero included.
+TEST(BasisLuTest, UnitDiagonalsAndSignedZerosMatchPlainDivides) {
+  const std::vector<SparseMatrix::Triplet> trips = {
+      {0, 0, -1.0},                                           // surplus, row 0
+      {2, 1, -1.0},                                           // surplus, row 2
+      {1, 2, 2.0},  {3, 2, -4.0}, {0, 2, 1.0},                // structural
+      {3, 3, 0.5},  {1, 3, 3.0},  {4, 3, -1.0},               // structural
+      {4, 4, -1.0},                                           // surplus, row 4
+      {0, 5, 3.0},  {1, 5, -1.0}, {2, 5, 1.0},  {4, 5, 0.25}  // entering
+  };
+  const SparseMatrix a = SparseMatrix::from_triplets(5, 6, trips);
+  BasisLu lu;
+  ASSERT_TRUE(lu.factorize(a, {0, 1, 2, 3, 4}));
+  const std::vector<double> b = {0.0, 3.0, 0.0, -2.0, 0.0};
+  const std::vector<double> c = {0.0, -0.0, 1.0, 0.0, 0.0};
+
+  std::vector<double> x = b;
+  lu.ftran(x);
+  expect_same_bits(x, {0x1.2762762762762p-1, -0x0p+0, 0x1.2762762762762p-1,
+                       0x1.3b13b13b13b14p-1, -0x1.3b13b13b13b14p-1});
+  std::vector<double> y = c;
+  lu.btran(y);
+  expect_same_bits(y, {-0x0p+0, 0x1.3b13b13b13b14p-5, 0x0p+0, -0x1.d89d89d89d89ep-3, -0x0p+0});
+
+  // Swap column 5 in at position 1; its pivot element is exactly -1.
+  std::vector<double> alpha(5, 0.0);
+  a.axpy_column(5, 1.0, alpha);
+  lu.ftran(alpha);
+  expect_same_bits(alpha, {-0x1.84ec4ec4ec4ecp+1, -0x1p+0, -0x1.3b13b13b13b14p-5,
+                           -0x1.3b13b13b13b14p-2, 0x1.d89d89d89d8ap-5});
+  ASSERT_TRUE(lu.update(1, alpha, std::vector<int>{0, 1, 2, 3, 4}));
+
+  x = b;
+  lu.ftran(x);
+  expect_same_bits(x, {0x1.2762762762762p-1, 0x0p+0, 0x1.2762762762762p-1,
+                       0x1.3b13b13b13b14p-1, -0x1.3b13b13b13b14p-1});
+  y = c;
+  lu.btran(y);
+  expect_same_bits(y, {-0x0p+0, 0x1.3b13b13b13b14p-5, 0x1.3b13b13b13b14p-5,
+                       -0x1.d89d89d89d89ep-3, -0x0p+0});
+  y = {0.0, 1.0, 0.0, 0.0, -0.0};
+  lu.btran(y);
+  expect_same_bits(y, {-0x0p+0, 0x0p+0, 0x1p+0, 0x0p+0, 0x0p+0});
+  // All-zero right-hand sides: every quotient, eta pivots included, is a
+  // signed zero.
+  y.assign(5, 0.0);
+  lu.btran(y);
+  expect_same_bits(y, {-0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, -0x0p+0});
+  x.assign(5, 0.0);
+  lu.ftran(x);
+  expect_same_bits(x, {-0x0p+0, 0x0p+0, -0x0p+0, 0x0p+0, -0x0p+0});
+  x.assign(5, -0.0);
+  lu.ftran(x);
+  expect_same_bits(x, {0x0p+0, -0x0p+0, 0x0p+0, -0x0p+0, 0x0p+0});
 }
 
 // --- Simplex ----------------------------------------------------------------

@@ -2,6 +2,8 @@
 // latency helpers), the Fig. 13 LP (constraint satisfaction, offload
 // behaviour, ablations), the offline plan, the online controller, and the
 // forecasting pipeline.
+#include <bit>
+#include <cstdint>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -793,6 +795,67 @@ TEST_F(PlanTest, DiscardedDecompositionCountsAsFallbackPivots) {
   ASSERT_EQ(whole.status, lp::SolveStatus::kOptimal);
   EXPECT_EQ(result.iterations, whole.iterations);
   EXPECT_EQ(result.objective, whole.objective);
+}
+
+// The model with row i's rhs replaced by rhs(i, old rhs), everything else
+// (costs, senses, coefficients, row and column order) unchanged.
+template <class Rhs>
+lp::LpModel with_rhs(const lp::LpModel& model, Rhs rhs) {
+  lp::LpModel out;
+  for (int j = 0; j < model.num_variables(); ++j)
+    out.add_variable(model.costs()[static_cast<std::size_t>(j)]);
+  for (int i = 0; i < model.num_constraints(); ++i)
+    out.add_constraint(model.senses()[static_cast<std::size_t>(i)],
+                       rhs(i, model.rhs()[static_cast<std::size_t>(i)]));
+  const lp::SparseMatrix a = model.matrix();
+  for (int j = 0; j < a.cols(); ++j)
+    for (int k = a.col_begin(j); k < a.col_end(j); ++k)
+      out.add_coefficient(a.row_index(k), j, a.value(k));
+  return out;
+}
+
+// Pins the simplex pivot path at the LP layer, where a change to pricing,
+// the ratio test, the LU solves' arithmetic or the refactorization cadence
+// shows without a closed-loop run: a cold solve of the NA+EU whole-scope
+// plan LP (thousands of pivots over dozens of refactorization cycles),
+// then a warm re-solve from its basis after a rhs perturbation, which
+// runs the restoration pass before phase 2. The expected counters and
+// objective bits were recorded before the solves were made
+// allocation-free (flat eta file, fused permutations, alpha-sparse ratio
+// test), which reproduces them exactly; only a deliberate pivot-rule
+// change may move them.
+TEST_F(PlanTest, PlanLpPivotPathIsPinned) {
+  const auto setup = make_na_eu_setup(*world_, *db_);
+  PlanInputs inputs(*db_, setup.scope, setup.fractions);
+  inputs.set_demand(setup.trace.configs(), setup.counts, true);
+  const lp::LpModel model = build_model(inputs, lp_options());
+
+  const lp::Solution cold = lp::solve(model);
+  ASSERT_EQ(cold.status, lp::SolveStatus::kOptimal);
+  EXPECT_FALSE(cold.warm_started);
+  EXPECT_EQ(cold.iterations, 2610);
+  EXPECT_EQ(cold.phase1_iterations, 1083);
+  EXPECT_EQ(cold.refactorizations, 41);
+  EXPECT_EQ(cold.stall_pivots, 1552);
+  EXPECT_EQ(cold.bland_pivots, 0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(cold.objective), 0x4042947ae147ae11ULL)
+      << std::hexfloat << cold.objective;
+
+  // Every third rhs grows by half: enough primal damage for restoration,
+  // and enough degeneracy after it for Bland's rule to take turns.
+  const lp::LpModel perturbed =
+      with_rhs(model, [](int i, double b) { return i % 3 == 0 ? b * 1.5 : b; });
+  const lp::Solution warm = lp::solve(perturbed, cold.basis);
+  ASSERT_EQ(warm.status, lp::SolveStatus::kOptimal);
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_EQ(warm.fallback_pivots, 0);
+  EXPECT_EQ(warm.iterations, 1093);
+  EXPECT_EQ(warm.phase1_iterations, 471);
+  EXPECT_EQ(warm.refactorizations, 18);
+  EXPECT_EQ(warm.stall_pivots, 514);
+  EXPECT_EQ(warm.bland_pivots, 103);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.objective), 0x404b51c197ca67d9ULL)
+      << std::hexfloat << warm.objective;
 }
 
 // Decomposed replans carry one warm context per region block: re-solving
