@@ -39,6 +39,26 @@ SolveStats& SolveStats::operator+=(const SolveStats& o) {
 
 namespace {
 
+// An artificial above this value leaves its row unsatisfied: the phase-1
+// infeasibility verdict, a hot artificial in a warm seed, and the drift
+// check after phase 2 all use it. It also bounds a Farkas ray's rho^T b
+// away from zero.
+constexpr double kArtificialTol = 1e-6;
+
+// The dual phase raises each enterable cost by kDualPerturbation * (1 + |c_j|)
+// * (1 + u_j), u_j in [0, 1) from tie_breaker(j). Plan-LP seeds carry
+// thousands of zero reduced costs, so without the perturbation most dual
+// pivots leave the dual objective where it was (perfbench `steady`, seed 1:
+// 444 pivots per replan and 18.6 ms of dual phase against 348 and 10.9 ms
+// with it).
+constexpr double kDualPerturbation = 1e-6;
+
+// A deterministic pseudo-random value in [0, 1) per column (Knuth's
+// multiplicative hash, top 24 bits).
+double tie_breaker(int j) {
+  return static_cast<double>((static_cast<std::uint32_t>(j) * 2654435761u) >> 8) / 16777216.0;
+}
+
 struct Tableau {
   SparseMatrix a;             // computational-form matrix (m x n_total)
   std::vector<double> cost;   // phase-2 costs per column
@@ -163,9 +183,9 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 // Runs the simplex from `basis`. Cold starts (warm == false) begin with the
 // canonical slack/artificial basis and run phase 1 when artificials are
-// present; warm starts skip phase 1 but *gate* on the seeded basis being
-// factorizable and primal-feasible (after at most a bounded restoration
-// pass), reporting kNumericalFailure otherwise so the caller can rerun cold.
+// present. Warm starts skip phase 1: a primal-infeasible seed is repaired by
+// the dual phase, and a seed that cannot be factorized or repaired reports
+// kNumericalFailure so the caller can rerun cold.
 Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> basis, bool warm,
                     const SolveOptions& options) {
   Solution sol;
@@ -197,21 +217,61 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   for (int j = 0; j < t.n_total; ++j)
     if (t.artificial[static_cast<std::size_t>(j)]) phase1_cost[static_cast<std::size_t>(j)] = 1.0;
 
-  // The one pivot loop: BTRAN, windowed pricing, FTRAN, ratio test, pivot,
-  // LU update or refactorization. Two rules share it:
-  //  * a phase (restore == false) prices with the fixed `cost`, takes
-  //    Dantzig's most negative reduced cost within a cyclic window, and
-  //    switches to Bland's rule (first negative column, lowest basic index
-  //    on ratio ties) once bland_trigger consecutive pivots were
-  //    degenerate, until the next nondegenerate pivot breaks the stall;
-  //  * restoration (restore == true, warm seeds only) is a composite
-  //    phase 1 minimizing total primal infeasibility: the basic costs are
-  //    recomputed every iteration — +1 on artificials above zero, -1 on
-  //    negative basics — and the ratio test admits both blocker kinds, a
-  //    nonnegative basic dropping to zero and a negative one rising to it.
-  //    It returns kOptimal once the basis is primal-feasible; `cost` must
-  //    be zero on every column it may price (phase1_cost, with artificials
-  //    blocked).
+  // State both pivot loops share. `blocked` is the pricing mask: basic
+  // columns, and artificials when they are blocked, never enter.
+  std::vector<double> y(static_cast<std::size_t>(m));
+  std::vector<double> alpha(static_cast<std::size_t>(m));
+  std::vector<int> alpha_nz(static_cast<std::size_t>(m));
+  std::vector<double> cost_b(static_cast<std::size_t>(m));
+  std::vector<char> blocked(static_cast<std::size_t>(t.n_total));
+  const auto set_blocked = [&](bool block_artificials) {
+    for (int j = 0; j < t.n_total; ++j)
+      blocked[static_cast<std::size_t>(j)] =
+          static_cast<char>(block_artificials && t.artificial[static_cast<std::size_t>(j)]);
+    for (const int j : basis) blocked[static_cast<std::size_t>(j)] = 1;
+  };
+  // alpha = B^{-1} a_j, returning alpha's nonzero rows in ascending order.
+  // This helper and `pivot` are forced inline: called from both pivot
+  // loops, they were left as calls, and the primal loop then ran cold
+  // solves ~8% slower (five plan LPs timed in-process, same pivots).
+  const auto ftran_column = [&](int j) __attribute__((always_inline)) {
+    std::fill(alpha.begin(), alpha.end(), 0.0);
+    t.a.axpy_column(j, 1.0, alpha);
+    lu.ftran(alpha);
+    int nnz = 0;
+    for (int i = 0; i < m; ++i) {
+      alpha_nz[static_cast<std::size_t>(nnz)] = i;
+      nnz += alpha[static_cast<std::size_t>(i)] != 0.0;
+    }
+    return std::span<const int>(alpha_nz.data(), static_cast<std::size_t>(nnz));
+  };
+  // Column `entering` replaces the basic column at row `leaving` and takes
+  // the value `theta`; alpha holds its FTRAN image. Refactorizes when the
+  // eta update fails or the eta file is full.
+  const auto pivot = [&](int leaving, int entering, double theta, std::span<const int> nonzeros,
+                         bool block_artificials) __attribute__((always_inline)) {
+    for (const int i : nonzeros)
+      xb[static_cast<std::size_t>(i)] -= theta * alpha[static_cast<std::size_t>(i)];
+    xb[static_cast<std::size_t>(leaving)] = theta;
+    const int left = basis[static_cast<std::size_t>(leaving)];
+    blocked[static_cast<std::size_t>(left)] =
+        static_cast<char>(block_artificials && t.artificial[static_cast<std::size_t>(left)]);
+    blocked[static_cast<std::size_t>(entering)] = 1;
+    basis[static_cast<std::size_t>(leaving)] = entering;
+    const bool updated = lu.update(leaving, alpha, nonzeros, options.pivot_tol);
+    if (updated && lu.eta_count() < options.refactor_interval) return true;
+    if (!timed_factorize(lu)) return false;
+    xb = t.rhs;
+    lu.ftran(xb);
+    return true;
+  };
+
+  // The primal pivot loop of phase 1 and phase 2: BTRAN, windowed pricing,
+  // FTRAN, ratio test, pivot, LU update or refactorization. It prices with
+  // the fixed `cost`, takes Dantzig's most negative reduced cost within a
+  // cyclic window, and switches to Bland's rule (first negative column,
+  // lowest basic index on ratio ties) once bland_trigger consecutive pivots
+  // were degenerate, until the next nondegenerate pivot breaks the stall.
   // Returns kIterationLimit once `iteration_counter` reaches `cap`.
   //
   // Only alpha's nonzero rows (alpha_nz, ascending) enter the ratio test,
@@ -219,24 +279,13 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   // keeps every tie-break, Bland's included, and the skipped
   // xb - theta * (+-0) could only flip the sign of a zero x_B, which every
   // reader below (comparisons, std::max(0.0, .)) ignores.
-  std::vector<double> y(static_cast<std::size_t>(m));
-  std::vector<double> alpha(static_cast<std::size_t>(m));
-  std::vector<int> alpha_nz(static_cast<std::size_t>(m));
-  std::vector<double> cost_b(static_cast<std::size_t>(m));
-  std::vector<char> blocked(static_cast<std::size_t>(t.n_total));
-  auto run_phase = [&](const std::vector<double>& cost, bool block_artificials, bool restore,
-                       int cap, int& iteration_counter) -> SolveStatus {
+  auto run_phase = [&](const std::vector<double>& cost, bool block_artificials, int cap,
+                       int& iteration_counter) -> SolveStatus {
     int degenerate_streak = 0;
-    // The phase's pricing mask: basic columns, and artificials when they
-    // are blocked, are never priced. c_B is kept in step with the basis.
-    for (int j = 0; j < t.n_total; ++j)
-      blocked[static_cast<std::size_t>(j)] =
-          static_cast<char>(block_artificials && t.artificial[static_cast<std::size_t>(j)]);
-    for (int i = 0; i < m; ++i) {
-      const int j = basis[static_cast<std::size_t>(i)];
-      blocked[static_cast<std::size_t>(j)] = 1;
-      cost_b[static_cast<std::size_t>(i)] = cost[static_cast<std::size_t>(j)];
-    }
+    set_blocked(block_artificials);
+    for (int i = 0; i < m; ++i)
+      cost_b[static_cast<std::size_t>(i)] =
+          cost[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])];
     // Partial (cyclic) pricing: scan a window of columns per iteration,
     // remembering where we stopped. A full fruitless sweep proves
     // optimality. Bland mode scans from column 0 instead.
@@ -244,32 +293,14 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
     const int window = std::max(512, t.n_total / 16);
 
     while (true) {
-      if (restore) {
-        bool infeasible = false;
-        for (int i = 0; i < m; ++i) {
-          const int j = basis[static_cast<std::size_t>(i)];
-          const double v = xb[static_cast<std::size_t>(i)];
-          double c = 0.0;
-          if (t.artificial[static_cast<std::size_t>(j)] && v > 1e-6) {
-            c = 1.0;
-            infeasible = true;
-          } else if (v < -options.feasibility_tol) {
-            c = -1.0;
-            infeasible = true;
-          }
-          y[static_cast<std::size_t>(i)] = c;
-        }
-        if (!infeasible) return SolveStatus::kOptimal;
-      } else {
-        std::copy(cost_b.begin(), cost_b.end(), y.begin());
-      }
+      std::copy(cost_b.begin(), cost_b.end(), y.begin());
       if (iteration_counter >= cap) return SolveStatus::kIterationLimit;
 
       // BTRAN: y = B^{-T} c_B.
       lu.btran(y);
 
       // Pricing.
-      const bool use_bland = !restore && degenerate_streak >= options.bland_trigger;
+      const bool use_bland = degenerate_streak >= options.bland_trigger;
       int entering = -1;
       double best_dj = -options.optimality_tol;
       int cursor = use_bland ? 0 : scan_cursor;
@@ -288,37 +319,20 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
         cursor = stop == t.n_total ? 0 : stop;
       }
       if (!use_bland) scan_cursor = cursor;
-      // No improving column: optimal, or — for restoration — stalled while
-      // still infeasible.
-      if (entering < 0) return restore ? SolveStatus::kInfeasible : SolveStatus::kOptimal;
+      if (entering < 0) return SolveStatus::kOptimal;
 
-      // FTRAN the entering column.
-      std::fill(alpha.begin(), alpha.end(), 0.0);
-      t.a.axpy_column(entering, 1.0, alpha);
-      lu.ftran(alpha);
-      int nnz = 0;
-      for (int i = 0; i < m; ++i) {
-        alpha_nz[static_cast<std::size_t>(nnz)] = i;
-        nnz += alpha[static_cast<std::size_t>(i)] != 0.0;
-      }
-      const std::span<const int> nonzeros(alpha_nz.data(), static_cast<std::size_t>(nnz));
+      const std::span<const int> nonzeros = ftran_column(entering);
 
-      // Ratio test. A phase replaces its incumbent only on a ratio smaller
-      // by more than feasibility_tol (Bland: or a near-tie with a lower
-      // basic column index); restoration on any strictly smaller ratio.
+      // Ratio test: the incumbent is replaced only on a ratio smaller by
+      // more than feasibility_tol (Bland: or a near-tie with a lower basic
+      // column index).
       int leaving = -1;
       double theta = std::numeric_limits<double>::infinity();
-      const double margin = restore ? 0.0 : options.feasibility_tol;
       for (const int i : nonzeros) {
         const double ai = alpha[static_cast<std::size_t>(i)];
-        const double v = xb[static_cast<std::size_t>(i)];
-        double ratio = -1.0;
-        if (ai > options.pivot_tol && (!restore || v >= -options.feasibility_tol))
-          ratio = std::max(0.0, v) / ai;
-        else if (restore && v < -options.feasibility_tol && ai < -options.pivot_tol)
-          ratio = v / ai;  // negative basic rising to zero
-        if (ratio < 0.0) continue;
-        if (ratio < theta - margin ||
+        if (ai <= options.pivot_tol) continue;
+        const double ratio = std::max(0.0, xb[static_cast<std::size_t>(i)]) / ai;
+        if (ratio < theta - options.feasibility_tol ||
             (use_bland && ratio < theta + options.feasibility_tol && leaving >= 0 &&
              basis[static_cast<std::size_t>(i)] < basis[static_cast<std::size_t>(leaving)])) {
           theta = ratio;
@@ -327,67 +341,233 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
       }
       if (leaving < 0) return SolveStatus::kUnbounded;
 
-      // Stall accounting (phases only) feeds both the anti-cycling rule
-      // and the surfaced counters.
-      if (!restore) {
-        if (use_bland) ++sol.bland_pivots;
-        if (theta <= options.feasibility_tol) {
-          ++sol.stall_pivots;
-          ++degenerate_streak;
-        } else {
-          degenerate_streak = 0;
-        }
+      // Stall accounting feeds both the anti-cycling rule and the surfaced
+      // counters.
+      if (use_bland) ++sol.bland_pivots;
+      if (theta <= options.feasibility_tol) {
+        ++sol.stall_pivots;
+        ++degenerate_streak;
+      } else {
+        degenerate_streak = 0;
       }
 
-      // Apply the pivot.
-      for (const int i : nonzeros)
-        xb[static_cast<std::size_t>(i)] -= theta * alpha[static_cast<std::size_t>(i)];
-      xb[static_cast<std::size_t>(leaving)] = theta;
-      const int left = basis[static_cast<std::size_t>(leaving)];
-      blocked[static_cast<std::size_t>(left)] =
-          static_cast<char>(block_artificials && t.artificial[static_cast<std::size_t>(left)]);
-      blocked[static_cast<std::size_t>(entering)] = 1;
-      basis[static_cast<std::size_t>(leaving)] = entering;
       cost_b[static_cast<std::size_t>(leaving)] = cost[static_cast<std::size_t>(entering)];
       ++iteration_counter;
-
-      const bool updated = lu.update(leaving, alpha, nonzeros, options.pivot_tol);
-      if (!updated || lu.eta_count() >= options.refactor_interval) {
-        if (!timed_factorize(lu)) return SolveStatus::kNumericalFailure;
-        xb = t.rhs;
-        lu.ftran(xb);
-      }
+      if (!pivot(leaving, entering, theta, nonzeros, block_artificials))
+        return SolveStatus::kNumericalFailure;
     }
   };
 
-  // ---- Phase 1. A clean warm seed skips straight to phase 2. A damaged
-  // one — hot artificials (rows the transfer never covered, e.g. the fresh
-  // tail of a rolling horizon) or negative basics (rhs drift: a capacity
-  // cut, a drained DC, a link-peak variable below the shifted window's new
-  // peak) — is repaired by restoration, but only when the damage is within
-  // warm_repair_limit of the rows; past that a cold phase 1 is cheaper
-  // (measured on the plan LPs). A failed repair falls back cold.
-  if (warm) {
-    int damaged = 0;
-    for (int i = 0; i < m; ++i) {
-      const double v = xb[static_cast<std::size_t>(i)];
-      if (v < -options.feasibility_tol ||
-          (t.artificial[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])] && v > 1e-6))
-        ++damaged;
-    }
-    if (damaged > 0) {
-      if (damaged > options.warm_repair_limit * m) {
-        sol.status = SolveStatus::kNumericalFailure;
-        return sol;
+  // Primal infeasibility of basic row i with artificials fixed at zero:
+  // negative below the lower bound, positive above an artificial's upper
+  // bound, 0 within tolerance.
+  const auto infeasibility = [&](int i) {
+    const double v = xb[static_cast<std::size_t>(i)];
+    if (v < -options.feasibility_tol) return v;
+    if (v > kArtificialTol &&
+        t.artificial[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])])
+      return v;
+    return 0.0;
+  };
+
+  // The warm dual phase: dual simplex from a primal-infeasible seed, with
+  // artificials treated as fixed variables [0, 0]. A basic value below zero
+  // violates its lower bound, a hot artificial its upper bound; a nonbasic
+  // artificial never enters. Nonbasic columns priced negative are made dual
+  // feasible by shifting their cost, and every enterable cost is perturbed
+  // (`cost` below is t.cost plus the shifts and perturbations, and exists
+  // only inside this phase); phase 2, which prices with t.cost, removes
+  // them again.
+  //
+  // Per pivot: the leaving row r by dual Devex pricing (infeasibility^2 /
+  // w_r, unit reference weights; Harris 1973, Forrest & Goldfarb 1992),
+  // rho = B^{-T} e_r, the pivot row alpha_r from the row-wise copy of A
+  // over rho's nonzero rows only, a Harris two-pass ratio test that takes
+  // the largest |alpha_rj| among near-ties, and the reduced-cost update
+  // along alpha_r. Reduced costs are recomputed from scratch at each
+  // refactorization. Dual steepest edge, whose exact weights would cost
+  // one BTRAN per row at seeding, measured worse with unit initial weights
+  // than Devex: more pivots on perfbench `steady` (435 against 348 per
+  // replan) and 4-8x more on infeasible seeds, plus an FTRAN per pivot.
+  //
+  // Returns kOptimal once the basis is primal-feasible, kInfeasible when a
+  // leaving row admits no entering column and rho checks out as a Farkas
+  // ray, and kNumericalFailure / kIterationLimit otherwise.
+  auto run_dual = [&](int cap, int& iteration_counter) -> SolveStatus {
+    const SparseMatrix rows = t.a.transpose();
+    const auto n = static_cast<std::size_t>(t.n_total);
+    std::vector<double> cost = t.cost;
+    std::vector<double> d(n, 0.0);
+    std::vector<double> weight(static_cast<std::size_t>(m), 1.0);
+    std::vector<double> rho(static_cast<std::size_t>(m));
+    std::vector<double> row(n, 0.0);
+    std::vector<char> in_row(n, 0);
+    std::vector<int> row_nz;
+    set_blocked(/*block_artificials=*/true);
+
+    // d = c - A^T B^{-T} c_B over the enterable columns, each negative one
+    // shifted to zero.
+    const auto shift = [&](std::size_t j) {
+      if (d[j] < 0.0) {
+        cost[j] -= d[j];
+        d[j] = 0.0;
       }
+    };
+    const auto price_all = [&] {
+      for (int i = 0; i < m; ++i)
+        y[static_cast<std::size_t>(i)] =
+            cost[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])];
+      lu.btran(y);
+      for (int j = 0; j < t.n_total; ++j) {
+        const auto uj = static_cast<std::size_t>(j);
+        if (blocked[uj]) continue;
+        d[uj] = cost[uj] - t.a.dot_column(j, y);
+        shift(uj);
+      }
+    };
+    // rho is a Farkas ray when, signed by `dir`, rho^T b is negative while
+    // rho^T a_j is nonnegative on every column that is not fixed at zero:
+    // no x >= 0 then satisfies rho^T A x = rho^T b.
+    const auto certifies_infeasible = [&](double dir) {
+      double rb = 0.0;
+      for (int i = 0; i < m; ++i)
+        rb += rho[static_cast<std::size_t>(i)] * t.rhs[static_cast<std::size_t>(i)];
+      if (-dir * rb >= -kArtificialTol) return false;
+      for (int j = 0; j < t.n_total; ++j)
+        if (!t.artificial[static_cast<std::size_t>(j)] &&
+            -dir * t.a.dot_column(j, rho) < -options.pivot_tol)
+          return false;
+      return true;
+    };
+
+    // Seed: shift the dual infeasibilities away, then perturb every
+    // enterable cost upwards so that ties among zero reduced costs do not
+    // stall the dual objective.
+    price_all();
+    for (int j = 0; j < t.n_total; ++j) {
+      const auto uj = static_cast<std::size_t>(j);
+      if (blocked[uj]) continue;
+      const double eps = kDualPerturbation * (1.0 + std::abs(t.cost[uj])) * (1.0 + tie_breaker(j));
+      cost[uj] += eps;
+      d[uj] += eps;
+    }
+    while (true) {
+      // Pricing: dual Devex over the infeasible rows.
+      int r = -1;
+      double best = 0.0;
+      for (int i = 0; i < m; ++i) {
+        const double infeas = infeasibility(i);
+        if (infeas == 0.0) continue;
+        const double score = infeas * infeas / weight[static_cast<std::size_t>(i)];
+        if (score > best) {
+          best = score;
+          r = i;
+        }
+      }
+      if (r < 0) return SolveStatus::kOptimal;
+      if (iteration_counter >= cap) return SolveStatus::kIterationLimit;
+      const auto ur = static_cast<std::size_t>(r);
+      // The sign alpha_rq must have: x_r falls to 0 when above it, rises
+      // when below.
+      const double dir = xb[ur] > 0.0 ? 1.0 : -1.0;
+
+      // rho = B^{-T} e_r, and the pivot row over the enterable columns.
+      std::fill(rho.begin(), rho.end(), 0.0);
+      rho[ur] = 1.0;
+      lu.btran(rho);
+      row_nz.clear();
+      for (int i = 0; i < m; ++i) {
+        const double ri = rho[static_cast<std::size_t>(i)];
+        if (ri == 0.0) continue;
+        for (int k = rows.col_begin(i); k < rows.col_end(i); ++k) {
+          const auto j = static_cast<std::size_t>(rows.row_index(k));
+          if (blocked[j]) continue;
+          if (!in_row[j]) {
+            in_row[j] = 1;
+            row_nz.push_back(static_cast<int>(j));
+          }
+          row[j] += ri * rows.value(k);
+        }
+      }
+
+      // Harris ratio test. Pass 1 bounds the step with every reduced cost
+      // relaxed by optimality_tol; pass 2 takes, among the columns within
+      // that bound, the largest |alpha_rj| (lowest column on ties).
+      double bound = std::numeric_limits<double>::infinity();
+      for (const int j : row_nz) {
+        const double a = dir * row[static_cast<std::size_t>(j)];
+        if (a > options.pivot_tol)
+          bound = std::min(bound, (d[static_cast<std::size_t>(j)] + options.optimality_tol) / a);
+      }
+      int entering = -1;
+      double entering_a = 0.0;
+      for (const int j : row_nz) {
+        const double a = dir * row[static_cast<std::size_t>(j)];
+        if (a > options.pivot_tol && d[static_cast<std::size_t>(j)] / a <= bound &&
+            (a > entering_a || (a == entering_a && j < entering))) {
+          entering = j;
+          entering_a = a;
+        }
+      }
+      if (entering < 0)
+        return certifies_infeasible(dir) ? SolveStatus::kInfeasible
+                                         : SolveStatus::kNumericalFailure;
+
+      const std::span<const int> nonzeros = ftran_column(entering);
+      const double alpha_r = alpha[ur];
+      if (dir * alpha_r <= options.pivot_tol) return SolveStatus::kNumericalFailure;
+
+      // Reduced costs along the pivot row; a column the Harris bound let
+      // slip below zero is shifted back to it.
+      const auto uq = static_cast<std::size_t>(entering);
+      const double theta_d = d[uq] / row[uq];
+      for (const int j : row_nz) {
+        const auto uj = static_cast<std::size_t>(j);
+        d[uj] -= theta_d * row[uj];
+        shift(uj);
+        row[uj] = 0.0;
+        in_row[uj] = 0;
+      }
+      d[static_cast<std::size_t>(basis[ur])] = -theta_d;
+      d[uq] = 0.0;
+
+      // Dual Devex weights: each row's weight only grows, by the pivot
+      // row's weight scaled by (alpha_iq / alpha_rq)^2.
+      const double w_r = weight[ur];
+      for (const int i : nonzeros) {
+        if (i == r) continue;
+        const auto ui = static_cast<std::size_t>(i);
+        const double ratio = alpha[ui] / alpha_r;
+        weight[ui] = std::max(weight[ui], ratio * ratio * w_r);
+      }
+      weight[ur] = std::max(w_r / (alpha_r * alpha_r), 1.0);
+
+      ++iteration_counter;
+      const int eta_before = lu.eta_count();
+      if (!pivot(r, entering, xb[ur] / alpha_r, nonzeros, /*block_artificials=*/true))
+        return SolveStatus::kNumericalFailure;
+      if (lu.eta_count() <= eta_before) price_all();  // refactorized
+    }
+  };
+
+  // ---- Phase 1. A primal-feasible warm seed skips straight to phase 2. A
+  // damaged one — hot artificials (rows the transfer never covered, e.g.
+  // the fresh tail of a rolling horizon) or negative basics (rhs drift: a
+  // capacity cut, a drained DC, a link-peak variable below the shifted
+  // window's new peak) — is repaired by the dual phase. A dual phase that
+  // certifies infeasibility ends the solve; any other failure falls back
+  // cold.
+  if (warm) {
+    bool damaged = false;
+    for (int i = 0; i < m && !damaged; ++i) damaged = infeasibility(i) != 0.0;
+    if (damaged) {
       const auto p1_start = std::chrono::steady_clock::now();
       const SolveStatus s1 =
-          run_phase(phase1_cost, /*block_artificials=*/true, /*restore=*/true,
-                    std::min(options.max_iterations, 2 * m + 100), sol.phase1_iterations);
+          run_dual(std::min(options.max_iterations, 2 * m + 100), sol.phase1_iterations);
       sol.phase1_seconds += seconds_since(p1_start);
       sol.iterations += sol.phase1_iterations;
       if (s1 != SolveStatus::kOptimal) {
-        sol.status = SolveStatus::kNumericalFailure;
+        sol.status = s1 == SolveStatus::kInfeasible ? s1 : SolveStatus::kNumericalFailure;
         return sol;
       }
     }
@@ -398,7 +578,7 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
       if (t.artificial[static_cast<std::size_t>(j)]) need_phase1 = true;
   if (need_phase1) {
     const auto p1_start = std::chrono::steady_clock::now();
-    const SolveStatus s1 = run_phase(phase1_cost, /*block_artificials=*/false, /*restore=*/false,
+    const SolveStatus s1 = run_phase(phase1_cost, /*block_artificials=*/false,
                                      options.max_iterations, sol.phase1_iterations);
     sol.phase1_seconds += seconds_since(p1_start);
     sol.iterations += sol.phase1_iterations;
@@ -410,7 +590,7 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
     for (int i = 0; i < m; ++i)
       if (t.artificial[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])])
         infeas += std::max(0.0, xb[static_cast<std::size_t>(i)]);
-    if (infeas > 1e-6) {
+    if (infeas > kArtificialTol) {
       sol.status = SolveStatus::kInfeasible;
       return sol;
     }
@@ -419,8 +599,8 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   // ---- Phase 2 (artificials blocked from re-entering).
   int phase2_iters = 0;
   const auto p2_start = std::chrono::steady_clock::now();
-  const SolveStatus s2 = run_phase(t.cost, /*block_artificials=*/true, /*restore=*/false,
-                                   options.max_iterations, phase2_iters);
+  const SolveStatus s2 =
+      run_phase(t.cost, /*block_artificials=*/true, options.max_iterations, phase2_iters);
   sol.phase2_seconds += seconds_since(p2_start);
   sol.iterations += phase2_iters;
   if (s2 != SolveStatus::kOptimal) {
@@ -436,7 +616,7 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   // caller a plan that silently under-serves an equality row.
   for (int i = 0; i < m; ++i) {
     if (t.artificial[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])] &&
-        xb[static_cast<std::size_t>(i)] > 1e-6) {
+        xb[static_cast<std::size_t>(i)] > kArtificialTol) {
       sol.status = SolveStatus::kNumericalFailure;
       return sol;
     }

@@ -1,4 +1,4 @@
-// Two-phase revised simplex (primal).
+// Two-phase revised simplex (primal), with a dual phase for warm seeds.
 //
 // Solves min c'x s.t. Ax {<=,=,>=} b, x >= 0 as built by LpModel. Slacks
 // and surpluses convert rows to equalities; artificials complete the
@@ -10,11 +10,12 @@
 // Bland's-rule fallback while pivots stay degenerate, breaks stalls.
 //
 // Warm re-solves start from a caller basis instead. A primal-feasible seed
-// goes straight to phase 2; a seed with a little primal damage is first
-// repaired by a restoration pass (a composite phase 1 on the total primal
-// infeasibility), and anything worse falls back to the cold path. Every
-// phase runs the same pivot loop; they differ only in pricing cost and
-// ratio-test rule.
+// goes straight to phase 2. A damaged seed (hot artificials, negative
+// basics) is first repaired by a dual simplex phase: artificials are fixed
+// at zero, dual infeasibilities are removed by shifting costs, and the
+// leaving row is priced by dual Devex weights. Phase 2 then removes the
+// shifts. The dual phase may also prove the model infeasible with a Farkas
+// ray; any other failure falls back to the cold path.
 #pragma once
 
 #include <cstdint>
@@ -39,14 +40,6 @@ struct SolveOptions {
   // on until the next nondegenerate pivot. max_iterations remains the
   // termination backstop.
   int bland_trigger = 40;
-  // Warm-start repair budget: a seeded basis may carry basic artificials
-  // above zero (rows the seed never covered — e.g. the fresh tail of a
-  // rolling replan horizon) or negative basic values (rhs drift); the
-  // restoration pass run *from the seed* repairs them. When more than this
-  // fraction of rows is damaged the seed has transferred too
-  // little to pay off — measured on the plan LPs, majority-fresh repairs
-  // cost multiples of a cold solve — so the solver falls back cold instead.
-  double warm_repair_limit = 0.1;
 };
 
 // One simplex-basis member, in model-relative terms: either a structural
@@ -77,14 +70,14 @@ struct Basis {
 // eta-growth policy are); the seconds are wall clock and zeroed by
 // zero_wallclock() before bitwise compares.
 struct SolveStats {
-  int iterations = 0;  // total pivots: phase 1/restoration + phase 2
-  int phase1_iterations = 0;
+  int iterations = 0;  // total pivots: phase 1 or warm dual phase, + phase 2
+  int phase1_iterations = 0;  // pivots of phase 1 or of the warm dual phase
   // Anti-cycling observability: degenerate pivots taken (the stall
   // detector's raw signal) and pivots taken under Bland's rule.
   int stall_pivots = 0;
   int bland_pivots = 0;
   int refactorizations = 0;  // LU factorizations, counted in either phase
-  // Pivots of any discarded attempt: a failed warm attempt (restoration or
+  // Pivots of any discarded attempt: a failed warm attempt (dual phase or
   // phase 2) that the cold fallback replaced, or a decomposed plan attempt
   // that failed a gate (titannext::solve_plan). Not part of `iterations`,
   // but their time is in solve_seconds.
@@ -99,7 +92,7 @@ struct SolveStats {
   // Phase breakdown of solve_seconds (the parts do not sum to it).
   // refactor_seconds is the LU (re)factorization share, counted inside
   // whichever phase triggered it.
-  double phase1_seconds = 0.0;  // classic phase 1 or warm restoration
+  double phase1_seconds = 0.0;  // classic phase 1 or warm dual phase
   double phase2_seconds = 0.0;
   double refactor_seconds = 0.0;
 
@@ -124,13 +117,14 @@ struct Solution : SolveStats {
 
 // Warm-started solve: seeds the simplex with `warm` (a Solution::basis from
 // an earlier solve of a structurally compatible model). When the seeded
-// basis maps onto this model, factorizes, and is primal-feasible, phase 1
-// is skipped entirely and phase 2 runs from it; a seed with damage within
-// warm_repair_limit is repaired by the restoration pass first. On a
-// dimension mismatch, a singular factorization, an infeasible seed, a
-// failed or over-limit repair, or a numerical failure
-// mid-solve, the call transparently falls back to the cold path — the
-// result is always as trustworthy as solve() without a basis.
+// basis maps onto this model and factorizes, phase 1 is skipped: a
+// primal-feasible seed goes straight to phase 2, a damaged one is repaired
+// by the dual phase first (at most 2m + 100 pivots, counted as
+// phase1_iterations). A dual phase that finds a Farkas ray returns
+// kInfeasible warm. On a dimension mismatch, a singular factorization, a
+// failed repair, or a numerical failure mid-solve, the call transparently
+// falls back to the cold path — the result is always as trustworthy as
+// solve() without a basis.
 [[nodiscard]] Solution solve(const LpModel& model, const Basis& warm,
                              const SolveOptions& options = {});
 

@@ -47,6 +47,11 @@ class SparseMatrix {
     ++cols_;
   }
 
+  // The transpose, as a CSC: column i of the result is row i of this
+  // matrix, its entries in ascending column order. The dual simplex reads
+  // rows through it.
+  [[nodiscard]] SparseMatrix transpose() const;
+
   struct Triplet {
     int row;
     int col;
@@ -110,6 +115,25 @@ inline SparseMatrix SparseMatrix::from_triplets(int rows, int cols,
   m.row_idx_ = std::move(out_rows);
   m.values_ = std::move(out_vals);
   return m;
+}
+
+inline SparseMatrix SparseMatrix::transpose() const {
+  // Count per row, prefix-sum, then scatter column by column, which leaves
+  // each row's entries in ascending column order.
+  SparseMatrix t(cols_, rows_);
+  for (const int i : row_idx_) ++t.col_ptr_[static_cast<std::size_t>(i) + 1];
+  for (int i = 0; i < rows_; ++i)
+    t.col_ptr_[static_cast<std::size_t>(i) + 1] += t.col_ptr_[static_cast<std::size_t>(i)];
+  t.row_idx_.resize(row_idx_.size());
+  t.values_.resize(values_.size());
+  std::vector<int> cursor(t.col_ptr_.begin(), t.col_ptr_.end() - 1);
+  for (int j = 0; j < cols_; ++j)
+    for (int k = col_begin(j); k < col_end(j); ++k) {
+      const int pos = cursor[static_cast<std::size_t>(row_index(k))]++;
+      t.row_idx_[static_cast<std::size_t>(pos)] = j;
+      t.values_[static_cast<std::size_t>(pos)] = value(k);
+    }
+  return t;
 }
 
 }  // namespace titan::lp

@@ -387,10 +387,9 @@ void SimEngine::replan(core::SlotIndex slot, std::vector<Shard>& shards) {
   // this horizon's start; with disjoint windows nothing transfers and the
   // solve is the byte-identical cold path (see docs/solver.md). A forced
   // replan reacts to a network change — capacity/bound damage on the rhs
-  // side of the same model layout — so it KEEPS the cache: the warm
-  // restoration pass repairs that damage, and every solver gate
-  // (factorization, repair budget) still falls back to the cold solve when
-  // the change was too structural.
+  // side of the same model layout — so it KEEPS the cache: the warm dual
+  // phase repairs that damage, and a seed that does not factorize or a
+  // repair that fails still falls back to the cold solve.
   const titannext::TitanNextPipeline pipeline(*db_, fractions_, scenario_.pipeline);
   warm_cache_.next_plan_begin = slot;
   titannext::DayPlan day =
@@ -495,7 +494,7 @@ SimResult SimEngine::run(int threads) {
       // replans) re-solves the *current* plan window against the damaged
       // network: the horizon anchor stays put, so the cached basis
       // transfers at shift 0 and the damage is pure rhs — the shape the
-      // warm restoration pass repairs. Scheduled replans (forced or not)
+      // warm dual phase repairs. Scheduled replans (forced or not)
       // advance the window and the schedule as before. The current slot is
       // always inside the kept window: replan_interval <= timeslots.
       const bool scheduled = s >= next_replan;

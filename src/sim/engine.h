@@ -53,7 +53,7 @@ struct ReplanStat : titannext::PlanLpStats {
   // True when this replan was disturbance-forced (a network event, not the
   // scheduled cadence). A purely-forced replan keeps the warm cache AND
   // the current horizon anchor, so the seed transfers at shift 0 and the
-  // rhs-side damage is what the warm restoration pass repairs —
+  // rhs-side damage is what the warm dual phase repairs —
   // warm_started on a forced stat is the repair's success signal.
   bool forced = false;
   bool operator==(const ReplanStat&) const = default;
@@ -235,10 +235,9 @@ class SimEngine {
   // ("forced") replan keeps the warm cache and passes the *current*
   // horizon anchor: a network change damages the rhs side (capacities,
   // bounds) of the plan LP while the model layout stays put, which is
-  // what the warm restoration pass repairs at shift 0; the solver's own
-  // gates (factorization, repair budget) fall back to a cold solve when
-  // the change was too structural. The caller records the forced flag on
-  // the ReplanStat.
+  // what the warm dual phase repairs at shift 0; a seed that does not
+  // factorize or a repair that fails falls back to a cold solve. The
+  // caller records the forced flag on the ReplanStat.
   void replan(core::SlotIndex slot, std::vector<Shard>& shards);
 
   Scenario scenario_;

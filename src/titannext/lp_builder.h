@@ -124,7 +124,7 @@ struct WarmStartCache {
 // shapes still in the demand set, links still on a path, same DCs — carry
 // their entries over; everything else (the fresh tail of the horizon, new
 // shapes/links) is completed with slacks/artificials that lp::solve's
-// structural-rank repair and warm phase 1 then resolve. Returns nullopt
+// structural-rank repair and warm dual phase then resolve. Returns nullopt
 // when nothing can transfer (disjoint windows, changed horizon length).
 // The result is only a *candidate*: lp::solve still gates on factorization
 // and basic feasibility and cold-solves otherwise.

@@ -43,6 +43,36 @@ TEST(SparseMatrixTest, ZeroSumDuplicatesDropped) {
   EXPECT_EQ(m.nnz(), 1u);
 }
 
+// Column i of the transpose is row i, entries in ascending column order;
+// appended single-entry columns are included.
+TEST(SparseMatrixTest, TransposeListsEachRowInColumnOrder) {
+  std::vector<SparseMatrix::Triplet> trips = {{1, 0, 2.0}, {0, 1, 3.0}, {1, 2, -4.0}};
+  SparseMatrix m = SparseMatrix::from_triplets(3, 3, trips);
+  m.append_column(1, 5.0);
+  const SparseMatrix t = m.transpose();
+  EXPECT_EQ(t.rows(), 4);
+  EXPECT_EQ(t.cols(), 3);
+  EXPECT_EQ(t.nnz(), m.nnz());
+  EXPECT_EQ(t.col_end(2) - t.col_begin(2), 0);  // row 2 is empty
+  ASSERT_EQ(t.col_end(1) - t.col_begin(1), 3);
+  const int k = t.col_begin(1);
+  EXPECT_EQ(t.row_index(k), 0);
+  EXPECT_EQ(t.row_index(k + 1), 2);
+  EXPECT_EQ(t.row_index(k + 2), 3);
+  EXPECT_EQ(t.value(k), 2.0);
+  EXPECT_EQ(t.value(k + 1), -4.0);
+  EXPECT_EQ(t.value(k + 2), 5.0);
+  const std::vector<double> y = {1.0, 10.0, 100.0};
+  for (int j = 0; j < m.cols(); ++j) {
+    // (A^T)^T y read back column by column equals A's own dot products.
+    double acc = 0.0;
+    for (int i = 0; i < t.cols(); ++i)
+      for (int q = t.col_begin(i); q < t.col_end(i); ++q)
+        if (t.row_index(q) == j) acc += t.value(q) * y[static_cast<std::size_t>(i)];
+    EXPECT_EQ(acc, m.dot_column(j, y)) << "column " << j;
+  }
+}
+
 // --- BasisLu vs dense reference -------------------------------------------
 
 // Dense solve of A x = b via Gaussian elimination with partial pivoting.
@@ -475,13 +505,34 @@ LpModel coupling_rhs_model(double r0) {
   return m;
 }
 
-// Property: warm-solving a perturbed-rhs successor from the predecessor's
-// basis reaches the same optimum a cold solve of the successor finds, and
-// the answer is feasible for the successor — under the default repair
-// limit and with every damaged seed admitted to restoration. Inputs 0-19
-// are random rhs scalings; input 20 shrinks the coupling row of
-// coupling_rhs_model, driving the seed's basic x negative, which
-// restoration must repair warm.
+// The model with every cost replaced by cost(j, old cost), everything else
+// (senses, rhs, coefficients, row and column order) unchanged.
+template <class Cost>
+LpModel with_costs(const LpModel& model, Cost cost) {
+  LpModel out;
+  for (int j = 0; j < model.num_variables(); ++j)
+    out.add_variable(cost(j, model.costs()[static_cast<std::size_t>(j)]));
+  for (int i = 0; i < model.num_constraints(); ++i)
+    out.add_constraint(model.senses()[static_cast<std::size_t>(i)],
+                       model.rhs()[static_cast<std::size_t>(i)]);
+  const SparseMatrix a = model.matrix();
+  for (int j = 0; j < a.cols(); ++j)
+    for (int k = a.col_begin(j); k < a.col_end(j); ++k)
+      out.add_coefficient(a.row_index(k), j, a.value(k));
+  return out;
+}
+
+// Property: warm-solving a perturbed successor from the predecessor's basis
+// reaches the same optimum a cold solve of the successor finds, and the
+// answer is feasible for the successor. Three seeds per input, each solved
+// warm by the dual phase where damaged:
+//  * the predecessor's basis on the rhs-perturbed successor (primal damage);
+//  * the same basis with the successor's costs perturbed too, so the seed
+//    is also dual infeasible (the dual phase shifts costs);
+//  * the cold start's slack/artificial basis as a seed, every artificial
+//    hot (the dual phase does all of phase 1's work).
+// Inputs 0-19 are random rhs scalings; input 20 shrinks the coupling row
+// of coupling_rhs_model, driving the seed's basic x negative.
 constexpr int kRandomRhsCases = 20;
 
 class SimplexWarmRandomTest : public ::testing::TestWithParam<int> {};
@@ -504,22 +555,33 @@ TEST_P(SimplexWarmRandomTest, PerturbedRhsWarmSolveMatchesColdObjective) {
     before = coupling_rhs_model(4.0);  // optimum x = 1, y = 3
     after = coupling_rhs_model(2.5);   // optimum y = 2.5
   }
+  core::Rng cost_rng(8000 + static_cast<std::uint64_t>(GetParam()));
+  const LpModel repriced =
+      with_costs(after, [&](int, double c) { return c * cost_rng.uniform(0.3, 1.7); });
 
   const Solution base = solve(before);
   ASSERT_EQ(base.status, SolveStatus::kOptimal);
-  const Solution cold = solve(after);
-  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-  for (const double repair_limit : {SolveOptions{}.warm_repair_limit, 1.0}) {
-    SolveOptions opt;
-    opt.warm_repair_limit = repair_limit;
-    const Solution warm = solve(after, base.basis, opt);
+  Basis slack_artificial;
+  for (int i = 0; i < after.num_constraints(); ++i)
+    slack_artificial.entries.push_back({after.senses()[static_cast<std::size_t>(i)] == Sense::kEq
+                                            ? BasisEntry::Kind::kArtificial
+                                            : BasisEntry::Kind::kSlack,
+                                        i});
+
+  const std::pair<const LpModel*, const Basis*> cases[] = {
+      {&after, &base.basis}, {&repriced, &base.basis}, {&after, &slack_artificial}};
+  for (const auto& [model, seed] : cases) {
+    const Solution cold = solve(*model);
+    ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+    const Solution warm = solve(*model, *seed);
     ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-    EXPECT_NEAR(warm.objective, cold.objective, 1e-6 * (1.0 + std::abs(cold.objective)));
-    EXPECT_LE(after.max_violation(warm.x), 1e-6);
-    if (GetParam() == kRandomRhsCases && repair_limit == 1.0) {
-      EXPECT_TRUE(warm.warm_started);
-      EXPECT_GE(warm.phase1_iterations, 1);  // restoration pivots
-    }
+    EXPECT_TRUE(warm.warm_started);
+    EXPECT_EQ(warm.fallback_pivots, 0);
+    EXPECT_NEAR(warm.objective, cold.objective, 1e-9 * (1.0 + std::abs(cold.objective)));
+    EXPECT_LE(model->max_violation(warm.x), 1e-6);
+  }
+  if (GetParam() == kRandomRhsCases) {
+    EXPECT_GE(solve(after, base.basis).phase1_iterations, 1);  // dual pivots
   }
 }
 
@@ -599,22 +661,53 @@ LpModel covering_rhs_model(double r0) {
   return m;
 }
 
-// A warm seed on a model the rhs cut made infeasible: restoration pivots,
-// fails, and the cold path reports infeasibility. The failed attempt's
-// pivots are counted in fallback_pivots, outside `iterations`.
-TEST(SimplexWarmTest, FailedRestorationCountsFallbackPivots) {
+// A warm seed on a model the rhs cut made infeasible: the dual phase finds
+// a leaving row with no entering column, checks its row of B^{-1} as a
+// Farkas ray, and reports infeasibility warm, with no cold re-proof.
+TEST(SimplexWarmTest, InfeasibleSeedIsCertifiedByTheDualPhase) {
   const Solution base = solve(covering_rhs_model(4.0));
   ASSERT_EQ(base.status, SolveStatus::kOptimal);
-  EXPECT_EQ(base.fallback_pivots, 0);
 
-  SolveOptions opt;
-  opt.warm_repair_limit = 1.0;  // admit the damaged seed to restoration
   const LpModel cut = covering_rhs_model(0.5);
-  const Solution warm = solve(cut, base.basis, opt);
+  const Solution warm = solve(cut, base.basis);
   EXPECT_EQ(warm.status, SolveStatus::kInfeasible);
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_EQ(warm.fallback_pivots, 0);
+  EXPECT_GE(warm.phase1_iterations, 1);
+  EXPECT_EQ(warm.iterations, warm.phase1_iterations);
+  EXPECT_EQ(solve(cut).status, SolveStatus::kInfeasible);
+}
+
+// x_i = 1 for i < 3: a seed of the three artificials leaves every row hot,
+// so the dual phase needs three pivots.
+LpModel unit_equality_model() {
+  LpModel eq;
+  for (int j = 0; j < 3; ++j) eq.add_variable(1.0);
+  for (int i = 0; i < 3; ++i) {
+    const int r = eq.add_constraint(Sense::kEq, 1.0);
+    eq.add_coefficient(r, i, 1.0);
+  }
+  return eq;
+}
+
+Basis all_artificial_seed(int rows) {
+  Basis b;
+  for (int i = 0; i < rows; ++i) b.entries.push_back({BasisEntry::Kind::kArtificial, i});
+  return b;
+}
+
+// A dual phase that runs out of pivots is a failed warm attempt: the cold
+// path answers, and the attempt's pivots are counted in fallback_pivots,
+// outside `iterations`.
+TEST(SimplexWarmTest, ExhaustedDualPhaseCountsFallbackPivots) {
+  const LpModel eq = unit_equality_model();
+  SolveOptions opt;
+  opt.max_iterations = 2;  // caps the dual phase below its three pivots
+  const Solution warm = solve(eq, all_artificial_seed(3), opt);
   EXPECT_FALSE(warm.warm_started);
-  EXPECT_GT(warm.fallback_pivots, 0);
-  const Solution cold = solve(cut, opt);
+  EXPECT_EQ(warm.fallback_pivots, 2);
+  const Solution cold = solve(eq, opt);
+  EXPECT_EQ(warm.status, cold.status);
   EXPECT_EQ(cold.fallback_pivots, 0);
   EXPECT_EQ(warm.iterations, cold.iterations);
 }
@@ -764,35 +857,25 @@ TEST(SimplexWarmTest, DuplicateStructuralSeedFallsBackCold) {
 }
 
 // An all-artificial seed on a model whose inequality rows own no
-// artificials is unmappable (map rejection); on an all-equality model it
-// maps but leaves every row hot, exhausting the warm repair budget. Both
-// must land on the cold answer with warm_started unset.
-TEST(SimplexWarmTest, AllArtificialSeedFallsBackCold) {
+// artificials is unmappable (map rejection) and lands on the cold answer;
+// on an all-equality model it maps with every row hot, and the dual phase
+// repairs it warm.
+TEST(SimplexWarmTest, AllArtificialSeedIsRejectedOrRepairedWarm) {
   // Mixed rows: the <= rows have slacks, not artificials -> unmappable.
   core::Rng rng(75);
   const LpModel mixed = warm_test_model(rng, 8, 6, 1.0);
-  Basis all_art;
-  for (int i = 0; i < mixed.num_constraints(); ++i)
-    all_art.entries.push_back({BasisEntry::Kind::kArtificial, i});
-  const Solution a = solve(mixed, all_art);
+  const Solution a = solve(mixed, all_artificial_seed(mixed.num_constraints()));
   ASSERT_EQ(a.status, SolveStatus::kOptimal);
   EXPECT_FALSE(a.warm_started);
   EXPECT_NEAR(a.objective, solve(mixed).objective, 1e-9);
 
-  // All-equality model: the seed maps and factorizes, but every artificial
-  // sits at its (positive) rhs — more hot rows than warm_repair_limit
-  // tolerates — so the solve reruns cold.
-  LpModel eq;
-  for (int j = 0; j < 3; ++j) eq.add_variable(1.0);
-  for (int i = 0; i < 3; ++i) {
-    const int r = eq.add_constraint(Sense::kEq, 1.0);
-    eq.add_coefficient(r, i, 1.0);
-  }
-  Basis eq_art;
-  for (int i = 0; i < 3; ++i) eq_art.entries.push_back({BasisEntry::Kind::kArtificial, i});
-  const Solution b = solve(eq, eq_art);
+  // All-equality model: the seed maps and factorizes with every artificial
+  // at its (positive) rhs; three dual pivots drive them out.
+  const Solution b = solve(unit_equality_model(), all_artificial_seed(3));
   ASSERT_EQ(b.status, SolveStatus::kOptimal);
-  EXPECT_FALSE(b.warm_started);
+  EXPECT_TRUE(b.warm_started);
+  EXPECT_EQ(b.fallback_pivots, 0);
+  EXPECT_EQ(b.phase1_iterations, 3);
   EXPECT_NEAR(b.objective, 3.0, 1e-7);
 }
 

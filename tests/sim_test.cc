@@ -906,23 +906,28 @@ struct GoldenChecksum {
 // of restarting from zero, so every scenario's pick sequence changes after
 // its first replan (the refactor to flat credit/recent-config state was
 // verified bit-identical with the carry disabled before regenerating).
+// Six entries (fiber-cut-failover, dc-drain, rolling-maintenance,
+// cut-then-flash-crowd, regional-catastrophe, cascading-drain) were
+// regenerated when the warm dual phase replaced primal restoration: their
+// disturbance-forced replans repair damaged warm seeds, and the dual phase
+// can stop at another vertex of the optimal face.
 constexpr GoldenChecksum kGoldenChecksums[] = {
     {"steady-week", 0xdd13cdf28e4bdcf0ULL},
     {"weekend-transition", 0xadc58e66e411b123ULL},
-    {"fiber-cut-failover", 0x7fadb0d03bd25f6bULL},
-    {"dc-drain", 0xbd0c2f79396b3620ULL},
+    {"fiber-cut-failover", 0xb83d9e9145960efeULL},
+    {"dc-drain", 0x1bf4b91a7df7ee47ULL},
     {"flash-crowd", 0x2c376fc19e761e26ULL},
     {"transit-degrade-failover", 0xb216a0de9f0383efULL},
-    {"rolling-maintenance", 0x24937c54a18b941aULL},
-    {"cut-then-flash-crowd", 0x6a3b89b6b43783b3ULL},
+    {"rolling-maintenance", 0x171757a298910096ULL},
+    {"cut-then-flash-crowd", 0x7fbd9d2985bf6724ULL},
     {"na-steady-week", 0x1b1a056ee09d61f6ULL},
     {"asia-flash-crowd", 0x2f232b6454740da7ULL},
     {"global-steady-week", 0x139ce10f1184517eULL},
     {"na-cut-shifts-to-eu", 0x45e46c2d3e977519ULL},
     // Overload regime (admission control + anchored capacity).
     {"overload-sustained", 0x6fb311cb2c84d6c9ULL},
-    {"regional-catastrophe", 0x80b8913a7b7add3bULL},
-    {"cascading-drain", 0x1cbe7a0e9cd7fd84ULL},
+    {"regional-catastrophe", 0xc61bccf1c1c5c837ULL},
+    {"cascading-drain", 0xa9ddf0195e3886b8ULL},
 };
 
 Scenario golden_config(const std::string& name) {

@@ -819,11 +819,12 @@ lp::LpModel with_rhs(const lp::LpModel& model, Rhs rhs) {
 // shows without a closed-loop run: a cold solve of the NA+EU whole-scope
 // plan LP (thousands of pivots over dozens of refactorization cycles),
 // then a warm re-solve from its basis after a rhs perturbation, which
-// runs the restoration pass before phase 2. The expected counters and
-// objective bits were recorded before the solves were made
-// allocation-free (flat eta file, fused permutations, alpha-sparse ratio
-// test), which reproduces them exactly; only a deliberate pivot-rule
-// change may move them.
+// runs the dual phase before phase 2. The cold counters and objective bits
+// were recorded before the solves were made allocation-free (flat eta
+// file, fused permutations, alpha-sparse ratio test), which reproduces
+// them exactly; the warm half was re-recorded when the dual phase
+// replaced primal restoration (1,093 pivots before, 231 after). Only a
+// deliberate pivot-rule change may move them.
 TEST_F(PlanTest, PlanLpPivotPathIsPinned) {
   const auto setup = make_na_eu_setup(*world_, *db_);
   PlanInputs inputs(*db_, setup.scope, setup.fractions);
@@ -841,21 +842,89 @@ TEST_F(PlanTest, PlanLpPivotPathIsPinned) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(cold.objective), 0x4042947ae147ae11ULL)
       << std::hexfloat << cold.objective;
 
-  // Every third rhs grows by half: enough primal damage for restoration,
-  // and enough degeneracy after it for Bland's rule to take turns.
+  // Every third rhs grows by half: primal damage on a dual-feasible seed,
+  // which the dual phase repairs to the optimum without a phase-2 pivot.
   const lp::LpModel perturbed =
       with_rhs(model, [](int i, double b) { return i % 3 == 0 ? b * 1.5 : b; });
   const lp::Solution warm = lp::solve(perturbed, cold.basis);
   ASSERT_EQ(warm.status, lp::SolveStatus::kOptimal);
   EXPECT_TRUE(warm.warm_started);
   EXPECT_EQ(warm.fallback_pivots, 0);
-  EXPECT_EQ(warm.iterations, 1093);
-  EXPECT_EQ(warm.phase1_iterations, 471);
-  EXPECT_EQ(warm.refactorizations, 18);
-  EXPECT_EQ(warm.stall_pivots, 514);
-  EXPECT_EQ(warm.bland_pivots, 103);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.objective), 0x404b51c197ca67d9ULL)
+  EXPECT_EQ(warm.iterations, 231);
+  EXPECT_EQ(warm.phase1_iterations, 231);
+  EXPECT_EQ(warm.refactorizations, 4);
+  EXPECT_EQ(warm.stall_pivots, 0);
+  EXPECT_EQ(warm.bland_pivots, 0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.objective), 0x404b51c197ca67dbULL)
       << std::hexfloat << warm.objective;
+}
+
+// Differential test of the warm path against the cold one on a rolling
+// replan sequence of the NA+EU whole-scope plan LP: a 24-slot horizon that
+// advances 3 slots per replan, with demand perturbed per replan and one DC
+// cut to half its compute from the fourth replan on. Each replan is seeded
+// from its predecessor's basis, so its seed carries the fresh horizon tail
+// (hot artificials), demand drift and the capacity cut (negative basics)
+// and shape churn (dual infeasibility). Every warm solve must stay warm and
+// land on the cold solve's objective, feasibly.
+TEST_F(PlanTest, RollingWarmReplansMatchColdSolves) {
+  const auto setup = make_na_eu_setup(*world_, *db_);
+  PlanScope scope = setup.scope;
+  scope.timeslots = 24;
+  constexpr int kShift = 3;
+  constexpr int kReplans = 7;
+  constexpr int kCutReplan = 3;
+
+  struct RestoreScales {
+    net::NetworkDb& db;
+    std::vector<core::DcId> dcs;
+    ~RestoreScales() {
+      for (const auto dc : dcs) db.set_dc_compute_scale(dc, 1.0);
+    }
+  } restore{*db_, {}};
+
+  core::Rng rng(4242);
+  PlanBasisContext prev;
+  int warm_solves = 0;
+  for (int k = 0; k < kReplans; ++k) {
+    std::vector<std::vector<double>> counts = setup.counts;
+    for (auto& series : counts) {
+      series.erase(series.begin(), series.begin() + k * kShift);
+      for (double& c : series) c *= rng.uniform(0.85, 1.15);
+    }
+    if (k == kCutReplan) {
+      PlanInputs probe(*db_, scope, setup.fractions);
+      restore.dcs = probe.dcs();
+      db_->set_dc_compute_scale(probe.dcs().front(), 0.5);
+    }
+    PlanInputs inputs(*db_, scope, setup.fractions);
+    inputs.set_demand(setup.trace.configs(), counts, true);
+    const lp::LpModel model = build_model(inputs, lp_options());
+    const lp::Solution cold = lp::solve(model);
+    ASSERT_EQ(cold.status, lp::SolveStatus::kOptimal) << "replan " << k;
+
+    lp::Solution sol = cold;
+    if (k > 0) {
+      const auto seed = remap_basis(prev, inputs, lp_options(), kShift);
+      ASSERT_TRUE(seed.has_value()) << "replan " << k;
+      sol = lp::solve(model, *seed);
+      ASSERT_EQ(sol.status, lp::SolveStatus::kOptimal) << "replan " << k;
+      EXPECT_TRUE(sol.warm_started) << "replan " << k;
+      EXPECT_EQ(sol.fallback_pivots, 0) << "replan " << k;
+      EXPECT_NEAR(sol.objective, cold.objective, 1e-9 * std::abs(cold.objective))
+          << "replan " << k;
+      EXPECT_LE(model.max_violation(sol.x), 1e-6) << "replan " << k;
+      warm_solves += sol.phase1_iterations > 0;
+    }
+    prev.basis = sol.basis;
+    prev.shapes.clear();
+    for (const auto& d : inputs.demands()) prev.shapes.push_back(d.config);
+    prev.dcs = inputs.dcs();
+    prev.links = inputs.links();
+    prev.timeslots = scope.timeslots;
+    prev.e2e_row = true;  // lp_options() sets an E2E bound and demand is positive
+  }
+  EXPECT_EQ(warm_solves, kReplans - 1) << "a seed needed no repair";
 }
 
 // Decomposed replans carry one warm context per region block: re-solving
@@ -898,7 +967,7 @@ TEST_F(PlanTest, DisturbanceForcedReplansKeepWarmStart) {
   s.pipeline.scope.max_reduced_configs = 20;
 
   // Partial drains of a busy DC mid-morning: pure rhs damage (plan compute
-  // capacity shrinks), the damage the warm restoration pass repairs.
+  // capacity shrinks), the damage the warm dual phase repairs.
   for (const int slot : {9, 13, 17}) {
     sim::Disturbance drain;
     drain.kind = sim::NetworkEventKind::kDcDrain;
