@@ -39,10 +39,9 @@ SolveStats& SolveStats::operator+=(const SolveStats& o) {
 
 namespace {
 
-// An artificial above this value leaves its row unsatisfied: the phase-1
-// infeasibility verdict, a hot artificial in a warm seed, and the drift
-// check after phase 2 all use it. It also bounds a Farkas ray's rho^T b
-// away from zero.
+// An artificial above this value leaves its row unsatisfied: a hot
+// artificial in a seed and the drift check after phase 2 both use it. It
+// also bounds a Farkas ray's rho^T b away from zero.
 constexpr double kArtificialTol = 1e-6;
 
 // The dual phase raises each enterable cost by kDualPerturbation * (1 + |c_j|)
@@ -181,10 +180,10 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-// Runs the simplex from `basis`. Cold starts (warm == false) begin with the
-// canonical slack/artificial basis and run phase 1 when artificials are
-// present. Warm starts skip phase 1: a primal-infeasible seed is repaired by
-// the dual phase, and a seed that cannot be factorized or repaired reports
+// Runs the simplex from `basis`: the dual phase while the seed is primal
+// infeasible, then primal phase 2. Cold starts (warm == false) seed it with
+// the slack/artificial basis of cold_basis; warm starts with a caller basis,
+// and a warm seed that cannot be factorized or repaired reports
 // kNumericalFailure so the caller can rerun cold.
 Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> basis, bool warm,
                     const SolveOptions& options) {
@@ -212,24 +211,14 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   std::vector<double> xb = t.rhs;
   lu.ftran(xb);
 
-  // Phase-1 costs: 1 on artificials, 0 elsewhere.
-  std::vector<double> phase1_cost(static_cast<std::size_t>(t.n_total), 0.0);
-  for (int j = 0; j < t.n_total; ++j)
-    if (t.artificial[static_cast<std::size_t>(j)]) phase1_cost[static_cast<std::size_t>(j)] = 1.0;
-
   // State both pivot loops share. `blocked` is the pricing mask: basic
-  // columns, and artificials when they are blocked, never enter.
+  // columns and artificials, which are fixed at zero, never enter.
   std::vector<double> y(static_cast<std::size_t>(m));
   std::vector<double> alpha(static_cast<std::size_t>(m));
   std::vector<int> alpha_nz(static_cast<std::size_t>(m));
   std::vector<double> cost_b(static_cast<std::size_t>(m));
-  std::vector<char> blocked(static_cast<std::size_t>(t.n_total));
-  const auto set_blocked = [&](bool block_artificials) {
-    for (int j = 0; j < t.n_total; ++j)
-      blocked[static_cast<std::size_t>(j)] =
-          static_cast<char>(block_artificials && t.artificial[static_cast<std::size_t>(j)]);
-    for (const int j : basis) blocked[static_cast<std::size_t>(j)] = 1;
-  };
+  std::vector<char> blocked(t.artificial.begin(), t.artificial.end());
+  for (const int j : basis) blocked[static_cast<std::size_t>(j)] = 1;
   // alpha = B^{-1} a_j, returning alpha's nonzero rows in ascending order.
   // This helper and `pivot` are forced inline: called from both pivot
   // loops, they were left as calls, and the primal loop then ran cold
@@ -248,14 +237,13 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   // Column `entering` replaces the basic column at row `leaving` and takes
   // the value `theta`; alpha holds its FTRAN image. Refactorizes when the
   // eta update fails or the eta file is full.
-  const auto pivot = [&](int leaving, int entering, double theta, std::span<const int> nonzeros,
-                         bool block_artificials) __attribute__((always_inline)) {
+  const auto pivot = [&](int leaving, int entering, double theta, std::span<const int> nonzeros)
+                        __attribute__((always_inline)) {
     for (const int i : nonzeros)
       xb[static_cast<std::size_t>(i)] -= theta * alpha[static_cast<std::size_t>(i)];
     xb[static_cast<std::size_t>(leaving)] = theta;
-    const int left = basis[static_cast<std::size_t>(leaving)];
-    blocked[static_cast<std::size_t>(left)] =
-        static_cast<char>(block_artificials && t.artificial[static_cast<std::size_t>(left)]);
+    const auto left = static_cast<std::size_t>(basis[static_cast<std::size_t>(leaving)]);
+    blocked[left] = static_cast<char>(t.artificial[left]);
     blocked[static_cast<std::size_t>(entering)] = 1;
     basis[static_cast<std::size_t>(leaving)] = entering;
     const bool updated = lu.update(leaving, alpha, nonzeros, options.pivot_tol);
@@ -266,26 +254,24 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
     return true;
   };
 
-  // The primal pivot loop of phase 1 and phase 2: BTRAN, windowed pricing,
-  // FTRAN, ratio test, pivot, LU update or refactorization. It prices with
-  // the fixed `cost`, takes Dantzig's most negative reduced cost within a
-  // cyclic window, and switches to Bland's rule (first negative column,
-  // lowest basic index on ratio ties) once bland_trigger consecutive pivots
-  // were degenerate, until the next nondegenerate pivot breaks the stall.
-  // Returns kIterationLimit once `iteration_counter` reaches `cap`.
+  // The primal pivot loop of phase 2: BTRAN, windowed pricing, FTRAN, ratio
+  // test, pivot, LU update or refactorization. It prices with t.cost, takes
+  // Dantzig's most negative reduced cost within a cyclic window, and
+  // switches to Bland's rule (first negative column, lowest basic index on
+  // ratio ties) once bland_trigger consecutive pivots were degenerate,
+  // until the next nondegenerate pivot breaks the stall. Returns
+  // kIterationLimit once `iteration_counter` reaches max_iterations.
   //
   // Only alpha's nonzero rows (alpha_nz, ascending) enter the ratio test,
   // the x_B update and the eta: a zero alpha never blocks, ascending order
   // keeps every tie-break, Bland's included, and the skipped
   // xb - theta * (+-0) could only flip the sign of a zero x_B, which every
   // reader below (comparisons, std::max(0.0, .)) ignores.
-  auto run_phase = [&](const std::vector<double>& cost, bool block_artificials, int cap,
-                       int& iteration_counter) -> SolveStatus {
+  auto run_phase = [&](int& iteration_counter) -> SolveStatus {
     int degenerate_streak = 0;
-    set_blocked(block_artificials);
     for (int i = 0; i < m; ++i)
       cost_b[static_cast<std::size_t>(i)] =
-          cost[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])];
+          t.cost[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])];
     // Partial (cyclic) pricing: scan a window of columns per iteration,
     // remembering where we stopped. A full fruitless sweep proves
     // optimality. Bland mode scans from column 0 instead.
@@ -294,7 +280,7 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
 
     while (true) {
       std::copy(cost_b.begin(), cost_b.end(), y.begin());
-      if (iteration_counter >= cap) return SolveStatus::kIterationLimit;
+      if (iteration_counter >= options.max_iterations) return SolveStatus::kIterationLimit;
 
       // BTRAN: y = B^{-T} c_B.
       lu.btran(y);
@@ -308,7 +294,7 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
         const int stop = use_bland ? t.n_total : std::min(cursor + window, t.n_total);
         for (int j = cursor; j < stop; ++j) {
           if (blocked[static_cast<std::size_t>(j)]) continue;
-          const double dj = cost[static_cast<std::size_t>(j)] - t.a.dot_column(j, y);
+          const double dj = t.cost[static_cast<std::size_t>(j)] - t.a.dot_column(j, y);
           if (dj < best_dj) {
             best_dj = dj;
             entering = j;
@@ -351,9 +337,9 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
         degenerate_streak = 0;
       }
 
-      cost_b[static_cast<std::size_t>(leaving)] = cost[static_cast<std::size_t>(entering)];
+      cost_b[static_cast<std::size_t>(leaving)] = t.cost[static_cast<std::size_t>(entering)];
       ++iteration_counter;
-      if (!pivot(leaving, entering, theta, nonzeros, block_artificials))
+      if (!pivot(leaving, entering, theta, nonzeros))
         return SolveStatus::kNumericalFailure;
     }
   };
@@ -370,7 +356,7 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
     return 0.0;
   };
 
-  // The warm dual phase: dual simplex from a primal-infeasible seed, with
+  // The dual phase: dual simplex from a primal-infeasible seed, with
   // artificials treated as fixed variables [0, 0]. A basic value below zero
   // violates its lower bound, a hot artificial its upper bound; a nonbasic
   // artificial never enters. Nonbasic columns priced negative are made dual
@@ -403,7 +389,6 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
     std::vector<double> row(n, 0.0);
     std::vector<char> in_row(n, 0);
     std::vector<int> row_nz;
-    set_blocked(/*block_artificials=*/true);
 
     // d = c - A^T B^{-T} c_B over the enterable columns, each negative one
     // shifted to zero.
@@ -544,63 +529,39 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
 
       ++iteration_counter;
       const int eta_before = lu.eta_count();
-      if (!pivot(r, entering, xb[ur] / alpha_r, nonzeros, /*block_artificials=*/true))
+      if (!pivot(r, entering, xb[ur] / alpha_r, nonzeros))
         return SolveStatus::kNumericalFailure;
       if (lu.eta_count() <= eta_before) price_all();  // refactorized
     }
   };
 
-  // ---- Phase 1. A primal-feasible warm seed skips straight to phase 2. A
-  // damaged one — hot artificials (rows the transfer never covered, e.g.
-  // the fresh tail of a rolling horizon) or negative basics (rhs drift: a
-  // capacity cut, a drained DC, a link-peak variable below the shifted
-  // window's new peak) — is repaired by the dual phase. A dual phase that
-  // certifies infeasibility ends the solve; any other failure falls back
-  // cold.
-  if (warm) {
-    bool damaged = false;
-    for (int i = 0; i < m && !damaged; ++i) damaged = infeasibility(i) != 0.0;
-    if (damaged) {
-      const auto p1_start = std::chrono::steady_clock::now();
-      const SolveStatus s1 =
-          run_dual(std::min(options.max_iterations, 2 * m + 100), sol.phase1_iterations);
-      sol.phase1_seconds += seconds_since(p1_start);
-      sol.iterations += sol.phase1_iterations;
-      if (s1 != SolveStatus::kOptimal) {
-        sol.status = s1 == SolveStatus::kInfeasible ? s1 : SolveStatus::kNumericalFailure;
-        return sol;
-      }
-    }
-  }
-  bool need_phase1 = false;
-  if (!warm)
-    for (const int j : basis)
-      if (t.artificial[static_cast<std::size_t>(j)]) need_phase1 = true;
-  if (need_phase1) {
+  // ---- The dual phase. A primal-feasible seed skips straight to phase 2.
+  // Any other is repaired by the dual phase: the cold basis with its hot
+  // artificials (every row whose slack cannot hold the rhs), or a warm seed
+  // with hot artificials (rows the transfer never covered, e.g. the fresh
+  // tail of a rolling horizon) or negative basics (rhs drift: a capacity
+  // cut, a drained DC, a link-peak variable below the shifted window's new
+  // peak). A cold dual phase runs up to max_iterations, a warm one at most
+  // 2m + 100 pivots. A dual phase that certifies infeasibility ends the
+  // solve; any other warm failure falls back cold.
+  bool damaged = false;
+  for (int i = 0; i < m && !damaged; ++i) damaged = infeasibility(i) != 0.0;
+  if (damaged) {
     const auto p1_start = std::chrono::steady_clock::now();
-    const SolveStatus s1 = run_phase(phase1_cost, /*block_artificials=*/false,
-                                     options.max_iterations, sol.phase1_iterations);
+    const int cap = warm ? std::min(options.max_iterations, 2 * m + 100) : options.max_iterations;
+    const SolveStatus s1 = run_dual(cap, sol.phase1_iterations);
     sol.phase1_seconds += seconds_since(p1_start);
     sol.iterations += sol.phase1_iterations;
-    if (s1 == SolveStatus::kIterationLimit || s1 == SolveStatus::kNumericalFailure) {
-      sol.status = s1;
-      return sol;
-    }
-    double infeas = 0.0;
-    for (int i = 0; i < m; ++i)
-      if (t.artificial[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])])
-        infeas += std::max(0.0, xb[static_cast<std::size_t>(i)]);
-    if (infeas > kArtificialTol) {
-      sol.status = SolveStatus::kInfeasible;
+    if (s1 != SolveStatus::kOptimal) {
+      sol.status = warm && s1 != SolveStatus::kInfeasible ? SolveStatus::kNumericalFailure : s1;
       return sol;
     }
   }
 
-  // ---- Phase 2 (artificials blocked from re-entering).
+  // ---- Phase 2.
   int phase2_iters = 0;
   const auto p2_start = std::chrono::steady_clock::now();
-  const SolveStatus s2 =
-      run_phase(t.cost, /*block_artificials=*/true, options.max_iterations, phase2_iters);
+  const SolveStatus s2 = run_phase(phase2_iters);
   sol.phase2_seconds += seconds_since(p2_start);
   sol.iterations += phase2_iters;
   if (s2 != SolveStatus::kOptimal) {
@@ -696,10 +657,10 @@ Solution solve(const LpModel& model, const Basis& warm, const SolveOptions& opti
     }
     sol = solve_from(model, t, std::move(*mapped), /*warm=*/true, options);
   }
-  // Any warm failure — unmappable basis, singular factorization, infeasible
-  // seed, or numerical trouble mid-phase-2 — falls back to the cold path,
-  // reusing the tableau already built above. The failed attempt's pivots
-  // are counted, not dropped with its Solution.
+  // Any warm failure — unmappable basis, singular factorization, a dual
+  // phase out of pivots, or numerical trouble mid-phase — falls back to the
+  // cold path, reusing the tableau already built above. The failed
+  // attempt's pivots are counted, not dropped with its Solution.
   if (sol.status == SolveStatus::kNumericalFailure) {
     const int discarded = sol.iterations;
     sol = solve_from(model, t, cold_basis(t, m), /*warm=*/false, options);

@@ -1,21 +1,20 @@
-// Two-phase revised simplex (primal), with a dual phase for warm seeds.
+// Revised simplex: a dual phase, then primal phase 2.
 //
 // Solves min c'x s.t. Ax {<=,=,>=} b, x >= 0 as built by LpModel. Slacks
 // and surpluses convert rows to equalities; artificials complete the
-// initial basis where a slack cannot (equality rows, wrong-sign rhs).
-// Phase 1 minimizes the artificial sum; phase 2 continues from the feasible
-// basis with the true objective. The basis is held in a sparse LU
-// (BasisLu) refreshed by product-form eta updates and periodically
-// refactorized. Dantzig pricing over a cyclic window of columns, with a
-// Bland's-rule fallback while pivots stay degenerate, breaks stalls.
-//
-// Warm re-solves start from a caller basis instead. A primal-feasible seed
-// goes straight to phase 2. A damaged seed (hot artificials, negative
-// basics) is first repaired by a dual simplex phase: artificials are fixed
-// at zero, dual infeasibilities are removed by shifting costs, and the
-// leaving row is priced by dual Devex weights. Phase 2 then removes the
-// shifts. The dual phase may also prove the model infeasible with a Farkas
-// ray; any other failure falls back to the cold path.
+// initial basis where a slack cannot (equality rows, wrong-sign rhs) and
+// are fixed at zero. Every solve runs the same two phases from a seed
+// basis: the slack/artificial basis for a cold solve, a caller basis for a
+// warm one. A seed with hot artificials or negative basics is first made
+// primal feasible by the dual phase: dual infeasibilities are removed by
+// shifting costs, and the leaving row is priced by dual Devex weights. The
+// dual phase is also the one proof of infeasibility, a Farkas ray. Primal
+// phase 2 then removes the shifts and finishes on the true costs. The
+// basis is held in a sparse LU (BasisLu) refreshed by product-form eta
+// updates and periodically refactorized. Phase 2 prices Dantzig over a
+// cyclic window of columns, with a Bland's-rule fallback while pivots stay
+// degenerate. A warm seed that cannot be factorized or repaired falls back
+// to the cold path.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +69,10 @@ struct Basis {
 // eta-growth policy are); the seconds are wall clock and zeroed by
 // zero_wallclock() before bitwise compares.
 struct SolveStats {
-  int iterations = 0;  // total pivots: phase 1 or warm dual phase, + phase 2
-  int phase1_iterations = 0;  // pivots of phase 1 or of the warm dual phase
+  int iterations = 0;  // total pivots: dual phase + phase 2
+  // Pivots of the dual phase, cold or warm (the name predates the removal
+  // of primal phase 1).
+  int phase1_iterations = 0;
   // Anti-cycling observability: degenerate pivots taken (the stall
   // detector's raw signal) and pivots taken under Bland's rule.
   int stall_pivots = 0;
@@ -82,8 +83,8 @@ struct SolveStats {
   // that failed a gate (titannext::solve_plan). Not part of `iterations`,
   // but their time is in solve_seconds.
   int fallback_pivots = 0;
-  // Solved from a caller basis (phase 1 skipped); `+=` ORs it, so a summed
-  // record says whether any of its solves ran warm.
+  // Solved from a caller basis instead of the slack/artificial one; `+=`
+  // ORs it, so a summed record says whether any of its solves ran warm.
   bool warm_started = false;
   // lp::solve end to end: tableau construction, basis mapping and every
   // phase, a failed warm attempt included. Model construction is not
@@ -92,7 +93,7 @@ struct SolveStats {
   // Phase breakdown of solve_seconds (the parts do not sum to it).
   // refactor_seconds is the LU (re)factorization share, counted inside
   // whichever phase triggered it.
-  double phase1_seconds = 0.0;  // classic phase 1 or warm dual phase
+  double phase1_seconds = 0.0;  // the dual phase, cold or warm
   double phase2_seconds = 0.0;
   double refactor_seconds = 0.0;
 
@@ -113,18 +114,21 @@ struct Solution : SolveStats {
   std::vector<double> duals;
 };
 
+// Cold solve: the seeded solve from the slack/artificial basis (the slack
+// where it is feasible, otherwise the row's artificial). Its dual phase may
+// run up to max_iterations pivots.
 [[nodiscard]] Solution solve(const LpModel& model, const SolveOptions& options = {});
 
 // Warm-started solve: seeds the simplex with `warm` (a Solution::basis from
-// an earlier solve of a structurally compatible model). When the seeded
-// basis maps onto this model and factorizes, phase 1 is skipped: a
-// primal-feasible seed goes straight to phase 2, a damaged one is repaired
-// by the dual phase first (at most 2m + 100 pivots, counted as
-// phase1_iterations). A dual phase that finds a Farkas ray returns
-// kInfeasible warm. On a dimension mismatch, a singular factorization, a
-// failed repair, or a numerical failure mid-solve, the call transparently
-// falls back to the cold path — the result is always as trustworthy as
-// solve() without a basis.
+// an earlier solve of a structurally compatible model) instead of the
+// slack/artificial basis. When the seeded basis maps onto this model and
+// factorizes, a primal-feasible seed goes straight to phase 2 and a
+// damaged one is repaired by the dual phase first, capped at 2m + 100
+// pivots (a cold dual phase may run max_iterations). A dual phase that
+// finds a Farkas ray returns kInfeasible warm. On a dimension mismatch, a
+// singular factorization, a failed repair, or a numerical failure
+// mid-solve, the call transparently falls back to the cold path — the
+// result is always as trustworthy as solve() without a basis.
 [[nodiscard]] Solution solve(const LpModel& model, const Basis& warm,
                              const SolveOptions& options = {});
 

@@ -385,11 +385,12 @@ void SimEngine::replan(core::SlotIndex slot, std::vector<Shard>& shards) {
   // A fresh pipeline per replan picks up fraction surges and drains. The
   // warm cache seeds each solve from its predecessor's basis shifted to
   // this horizon's start; with disjoint windows nothing transfers and the
-  // solve is the byte-identical cold path (see docs/solver.md). A forced
-  // replan reacts to a network change — capacity/bound damage on the rhs
-  // side of the same model layout — so it KEEPS the cache: the warm dual
-  // phase repairs that damage, and a seed that does not factorize or a
-  // repair that fails still falls back to the cold solve.
+  // solve starts cold, from the slack/artificial basis, exactly as with
+  // warm_replans off (see docs/solver.md). A forced replan reacts to a
+  // network change — capacity/bound damage on the rhs side of the same
+  // model layout — so it KEEPS the cache: the dual phase that every solve
+  // runs repairs that damage from the cached basis instead, and a seed
+  // that does not factorize or a repair that fails falls back cold.
   const titannext::TitanNextPipeline pipeline(*db_, fractions_, scenario_.pipeline);
   warm_cache_.next_plan_begin = slot;
   titannext::DayPlan day =
@@ -507,7 +508,8 @@ SimResult SimEngine::run(int threads) {
       result.plan_seconds += current_plan_.lp.solve_seconds;
       result.forecast_seconds += current_plan_.forecast_seconds;
       ++result.replans;
-      result.replan_stats.push_back({current_plan_.lp, s, force_replan});
+      result.replan_stats.push_back(
+          {current_plan_.lp, s, force_replan, current_plan_.plan.result().status});
       if (scheduled) next_replan = s + scenario_.replan_interval_slots;
     }
 

@@ -56,6 +56,10 @@ struct ReplanStat : titannext::PlanLpStats {
   // rhs-side damage is what the warm dual phase repairs —
   // warm_started on a forced stat is the repair's success signal.
   bool forced = false;
+  // The plan LP's final status, after every headroom-relaxation attempt:
+  // anything but kOptimal means the replan gave up and left an invalid
+  // plan (OfflinePlan::valid() is false).
+  lp::SolveStatus status = lp::SolveStatus::kNumericalFailure;
   bool operator==(const ReplanStat&) const = default;
 };
 

@@ -308,7 +308,7 @@ std::optional<lp::Basis> remap_basis(const PlanBasisContext& prev, const PlanInp
   // (no survivor touches them, so they would be all-zero in the basis).
   // Fill those first; top up any remaining budget over unclaimed rows in
   // row order. C1 rows are equalities (artificial — basic at the row's
-  // demand, which is what the warm phase-1 repair in lp::solve drives out),
+  // demand, a hot artificial the dual phase of lp::solve drives out),
   // everything else is <= (slack).
   std::vector<bool> label_is_fresh(static_cast<std::size_t>(new_rows.rows()), true);
   for (int r = 0; r < old_rows.rows(); ++r) {

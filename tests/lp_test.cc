@@ -1,7 +1,7 @@
-// Tests for the sparse LP substrate: CSC matrix, basis LU, and the
-// two-phase revised simplex. Includes randomized property tests comparing
-// LU solves against dense Gaussian elimination and checking simplex optima
-// against feasibility + weak-duality style bounds on small random LPs.
+// Tests for the sparse LP substrate: CSC matrix, basis LU, and the revised
+// simplex (dual phase, then primal phase 2). Includes randomized property
+// tests comparing LU solves against dense Gaussian elimination and checking
+// simplex optima against an LP-duality certificate on small random LPs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,7 @@
 #include "lp/model.h"
 #include "lp/simplex.h"
 #include "lp/sparse.h"
+#include "tests/lp_certificate.h"
 
 namespace titan::lp {
 namespace {
@@ -345,19 +346,54 @@ TEST(SimplexTest, HandlesEqualityAndGeRows) {
 
   const Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(optimality_certificate(m, s));
   EXPECT_NEAR(s.objective, 12.0, 1e-7);
   EXPECT_NEAR(s.x[static_cast<std::size_t>(x)], 8.0, 1e-6);
   EXPECT_NEAR(s.x[static_cast<std::size_t>(y)], 2.0, 1e-6);
 }
 
+// A cold solve proves infeasibility only by the dual phase's Farkas ray, so
+// each case must reach it through at least one dual pivot.
 TEST(SimplexTest, DetectsInfeasibility) {
-  LpModel m;
-  const int x = m.add_variable(1.0);
-  const int r0 = m.add_constraint(Sense::kLe, 1.0);
-  const int r1 = m.add_constraint(Sense::kGe, 2.0);
-  m.add_coefficient(r0, x, 1.0);
-  m.add_coefficient(r1, x, 1.0);
-  EXPECT_EQ(solve(m).status, SolveStatus::kInfeasible);
+  const auto expect_infeasible = [](const LpModel& m, const char* what) {
+    const Solution s = solve(m);
+    EXPECT_EQ(s.status, SolveStatus::kInfeasible) << what;
+    EXPECT_GE(s.phase1_iterations, 1) << what;
+  };
+
+  // x <= 1 and x >= 2.
+  LpModel bounds;
+  const int x = bounds.add_variable(1.0);
+  const int r0 = bounds.add_constraint(Sense::kLe, 1.0);
+  const int r1 = bounds.add_constraint(Sense::kGe, 2.0);
+  bounds.add_coefficient(r0, x, 1.0);
+  bounds.add_coefficient(r1, x, 1.0);
+  expect_infeasible(bounds, "x <= 1, x >= 2");
+
+  // Equality rows only: x + y = 1 and x + y = 2.
+  LpModel equalities;
+  equalities.add_variable(1.0);
+  equalities.add_variable(1.0);
+  for (const double b : {1.0, 2.0}) {
+    const int r = equalities.add_constraint(Sense::kEq, b);
+    equalities.add_coefficient(r, 0, 1.0);
+    equalities.add_coefficient(r, 1, 1.0);
+  }
+  expect_infeasible(equalities, "x + y = 1, x + y = 2");
+
+  // x + y >= 3, x <= 1, y <= 1: no two rows contradict each other; the
+  // >= row minus both <= rows reads 0 >= 1.
+  LpModel three_rows;
+  const int u = three_rows.add_variable(1.0);
+  const int v = three_rows.add_variable(1.0);
+  const int cover = three_rows.add_constraint(Sense::kGe, 3.0);
+  three_rows.add_coefficient(cover, u, 1.0);
+  three_rows.add_coefficient(cover, v, 1.0);
+  for (const int var : {u, v}) {
+    const int r = three_rows.add_constraint(Sense::kLe, 1.0);
+    three_rows.add_coefficient(r, var, 1.0);
+  }
+  expect_infeasible(three_rows, "x + y >= 3, x <= 1, y <= 1");
 }
 
 TEST(SimplexTest, DetectsUnboundedness) {
@@ -436,7 +472,7 @@ TEST_P(SimplexRandomTest, OptimumIsFeasibleAndBeatsKnownPoint) {
 
   const Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_LE(m.max_violation(s.x), 1e-6);
+  EXPECT_TRUE(optimality_certificate(m, s));
   EXPECT_LE(s.objective, m.objective_value(z) + 1e-6);
 }
 
@@ -458,7 +494,8 @@ LpModel warm_test_model(core::Rng& rng, int n, int rows, double rhs_scale) {
       a[static_cast<std::size_t>(j)] = rng.uniform(0.0, 2.0);
       az += a[static_cast<std::size_t>(j)] * z[static_cast<std::size_t>(j)];
     }
-    // A mix of <= rows (z feasible with slack) and = rows (forces phase 1).
+    // A mix of <= rows (z feasible with slack) and = rows (hot artificials
+    // in the cold basis, so a cold solve runs the dual phase).
     const Sense sense = i % 3 == 0 ? Sense::kEq : Sense::kLe;
     const double slack = sense == Sense::kEq ? 0.0 : rng.uniform(0.1, 1.0);
     const int r = m.add_constraint(sense, (az + slack) * rhs_scale);
@@ -467,7 +504,7 @@ LpModel warm_test_model(core::Rng& rng, int n, int rows, double rhs_scale) {
   return m;
 }
 
-// Seeding a solve with its own optimal basis must skip phase 1 entirely and
+// Seeding a solve with its own optimal basis must skip the dual phase and
 // finish in zero iterations at the same optimum.
 TEST(SimplexWarmTest, OwnBasisRoundTripSolvesInZeroIterations) {
   core::Rng rng(71);
@@ -475,7 +512,7 @@ TEST(SimplexWarmTest, OwnBasisRoundTripSolvesInZeroIterations) {
   const Solution cold = solve(m);
   ASSERT_EQ(cold.status, SolveStatus::kOptimal);
   ASSERT_EQ(cold.basis.entries.size(), static_cast<std::size_t>(m.num_constraints()));
-  EXPECT_GT(cold.phase1_iterations, 0);  // the = rows force a cold phase 1
+  EXPECT_GT(cold.phase1_iterations, 0);  // the = rows force a cold dual phase
 
   const Solution warm = solve(m, cold.basis);
   ASSERT_EQ(warm.status, SolveStatus::kOptimal);
@@ -523,14 +560,14 @@ LpModel with_costs(const LpModel& model, Cost cost) {
 }
 
 // Property: warm-solving a perturbed successor from the predecessor's basis
-// reaches the same optimum a cold solve of the successor finds, and the
-// answer is feasible for the successor. Three seeds per input, each solved
-// warm by the dual phase where damaged:
+// reaches the same optimum a cold solve of the successor finds, and both
+// answers carry the optimality certificate. Three seeds per input, each
+// solved warm by the dual phase where damaged:
 //  * the predecessor's basis on the rhs-perturbed successor (primal damage);
 //  * the same basis with the successor's costs perturbed too, so the seed
 //    is also dual infeasible (the dual phase shifts costs);
-//  * the cold start's slack/artificial basis as a seed, every artificial
-//    hot (the dual phase does all of phase 1's work).
+//  * the slack/artificial basis of a cold start as a seed, every artificial
+//    hot (the path a cold solve takes, entered warm).
 // Inputs 0-19 are random rhs scalings; input 20 shrinks the coupling row
 // of coupling_rhs_model, driving the seed's basic x negative.
 constexpr int kRandomRhsCases = 20;
@@ -561,6 +598,7 @@ TEST_P(SimplexWarmRandomTest, PerturbedRhsWarmSolveMatchesColdObjective) {
 
   const Solution base = solve(before);
   ASSERT_EQ(base.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(optimality_certificate(before, base));
   Basis slack_artificial;
   for (int i = 0; i < after.num_constraints(); ++i)
     slack_artificial.entries.push_back({after.senses()[static_cast<std::size_t>(i)] == Sense::kEq
@@ -573,12 +611,13 @@ TEST_P(SimplexWarmRandomTest, PerturbedRhsWarmSolveMatchesColdObjective) {
   for (const auto& [model, seed] : cases) {
     const Solution cold = solve(*model);
     ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+    EXPECT_TRUE(optimality_certificate(*model, cold));
     const Solution warm = solve(*model, *seed);
     ASSERT_EQ(warm.status, SolveStatus::kOptimal);
     EXPECT_TRUE(warm.warm_started);
     EXPECT_EQ(warm.fallback_pivots, 0);
+    EXPECT_TRUE(optimality_certificate(*model, warm));
     EXPECT_NEAR(warm.objective, cold.objective, 1e-9 * (1.0 + std::abs(cold.objective)));
-    EXPECT_LE(model->max_violation(warm.x), 1e-6);
   }
   if (GetParam() == kRandomRhsCases) {
     EXPECT_GE(solve(after, base.basis).phase1_iterations, 1);  // dual pivots
@@ -744,7 +783,7 @@ TEST(SimplexTest, StructuredAssignmentLp) {
 
   const Solution s = solve(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_LE(m.max_violation(s.x), 1e-6);
+  EXPECT_TRUE(optimality_certificate(m, s));
 
   // The optimum of sum of per-DC peaks with free assignment equals the max
   // over slots of total demand divided optimally across DCs == max_t
@@ -797,18 +836,16 @@ TEST(SimplexTest, DegenerateStallSwitchesToBlandRule) {
   EXPECT_EQ(relaxed.bland_pivots, 0);
 }
 
-// Optimal solves export the row duals; every structural column must price
-// nonnegative against them (the optimality certificate).
+// Optimal solves export row duals that certify the optimum: primal and dual
+// feasibility and a closed duality gap (tests/lp_certificate.h), also on a
+// negative-cost LP whose seed the dual phase must make dual feasible by
+// shifting costs.
 TEST(SimplexTest, OptimalSolveExportsConsistentDuals) {
   core::Rng rng(73);
   const LpModel m = warm_test_model(rng, 8, 6, 1.0);
-  const Solution s = solve(m);
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  ASSERT_EQ(s.duals.size(), static_cast<std::size_t>(m.num_constraints()));
-  const SparseMatrix a = m.matrix();
-  for (int j = 0; j < m.num_variables(); ++j)
-    EXPECT_GE(m.costs()[static_cast<std::size_t>(j)] - a.dot_column(j, s.duals), -1e-6)
-        << "column " << j;
+  EXPECT_TRUE(optimality_certificate(m, solve(m)));
+  const LpModel flipped = with_costs(m, [](int j, double c) { return j % 2 == 0 ? -c : c; });
+  EXPECT_TRUE(optimality_certificate(flipped, solve(flipped)));
 }
 
 // --- structural-rank deficiency & warm-gate edge cases ---------------------
