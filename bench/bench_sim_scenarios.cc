@@ -95,88 +95,6 @@ titan::sim::SimResult run_one(const std::string& name, const titan::bench::Cli& 
   return r;
 }
 
-// Rolling-horizon replan-latency drill: the production cadence (§6 replans
-// every 30 minutes on a day-long horizon) makes consecutive plan LPs
-// overlap in all but a few slots, which is exactly where the warm-start
-// cache pays. Each scenario runs twice over a short window — warm replans
-// on, then off — and the drill reports per-replan simplex iterations. At
-// the scenario default cadence (disjoint windows) nothing transfers and
-// warm == cold by construction, so the drill is the surface that shows the
-// win.
-struct ReplanDrill {
-  std::string name;
-  int interval = 0;
-  int horizon = 0;
-  titan::sim::SimResult warm;
-  titan::sim::SimResult cold;
-};
-
-ReplanDrill run_replan_drill(const std::string& name, const titan::bench::Cli& cli) {
-  using namespace titan;
-  sim::Scenario s = sim::make_scenario(name);
-  s.seed = cli.seed;
-  // The drill is a solver-latency instrument, not a traffic study: half the
-  // smoke volume, one eval day, a 12-hour horizon cap, oracle counts — so
-  // the per-replan iteration ratio is measured without paying for another
-  // full behavioural run of every scenario.
-  s.training_weeks = 1;
-  s.eval_days = 1;
-  s.peak_slot_calls = 0.5 * cli.peak_or(200.0);
-  s.oracle_counts = true;
-  s.pipeline.scope.timeslots = std::min(s.pipeline.scope.timeslots, core::kSlotsPerDay / 2);
-  s.pipeline.scope.max_reduced_configs = std::min(s.pipeline.scope.max_reduced_configs, 20);
-  // Production-style rolling cadence: replan every eighth of the horizon
-  // (~88% window overlap) — a fresh tail small enough to sit well inside
-  // the solver's warm_repair_limit, sixteen replans over the drill day.
-  s.replan_interval_slots = std::max(1, s.pipeline.scope.timeslots / 8);
-
-  ReplanDrill drill;
-  drill.name = name;
-  drill.interval = s.replan_interval_slots;
-  drill.horizon = s.pipeline.scope.timeslots;
-  sim::Scenario cold = s;
-  cold.warm_replans = false;
-  drill.warm = sim::SimEngine(s).run(cli.threads);
-  drill.cold = sim::SimEngine(cold).run(cli.threads);
-  return drill;
-}
-
-struct ReplanTotals {
-  long long iterations = 0;
-  long long phase1 = 0;
-  int warm_started = 0;
-  double seconds = 0.0;
-};
-
-ReplanTotals totals_after_first(const titan::sim::SimResult& r) {
-  ReplanTotals t;
-  for (std::size_t i = 1; i < r.replan_stats.size(); ++i) {
-    const auto& stat = r.replan_stats[i];
-    t.iterations += stat.iterations;
-    t.phase1 += stat.phase1_iterations;
-    t.warm_started += stat.warm_started ? 1 : 0;
-    t.seconds += stat.solve_seconds;
-  }
-  return t;
-}
-
-titan::sweep::Json replan_stats_json(const titan::sim::SimResult& r) {
-  using titan::sweep::Json;
-  const auto t = totals_after_first(r);
-  Json iterations = Json::array();
-  for (const auto& stat : r.replan_stats) iterations.push_back(Json::number(stat.iterations));
-  Json out = Json::object();
-  out.set("replans", Json::number(r.replans));
-  out.set("first_replan_iterations",
-          Json::number(r.replan_stats.empty() ? 0 : r.replan_stats.front().iterations));
-  out.set("later_iterations", Json::number(static_cast<double>(t.iterations)));
-  out.set("later_phase1_iterations", Json::number(static_cast<double>(t.phase1)));
-  out.set("warm_started", Json::number(t.warm_started));
-  out.set("later_solve_seconds", Json::number(t.seconds));
-  out.set("iterations", std::move(iterations));
-  return out;
-}
-
 bool write_json(const std::string& path, const titan::sweep::Json& doc) {
   std::ofstream out(path);
   if (!out) {
@@ -242,47 +160,6 @@ int main(int argc, char** argv) {
         }
       }
     }
-  }
-
-  // Cold-vs-warm replan latency at the production (rolling-horizon)
-  // cadence, reported per scenario and written as a JSON artifact.
-  if (!cli.replan_json_path.empty()) {
-    std::printf("\n-- replan-latency drill (rolling horizon, warm vs cold)\n");
-    core::TextTable t({"scenario", "cadence", "warm replans", "iters warm", "iters cold",
-                       "saved"});
-    std::vector<ReplanDrill> drills;
-    drills.reserve(names.size());
-    for (const auto& name : names) {
-      drills.push_back(run_replan_drill(name, cli));
-      const auto& d = drills.back();
-      const auto w = totals_after_first(d.warm);
-      const auto c = totals_after_first(d.cold);
-      const double saved =
-          c.iterations > 0
-              ? 1.0 - static_cast<double>(w.iterations) / static_cast<double>(c.iterations)
-              : 0.0;
-      t.add_row({d.name,
-                 std::to_string(d.interval) + "/" + std::to_string(d.horizon) + " slots",
-                 std::to_string(w.warm_started) + "/" + std::to_string(d.warm.replans - 1),
-                 std::to_string(w.iterations), std::to_string(c.iterations),
-                 core::TextTable::pct(saved)});
-    }
-    std::printf("%s", t.render().c_str());
-
-    sweep::Json scenarios = sweep::Json::array();
-    for (const auto& d : drills) {
-      sweep::Json entry = sweep::Json::object();
-      entry.set("name", sweep::Json::string(d.name));
-      entry.set("replan_interval_slots", sweep::Json::number(d.interval));
-      entry.set("horizon_slots", sweep::Json::number(d.horizon));
-      entry.set("warm", replan_stats_json(d.warm));
-      entry.set("cold", replan_stats_json(d.cold));
-      scenarios.push_back(std::move(entry));
-    }
-    sweep::Json doc = sweep::Json::object();
-    doc.set("seed", sweep::Json::number(static_cast<double>(cli.seed)));
-    doc.set("scenarios", std::move(scenarios));
-    if (!write_json(cli.replan_json_path, doc)) return 1;
   }
 
   // Chrome trace_event export of the runs' phase spans (Perfetto-loadable).

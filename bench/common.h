@@ -34,8 +34,6 @@ namespace titan::bench {
 //   --json PATH   per-scenario report: every metric_table() row, the
 //                 checksum and the latency histograms (bench_sim_scenarios;
 //                 docs/observability.md documents the schema)
-//   --replan-json PATH  per-scenario cold-vs-warm replan-latency report
-//                 from the rolling-horizon drill (bench_sim_scenarios only)
 //   --perf-baseline PATH  committed --json report to diff against,
 //                 informationally — never changes the exit code
 //   --trace-out PATH  Chrome trace_event JSON of the runs' phase spans,
@@ -69,7 +67,6 @@ struct Cli {
   double peak_slot_calls = -1.0;  // < 0: keep the bench's default
   std::string scenario;
   std::string json_path;
-  std::string replan_json_path;
   std::string perf_baseline_path;
   std::string trace_out_path;
   // Open-loop latency harness (bench_assign_latency) only.
@@ -197,8 +194,6 @@ inline CliParse parse_cli_args(int argc, char** argv,
       }
     } else if (is("--json")) {
       if ((v = value())) cli.json_path = v;
-    } else if (is("--replan-json")) {
-      if ((v = value())) cli.replan_json_path = v;
     } else if (is("--perf-baseline")) {
       if ((v = value())) cli.perf_baseline_path = v;
     } else if (is("--trace-out")) {
@@ -249,7 +244,7 @@ inline CliParse parse_cli_args(int argc, char** argv,
       parse.exit_code = 0;
       parse.message = std::string("usage: ") + argv0 +
                       " [--seed N] [--weeks N] [--threads N] [--peak X] [--scenario S]"
-                      " [--json PATH] [--replan-json PATH]"
+                      " [--json PATH]"
                       " [--perf-baseline PATH] [--trace-out PATH]"
                       " [--rate X] [--warmup-sec X] [--measure-sec X] [--cooldown-sec X]"
                       " [--seeds N] [--scenarios A,B|all]"

@@ -40,7 +40,7 @@ SolveStats& SolveStats::operator+=(const SolveStats& o) {
 namespace {
 
 // An artificial above this value leaves its row unsatisfied: a hot
-// artificial in a seed and the drift check after phase 2 both use it. It
+// artificial in a seed and the fault check after phase 2 both use it. It
 // also bounds a Farkas ray's rho^T b away from zero.
 constexpr double kArtificialTol = 1e-6;
 
@@ -311,13 +311,21 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
 
       // Ratio test: the incumbent is replaced only on a ratio smaller by
       // more than feasibility_tol (Bland: or a near-tie with a lower basic
-      // column index).
+      // column index). A basic falling to zero blocks, and so does a basic
+      // artificial rising above zero: it is fixed at [0, 0].
       int leaving = -1;
       double theta = std::numeric_limits<double>::infinity();
       for (const int i : nonzeros) {
-        const double ai = alpha[static_cast<std::size_t>(i)];
-        if (ai <= options.pivot_tol) continue;
-        const double ratio = std::max(0.0, xb[static_cast<std::size_t>(i)]) / ai;
+        const auto ui = static_cast<std::size_t>(i);
+        const double ai = alpha[ui];
+        double ratio;
+        if (ai > options.pivot_tol) {
+          ratio = std::max(0.0, xb[ui]) / ai;
+        } else if (ai < -options.pivot_tol && t.artificial[static_cast<std::size_t>(basis[ui])]) {
+          ratio = std::max(0.0, -xb[ui]) / -ai;
+        } else {
+          continue;
+        }
         if (ratio < theta - options.feasibility_tol ||
             (use_bland && ratio < theta + options.feasibility_tol && leaving >= 0 &&
              basis[static_cast<std::size_t>(i)] < basis[static_cast<std::size_t>(leaving)])) {
@@ -569,12 +577,11 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
     return sol;
   }
 
-  // An artificial that stayed basic at zero through phase 2 can drift
-  // positive during later pivots (the ratio test only guards basics from
-  // going *negative*), which would mean the "optimal" point violates the
-  // artificial's row. Refuse to report such a point: a warm solve falls
-  // back to the cold path, a cold solve fails loudly rather than hand the
-  // caller a plan that silently under-serves an equality row.
+  // Phase 2's ratio test holds a basic artificial at zero, so one above
+  // kArtificialTol here is a numerical fault, and the "optimal" point
+  // would violate the artificial's row. Refuse to report such a point: a
+  // warm solve falls back to the cold path, a cold solve fails loudly
+  // rather than hand the caller a plan that silently under-serves a row.
   for (int i = 0; i < m; ++i) {
     if (t.artificial[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])] &&
         xb[static_cast<std::size_t>(i)] > kArtificialTol) {

@@ -9,7 +9,8 @@
 // primal feasible by the dual phase: dual infeasibilities are removed by
 // shifting costs, and the leaving row is priced by dual Devex weights. The
 // dual phase is also the one proof of infeasibility, a Farkas ray. Primal
-// phase 2 then removes the shifts and finishes on the true costs. The
+// phase 2 then removes the shifts and finishes on the true costs; its
+// ratio test holds a basic artificial at zero from both sides. The
 // basis is held in a sparse LU (BasisLu) refreshed by product-form eta
 // updates and periodically refactorized. Phase 2 prices Dantzig over a
 // cyclic window of columns, with a Bland's-rule fallback while pivots stay

@@ -352,6 +352,28 @@ TEST(SimplexTest, HandlesEqualityAndGeRows) {
   EXPECT_NEAR(s.x[static_cast<std::size_t>(y)], 2.0, 1e-6);
 }
 
+TEST(SimplexTest, ZeroRhsEqualityArtificialStaysAtZero) {
+  // min -y s.t. x - y = 0; x + y <= 2  => (1, 1), obj -1. The cold basis
+  // keeps the equality row's artificial basic at zero, and y entering
+  // would push it up: phase 2's ratio test must block there.
+  LpModel m;
+  const int x = m.add_variable(0.0);
+  const int y = m.add_variable(-1.0);
+  const int r0 = m.add_constraint(Sense::kEq, 0.0);
+  const int r1 = m.add_constraint(Sense::kLe, 2.0);
+  m.add_coefficient(r0, x, 1.0);
+  m.add_coefficient(r0, y, -1.0);
+  m.add_coefficient(r1, x, 1.0);
+  m.add_coefficient(r1, y, 1.0);
+
+  const Solution s = solve(m);
+  ASSERT_EQ(s.status, SolveStatus::kOptimal) << status_name(s.status);
+  EXPECT_TRUE(optimality_certificate(m, s));
+  EXPECT_NEAR(s.objective, -1.0, 1e-7);
+  EXPECT_NEAR(s.x[static_cast<std::size_t>(x)], 1.0, 1e-7);
+  EXPECT_NEAR(s.x[static_cast<std::size_t>(y)], 1.0, 1e-7);
+}
+
 // A cold solve proves infeasibility only by the dual phase's Farkas ray, so
 // each case must reach it through at least one dual pivot.
 TEST(SimplexTest, DetectsInfeasibility) {
@@ -441,7 +463,11 @@ TEST(SimplexTest, NegativeRhsLeRowNeedsArtificial) {
 
 // Property test: on random feasible LPs (feasibility forced by construction)
 // the solver returns a point that is feasible and no worse than a known
-// feasible point.
+// feasible point. Parameters from kLeOnlyCases on add one to three zero-rhs
+// equality rows x_a - (z_a / z_b) x_b = 0, which z satisfies; the cold basis
+// keeps their artificials basic at zero through phase 2.
+constexpr int kLeOnlyCases = 20;
+
 class SimplexRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimplexRandomTest, OptimumIsFeasibleAndBeatsKnownPoint) {
@@ -466,17 +492,27 @@ TEST_P(SimplexRandomTest, OptimumIsFeasibleAndBeatsKnownPoint) {
     const int r = m.add_constraint(Sense::kLe, az + rng.uniform(0.0, 1.0));
     for (int j = 0; j < n; ++j) m.add_coefficient(r, j, a[static_cast<std::size_t>(j)]);
   }
+  if (GetParam() >= kLeOnlyCases) {
+    const int equalities = 1 + GetParam() % 3;
+    for (int k = 0; k < equalities; ++k) {
+      const auto a = static_cast<int>(rng.uniform_int(0, n - 1));
+      const auto b = static_cast<int>((a + rng.uniform_int(1, n - 1)) % n);
+      const int r = m.add_constraint(Sense::kEq, 0.0);
+      m.add_coefficient(r, a, 1.0);
+      m.add_coefficient(r, b, -z[static_cast<std::size_t>(a)] / z[static_cast<std::size_t>(b)]);
+    }
+  }
   // Box the problem so it cannot be unbounded: sum x <= big.
   const int box = m.add_constraint(Sense::kLe, 100.0);
   for (int j = 0; j < n; ++j) m.add_coefficient(box, j, 1.0);
 
   const Solution s = solve(m);
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
+  ASSERT_EQ(s.status, SolveStatus::kOptimal) << status_name(s.status);
   EXPECT_TRUE(optimality_certificate(m, s));
   EXPECT_LE(s.objective, m.objective_value(z) + 1e-6);
 }
 
-INSTANTIATE_TEST_SUITE_P(Random, SimplexRandomTest, ::testing::Range(0, 20));
+INSTANTIATE_TEST_SUITE_P(Random, SimplexRandomTest, ::testing::Range(0, kLeOnlyCases + 40));
 
 // --- warm starts ------------------------------------------------------------
 
