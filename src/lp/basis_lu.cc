@@ -1,10 +1,73 @@
 #include "lp/basis_lu.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 namespace titan::lp {
+namespace {
+
+// A sparse solve whose reach passes m / kDenseReach positions finishes
+// with the dense passes, which cost less per position once the reach is a
+// sizable share of m. Of m/5, m/10 and m/20, m/20 measured cheapest on
+// perfbench `steady` (m ~ 1,700) and on cascading-drain (m ~ 6,800).
+constexpr std::size_t kDenseReach = 20;
+
+// Lists the nonzero entries of v[0, m) ascending in `nonzeros` and turns
+// its zeros into +0: how a sparse solve that went dense ends.
+void list_nonzeros(double* v, int m, std::vector<int>& nonzeros) {
+  nonzeros.clear();
+  for (int i = 0; i < m; ++i) {
+    if (v[i] != 0.0)
+      nonzeros.push_back(i);
+    else
+      v[i] = 0.0;  // +0
+  }
+}
+
+// Calls f(i) for each marked i in [lo, hi), ascending (scan_up) or
+// descending (scan_down). Marks hold 0 or 1, so an unmarked run of eight
+// is one zero word, and a marked word's set bits, one per marked byte,
+// are visited by count-trailing/leading-zeros.
+template <class F>
+void scan_up(const char* mark, int lo, int hi, F f) {
+  int i = lo;
+  for (; i < hi && (i & 7) != 0; ++i)
+    if (mark[i]) f(i);
+  for (; i + 8 <= hi; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, mark + i, 8);
+    while (w != 0) {
+      f(i + (std::countr_zero(w) >> 3));
+      w &= w - 1;
+    }
+  }
+  for (; i < hi; ++i)
+    if (mark[i]) f(i);
+}
+
+template <class F>
+void scan_down(const char* mark, int lo, int hi, F f) {
+  int i = hi;
+  for (; i > lo && (i & 7) != 0; --i)
+    if (mark[i - 1]) f(i - 1);
+  for (; i - 8 >= lo; i -= 8) {
+    std::uint64_t w;
+    std::memcpy(&w, mark + i - 8, 8);
+    while (w != 0) {
+      const int bit = 63 - std::countl_zero(w);
+      f(i - 8 + (bit >> 3));
+      w &= ~(std::uint64_t{1} << bit);
+    }
+  }
+  for (; i > lo; --i)
+    if (mark[i - 1]) f(i - 1);
+}
+
+}  // namespace
 
 bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
                         double pivot_tolerance, Deficiency* deficiency) {
@@ -29,26 +92,53 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
   eta_pos_.clear();
   eta_val_.clear();
   scratch_.resize(static_cast<std::size_t>(m_));
+  work_.resize(static_cast<std::size_t>(m_), 0.0);
+  mark_.resize(static_cast<std::size_t>(m_), 0);
 
   // Factor sparse columns first: the unit slack/artificial columns pivot
-  // without creating any fill, leaving a small structural kernel.
+  // without creating any fill, leaving a small structural kernel. A stable
+  // counting sort by nonzero count.
+  const auto col_nnz = [&](int k) {
+    const int c = basis[static_cast<std::size_t>(k)];
+    return a.col_end(c) - a.col_begin(c);
+  };
+  count_.assign(1, 0);
+  for (int k = 0; k < m_; ++k) {
+    const auto bucket = static_cast<std::size_t>(col_nnz(k)) + 1;
+    if (bucket >= count_.size()) count_.resize(bucket + 1, 0);
+    ++count_[bucket];
+  }
+  for (std::size_t c = 1; c < count_.size(); ++c) count_[c] += count_[c - 1];
   col_order_.resize(static_cast<std::size_t>(m_));
-  for (int k = 0; k < m_; ++k) col_order_[static_cast<std::size_t>(k)] = k;
-  std::stable_sort(col_order_.begin(), col_order_.end(), [&](int x, int y) {
-    const int cx = basis[static_cast<std::size_t>(x)];
-    const int cy = basis[static_cast<std::size_t>(y)];
-    return (a.col_end(cx) - a.col_begin(cx)) < (a.col_end(cy) - a.col_begin(cy));
-  });
+  for (int k = 0; k < m_; ++k)
+    col_order_[static_cast<std::size_t>(count_[static_cast<std::size_t>(col_nnz(k))]++)] = k;
 
-  // Dense workspaces reused across columns.
-  std::vector<double> work(static_cast<std::size_t>(m_), 0.0);
-  std::vector<int> touched;              // original rows with nonzero work
-  std::vector<char> in_stack(static_cast<std::size_t>(m_), 0);
-  std::vector<int> stack, stack_k;       // DFS state
-  std::vector<int> topo;                 // pivot positions in dependency order
+  // Workspaces reused across columns; work_ and mark_ (rows on the DFS
+  // stack or touched) are returned to zero after each column.
+  std::vector<double>& work = work_;
+  std::vector<char>& in_stack = mark_;
+  std::vector<int>& touched = reach_;    // original rows with nonzero work
+  std::vector<int>& stack = stack_;      // DFS state
+  std::vector<int>& stack_k = stack_cursor_;
+  std::vector<int>& topo = topo_;        // pivot positions in dependency order
 
   for (int j = 0; j < m_; ++j) {
     const int col = basis[static_cast<std::size_t>(col_order_[static_cast<std::size_t>(j)])];
+
+    // A single entry on an unpivoted row pivots there with empty L and U
+    // columns: what the general path below computes for it.
+    if (a.col_end(col) - a.col_begin(col) == 1) {
+      const int r0 = a.row_index(a.col_begin(col));
+      const double v = a.value(a.col_begin(col));
+      if (row_perm_[static_cast<std::size_t>(r0)] < 0 && std::abs(v) > pivot_tolerance) {
+        u_col_ptr_.push_back(static_cast<int>(u_rows_.size()));
+        l_col_ptr_.push_back(static_cast<int>(l_rows_.size()));
+        u_diag_[static_cast<std::size_t>(j)] = v;
+        pivot_row_of_[static_cast<std::size_t>(j)] = r0;
+        row_perm_[static_cast<std::size_t>(r0)] = j;
+        continue;
+      }
+    }
 
     // ---- Symbolic: reach of the column's rows through pivoted L columns.
     topo.clear();
@@ -178,6 +268,32 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
     std::sort(deficiency->positions.begin(), deficiency->positions.end());
     return false;
   }
+  // The sparse solves' indexes: the inverse column order, and the row-wise
+  // patterns of U and L, each row's columns in ascending order.
+  col_pos_.resize(static_cast<std::size_t>(m_));
+  for (int k = 0; k < m_; ++k)
+    col_pos_[static_cast<std::size_t>(col_order_[static_cast<std::size_t>(k)])] = k;
+  const auto index_rows = [&](const std::vector<int>& col_ptr, const auto& row_of,
+                              std::vector<int>& row_ptr, std::vector<int>& row_cols) {
+    const int* const cp = col_ptr.data();
+    row_ptr.assign(static_cast<std::size_t>(m_) + 1, 0);
+    int* const rp = row_ptr.data();
+    for (int q = 0; q < cp[m_]; ++q) ++rp[row_of(q) + 1];
+    for (int i = 0; i < m_; ++i) rp[i + 1] += rp[i];
+    row_cols.resize(static_cast<std::size_t>(rp[m_]));
+    std::vector<int>& cursor = topo_;
+    cursor.assign(row_ptr.begin(), row_ptr.end() - 1);
+    for (int k = 0; k < m_; ++k)
+      for (int q = cp[k]; q < cp[k + 1]; ++q)
+        row_cols[static_cast<std::size_t>(cursor[static_cast<std::size_t>(row_of(q))]++)] = k;
+  };
+  index_rows(u_col_ptr_, [&](int q) { return u_rows_[static_cast<std::size_t>(q)]; }, u_row_ptr_,
+             u_row_cols_);
+  index_rows(l_col_ptr_,
+             [&](int q) {
+               return row_perm_[static_cast<std::size_t>(l_rows_[static_cast<std::size_t>(q)])];
+             },
+             l_row_ptr_, l_row_cols_);
   return true;
 }
 
@@ -186,8 +302,6 @@ void BasisLu::ftran(std::vector<double>& x) {
   double* const xs = x.data();
   double* const y = scratch_.data();
   const int* const pivot_row = pivot_row_of_.data();
-  const double* const diag = u_diag_.data();
-  const int* const col_order = col_order_.data();
   // Forward: apply L^{-1} in original row space, in pivot order (empty L
   // columns skipped), then gather into pivot coordinates.
   const int* const l_ptr = l_col_ptr_.data();
@@ -199,21 +313,31 @@ void BasisLu::ftran(std::vector<double>& x) {
     for (int t = l_ptr[k]; t < l_ptr[k + 1]; ++t) xs[l_rows[t]] -= l_vals[t] * xk;
   }
   for (int k = 0; k < m_; ++k) y[k] = xs[pivot_row[k]];
+  ftran_upper(xs, y);
+}
+
+void BasisLu::ftran_upper(double* xs, double* y) {
+  const double* const diag = u_diag_.data();
+  const int* const col_order = col_order_.data();
   // Backward U solve in pivot coordinates. U column k touches only
   // positions before k, so position k is final when step k solves it and
   // is scattered straight to its basis position col_order_[k]. The unit
   // block has no U entries and goes last; its quotients by +-1 are the
-  // exact products.
+  // exact products. y is left all zero.
   const int* const u_ptr = u_col_ptr_.data();
   const int* const u_rows = u_rows_.data();
   const double* const u_vals = u_vals_.data();
   for (int k = m_ - 1; k >= n_unit_; --k) {
     const double t = y[k] / diag[k];
+    y[k] = 0.0;
     xs[col_order[k]] = t;
     if (t == 0.0) continue;
     for (int q = u_ptr[k]; q < u_ptr[k + 1]; ++q) y[u_rows[q]] -= u_vals[q] * t;
   }
-  for (int k = 0; k < n_unit_; ++k) xs[col_order[k]] = y[k] * diag[k];
+  for (int k = 0; k < n_unit_; ++k) {
+    xs[col_order[k]] = y[k] * diag[k];
+    y[k] = 0.0;
+  }
   // Eta updates, oldest first: B = B0 E1 ... Ek, so
   // x = Ek^{-1} ... E1^{-1} B0^{-1} b.
   const int* const eta_pos = eta_pos_.data();
@@ -240,9 +364,12 @@ void BasisLu::btran(std::vector<double>& y) {
     for (int q = eta_begin_[e]; q < eta_begin_[e + 1]; ++q) acc -= eta_val[q] * ys[eta_pos[q]];
     ys[p] = acc / eta_pivot_val_[e];
   }
+  btran_lower(ys, scratch_.data());
+}
+
+void BasisLu::btran_lower(double* ys, double* t) {
   // U^T forward solve into pivot coordinates (inputs gathered through the
   // column ordering: LU position k holds basis position col_order_[k]).
-  double* const t = scratch_.data();
   const double* const diag = u_diag_.data();
   const int* const col_order = col_order_.data();
   const int* const u_ptr = u_col_ptr_.data();
@@ -268,6 +395,230 @@ void BasisLu::btran(std::vector<double>& y) {
     for (int q = l_ptr[k]; q < l_ptr[k + 1]; ++q) acc -= l_vals[q] * ys[l_rows[q]];
     ys[pivot_row[k]] = acc;
   }
+}
+
+void BasisLu::ftran(std::vector<double>& x, std::vector<int>& nonzeros) {
+  assert(static_cast<int>(x.size()) == m_);
+  double* const xs = x.data();
+  double* const y = work_.data();
+  char* const mark = mark_.data();
+  const int* const pivot_row = pivot_row_of_.data();
+  const int* const perm = row_perm_.data();
+  const double* const diag = u_diag_.data();
+  const int* const col_order = col_order_.data();
+  const int* const l_ptr = l_col_ptr_.data();
+  const int* const l_rows = l_rows_.data();
+  const double* const l_vals = l_vals_.data();
+  const int* const u_ptr = u_col_ptr_.data();
+  const int* const u_rows = u_rows_.data();
+  const double* const u_vals = u_vals_.data();
+  // The reach in pivot positions: the input rows, closed over the L
+  // columns they fill. The L columns holding entries (all past the unit
+  // block) are then applied in ascending pivot order, as the dense pass
+  // applies them, by a scan of the marks.
+  std::vector<int>& reach = reach_;
+  reach.clear();
+  for (const int r : nonzeros) {
+    const int k = perm[r];
+    mark[k] = 1;
+    reach.push_back(k);
+  }
+  if (!l_nonempty_.empty()) {
+    bool any_l = false;
+    for (std::size_t i = 0; i < reach.size(); ++i) {
+      const int k = reach[i];
+      for (int t = l_ptr[k]; t < l_ptr[k + 1]; ++t) {
+        any_l = true;
+        const int k2 = perm[l_rows[t]];
+        if (!mark[k2]) {
+          mark[k2] = 1;
+          reach.push_back(k2);
+        }
+      }
+    }
+    if (any_l)
+      scan_up(mark, n_unit_, m_, [&](int k) {
+        if (l_ptr[k] == l_ptr[k + 1]) return;
+        const double xk = xs[pivot_row[k]];
+        if (xk == 0.0) return;
+        for (int t = l_ptr[k]; t < l_ptr[k + 1]; ++t) xs[l_rows[t]] -= l_vals[t] * xk;
+      });
+  }
+  // Gather into pivot coordinates, clearing the row-space input, then
+  // close the reach over U. The structural positions are solved in
+  // descending order, as the dense pass solves them; the unit block,
+  // which scatters nothing, last.
+  for (const int k : reach) {
+    y[k] = xs[pivot_row[k]];
+    xs[pivot_row[k]] = 0.0;
+  }
+  const std::size_t dense_at = static_cast<std::size_t>(m_) / kDenseReach;
+  for (std::size_t i = 0; i < reach.size(); ++i) {
+    const int k = reach[i];
+    for (int q = u_ptr[k]; q < u_ptr[k + 1]; ++q) {
+      const int k2 = u_rows[q];
+      if (!mark[k2]) {
+        mark[k2] = 1;
+        reach.push_back(k2);
+      }
+    }
+    if (reach.size() > dense_at) {
+      for (const int k3 : reach) mark[k3] = 0;
+      ftran_upper(xs, y);
+      return list_nonzeros(xs, m_, nonzeros);
+    }
+  }
+  scan_down(mark, n_unit_, m_, [&](int k) {
+    const double t = y[k] / diag[k];
+    y[k] = 0.0;
+    xs[col_order[k]] = t;
+    if (t == 0.0) return;
+    for (int q = u_ptr[k]; q < u_ptr[k + 1]; ++q) y[u_rows[q]] -= u_vals[q] * t;
+  });
+  for (const int k : reach) {
+    mark[k] = 0;
+    if (k < n_unit_) {
+      xs[col_order[k]] = y[k] * diag[k];
+      y[k] = 0.0;
+    }
+  }
+  // Eta updates, oldest first, over basis positions, marking the positions
+  // they fill.
+  for (const int k : reach) mark[col_order[k]] = 1;
+  const int* const eta_pos = eta_pos_.data();
+  const double* const eta_val = eta_val_.data();
+  for (std::size_t e = 0; e < eta_pivot_pos_.size(); ++e) {
+    const int p = eta_pivot_pos_[e];
+    if (xs[p] == 0.0) continue;
+    const double t = xs[p] / eta_pivot_val_[e];
+    if (t != 0.0) {
+      for (int q = eta_begin_[e]; q < eta_begin_[e + 1]; ++q) {
+        xs[eta_pos[q]] -= eta_val[q] * t;
+        mark[eta_pos[q]] = 1;
+      }
+    }
+    xs[p] = t;
+  }
+  finish(xs, nonzeros);
+}
+
+void BasisLu::btran(std::vector<double>& y, std::vector<int>& nonzeros) {
+  assert(static_cast<int>(y.size()) == m_);
+  double* const ys = y.data();
+  double* const t = work_.data();
+  char* const mark = mark_.data();
+  // Eta transposes, newest first, adding the positions they fill. A
+  // position outside the pattern is written only when its sum is
+  // nonzero, so it stays +0.
+  for (const int p : nonzeros) mark[p] = 1;
+  const int* const eta_pos = eta_pos_.data();
+  const double* const eta_val = eta_val_.data();
+  for (std::size_t e = eta_pivot_pos_.size(); e-- > 0;) {
+    const int p = eta_pivot_pos_[e];
+    double acc = ys[p];
+    for (int q = eta_begin_[e]; q < eta_begin_[e + 1]; ++q) acc -= eta_val[q] * ys[eta_pos[q]];
+    if (mark[p]) {
+      ys[p] = acc / eta_pivot_val_[e];
+    } else if (acc != 0.0) {
+      ys[p] = acc / eta_pivot_val_[e];
+      mark[p] = 1;
+      nonzeros.push_back(p);
+    }
+  }
+  // The U^T reach in pivot positions, closed over the row-wise U index.
+  // The unit block reads nothing and is solved first; the structural
+  // positions follow in ascending order, which solves each position after
+  // every position its dot product reads.
+  const int* const col_pos = col_pos_.data();
+  const int* const ur_ptr = u_row_ptr_.data();
+  const int* const ur_cols = u_row_cols_.data();
+  std::vector<int>& reach = reach_;
+  reach.clear();
+  for (const int p : nonzeros) mark[p] = 0;
+  for (const int p : nonzeros) {
+    const int k = col_pos[p];
+    mark[k] = 1;
+    reach.push_back(k);
+  }
+  const std::size_t dense_at = static_cast<std::size_t>(m_) / kDenseReach;
+  for (std::size_t i = 0; i < reach.size(); ++i) {
+    const int k = reach[i];
+    for (int q = ur_ptr[k]; q < ur_ptr[k + 1]; ++q) {
+      const int k2 = ur_cols[q];
+      if (!mark[k2]) {
+        mark[k2] = 1;
+        reach.push_back(k2);
+      }
+    }
+    if (reach.size() > dense_at) {
+      for (const int k3 : reach) mark[k3] = 0;
+      btran_lower(ys, t);
+      std::fill(work_.begin(), work_.begin() + m_, 0.0);
+      return list_nonzeros(ys, m_, nonzeros);
+    }
+  }
+  const double* const diag = u_diag_.data();
+  const int* const col_order = col_order_.data();
+  const int* const u_ptr = u_col_ptr_.data();
+  const int* const u_rows = u_rows_.data();
+  const double* const u_vals = u_vals_.data();
+  for (const int k : reach)
+    if (k < n_unit_) t[k] = ys[col_order[k]] * diag[k];  // exact: +-1
+  scan_up(mark, n_unit_, m_, [&](int k) {
+    double acc = ys[col_order[k]];
+    for (int q = u_ptr[k]; q < u_ptr[k + 1]; ++q) acc -= u_vals[q] * t[u_rows[q]];
+    t[k] = acc / diag[k];
+  });
+  // Scatter to original rows (clearing the position-space input first),
+  // then the L^T pass over the reach closed through the row-wise L index,
+  // in descending pivot order: L column k reads only rows pivoted after k.
+  const int* const pivot_row = pivot_row_of_.data();
+  for (const int k : reach) ys[col_order[k]] = 0.0;
+  for (const int k : reach) ys[pivot_row[k]] = t[k];
+  if (!l_nonempty_.empty()) {
+    const int* const lr_ptr = l_row_ptr_.data();
+    const int* const lr_cols = l_row_cols_.data();
+    const int* const l_ptr = l_col_ptr_.data();
+    const int* const l_rows = l_rows_.data();
+    const double* const l_vals = l_vals_.data();
+    bool any_l = false;
+    for (std::size_t i = 0; i < reach.size(); ++i) {
+      const int k = reach[i];
+      any_l = any_l || l_ptr[k] < l_ptr[k + 1];
+      for (int q = lr_ptr[k]; q < lr_ptr[k + 1]; ++q) {
+        const int k2 = lr_cols[q];
+        if (!mark[k2]) {
+          mark[k2] = 1;
+          reach.push_back(k2);
+        }
+      }
+    }
+    if (any_l)
+      scan_down(mark, n_unit_, m_, [&](int k) {
+        if (l_ptr[k] == l_ptr[k + 1]) return;
+        double acc = t[k];
+        for (int q = l_ptr[k]; q < l_ptr[k + 1]; ++q) acc -= l_vals[q] * ys[l_rows[q]];
+        ys[pivot_row[k]] = acc;
+      });
+  }
+  for (const int k : reach) {
+    mark[k] = 0;
+    t[k] = 0.0;
+  }
+  for (const int k : reach) mark[pivot_row[k]] = 1;
+  finish(ys, nonzeros);
+}
+
+void BasisLu::finish(double* v, std::vector<int>& nonzeros) {
+  char* const mark = mark_.data();
+  nonzeros.clear();
+  scan_up(mark, 0, m_, [&](int i) {
+    mark[i] = 0;
+    if (v[i] != 0.0)
+      nonzeros.push_back(i);
+    else
+      v[i] = 0.0;  // +0
+  });
 }
 
 bool BasisLu::update(int leaving_pos, const std::vector<double>& alpha,

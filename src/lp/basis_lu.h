@@ -28,6 +28,28 @@
 //    other diagonal and eta pivot is divided;
 //  * ascending nonzero order: update takes alpha's nonzero positions in
 //    ascending order, the order a dense scan would visit them in.
+//
+// The simplex's two per-pivot solves, FTRAN of a column a_q and BTRAN of
+// a unit vector e_r, have hypersparse overloads that take the input's
+// nonzero list and touch only the reach of those nonzeros: the positions
+// the triangular passes can fill, found through the stored columns of L
+// and U (FTRAN) or through row-wise indexes of them built at factorize
+// (BTRAN). The reach is closed breadth-first over byte marks, and ordered
+// by scanning the marks of the structural positions a word at a time,
+// which measured cheaper than sorting it. A reach that grows past m/20
+// positions is abandoned for the dense passes. They return the dense
+// solves' values bit for bit, by three more rules:
+//  * FTRAN's L and U passes are scatters, whose sums depend on the order
+//    of the columns, so the reach is visited in the dense passes' order:
+//    ascending pivot order for L, descending for U (the unit block, which
+//    scatters nothing, last);
+//  * BTRAN's U^T and L^T passes compute each output as one full dot
+//    product over its stored column, so any topological order of the
+//    reach gives the same bits (ascending for U^T, descending for L^T);
+//  * the eta file is applied whole and in its order. Outside the reach
+//    the dense solve leaves +-0 and the sparse one +0; no reader depends
+//    on the sign of a zero (the ratio tests, the nonzero lists and the
+//    eta file skip zeros, and extraction clamps with max(0, .)).
 #pragma once
 
 #include <span>
@@ -68,6 +90,15 @@ class BasisLu {
   // exits holding the row-space solution (length m, original row indices).
   void btran(std::vector<double>& y);
 
+  // Hypersparse ftran/btran. `x` / `y` enter holding the right-hand side,
+  // zero everywhere except at the indices `nonzeros` lists (rows for
+  // ftran, basis positions for btran; distinct, any order). Both exit
+  // holding the dense solve's nonzero values bit for bit, +0 everywhere
+  // else, with `nonzeros` listing exactly the indices of the nonzero
+  // entries in ascending order.
+  void ftran(std::vector<double>& x, std::vector<int>& nonzeros);
+  void btran(std::vector<double>& y, std::vector<int>& nonzeros);
+
   // Registers a basis change: position `leaving_pos` is replaced by a column
   // whose FTRAN image (before this update) is `alpha`, and `nonzeros` lists
   // exactly the positions i with alpha[i] != 0, in ascending order.
@@ -80,6 +111,19 @@ class BasisLu {
   [[nodiscard]] int dimension() const { return m_; }
 
  private:
+  // The dense solves' second halves, shared with the sparse solves' dense
+  // fallback. ftran_upper takes pivot-coordinate values in y, writes the
+  // U solve and the eta file into basis positions of xs, and leaves y all
+  // zero; btran_lower takes eta-transformed values by basis position in
+  // ys and writes the U^T and L^T solves into rows of ys, using t.
+  void ftran_upper(double* xs, double* y);
+  void btran_lower(double* ys, double* t);
+  // Ends a sparse solve. On entry mark_ is set at exactly the indices the
+  // solve may have written; on exit `nonzeros` lists the nonzero ones in
+  // ascending order (by a scan of the marks), the zeros among them are +0
+  // and the marks are clear.
+  void finish(double* v, std::vector<int>& nonzeros);
+
   int m_ = 0;
   // L: unit lower triangular in pivot order; entries stored with
   // *original row* indices (they acquire pivot positions later). Column k
@@ -96,8 +140,18 @@ class BasisLu {
   std::vector<int> row_perm_;      // original row -> pivot position
   // Columns are factored in order of increasing nonzero count so the many
   // unit (slack/artificial) columns pivot first with zero fill-in;
-  // col_order_[k] is the basis position factored at step k.
+  // col_order_[k] is the basis position factored at step k, and
+  // col_pos_ its inverse.
   std::vector<int> col_order_;
+  std::vector<int> col_pos_;
+  // Row-wise pattern indexes for the sparse btran: u_row_cols_ lists, for
+  // each pivot position i in [u_row_ptr_[i], u_row_ptr_[i + 1]), the U
+  // columns holding an entry in row i; l_row_cols_ lists, for each pivot
+  // position k, the L columns holding an entry in row pivot_row_of_[k].
+  std::vector<int> u_row_ptr_;
+  std::vector<int> u_row_cols_;
+  std::vector<int> l_row_ptr_;
+  std::vector<int> l_row_cols_;
   // Positions [0, n_unit_) are the unit block: columns with one entry of
   // +-1, so empty L and U columns and a +-1 diagonal. Only the columns in
   // l_nonempty_ (ascending) hold L entries.
@@ -112,8 +166,17 @@ class BasisLu {
   std::vector<int> eta_begin_;
   std::vector<int> eta_pos_;
   std::vector<double> eta_val_;
-  // Pivot-coordinate workspace of the solves (length m).
+  // Pivot-coordinate workspace of the dense solves (length m).
   std::vector<double> scratch_;
+  // Workspaces of factorize and the sparse solves, all of length m or
+  // sized on demand. work_ and mark_ are all zero between calls.
+  std::vector<double> work_;
+  std::vector<char> mark_;
+  std::vector<int> reach_;
+  std::vector<int> stack_;
+  std::vector<int> stack_cursor_;
+  std::vector<int> topo_;
+  std::vector<int> count_;
 };
 
 }  // namespace titan::lp

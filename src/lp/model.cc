@@ -6,18 +6,14 @@
 
 namespace titan::lp {
 
-int LpModel::add_variable(double cost, std::string name) {
+int LpModel::add_variable(double cost) {
   costs_.push_back(cost);
-  if (name.empty()) name = "x" + std::to_string(costs_.size() - 1);
-  var_names_.push_back(std::move(name));
   return static_cast<int>(costs_.size()) - 1;
 }
 
-int LpModel::add_constraint(Sense sense, double rhs, std::string name) {
+int LpModel::add_constraint(Sense sense, double rhs) {
   senses_.push_back(sense);
   rhs_.push_back(rhs);
-  if (name.empty()) name = "r" + std::to_string(senses_.size() - 1);
-  row_names_.push_back(std::move(name));
   return static_cast<int>(senses_.size()) - 1;
 }
 

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "lp/sparse.h"
@@ -21,10 +20,10 @@ class LpModel {
  public:
   // Adds a variable with the given objective cost; returns its column index.
   // All variables are continuous with domain [0, +inf).
-  int add_variable(double cost, std::string name = {});
+  int add_variable(double cost);
 
   // Adds a row; returns its index.
-  int add_constraint(Sense sense, double rhs, std::string name = {});
+  int add_constraint(Sense sense, double rhs);
 
   // Adds `value` to coefficient (row, col); duplicates accumulate.
   void add_coefficient(int row, int col, double value);
@@ -35,12 +34,6 @@ class LpModel {
   [[nodiscard]] const std::vector<double>& costs() const { return costs_; }
   [[nodiscard]] const std::vector<Sense>& senses() const { return senses_; }
   [[nodiscard]] const std::vector<double>& rhs() const { return rhs_; }
-  [[nodiscard]] const std::string& variable_name(int j) const {
-    return var_names_[static_cast<std::size_t>(j)];
-  }
-  [[nodiscard]] const std::string& constraint_name(int i) const {
-    return row_names_[static_cast<std::size_t>(i)];
-  }
 
   // Materializes the coefficient matrix (rows x cols).
   [[nodiscard]] SparseMatrix matrix() const;
@@ -53,10 +46,8 @@ class LpModel {
 
  private:
   std::vector<double> costs_;
-  std::vector<std::string> var_names_;
   std::vector<Sense> senses_;
   std::vector<double> rhs_;
-  std::vector<std::string> row_names_;
   std::vector<SparseMatrix::Triplet> triplets_;
 };
 

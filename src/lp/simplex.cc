@@ -79,8 +79,10 @@ Tableau build_tableau(const LpModel& model) {
   t.artificial_of.assign(static_cast<std::size_t>(m), -1);
 
   // The structural columns, then the single-entry slack and artificial
-  // columns appended to the same CSC.
+  // columns (at most one of each per row) appended to the same CSC.
   t.a = model.matrix();
+  t.a.reserve_columns(2 * m);
+  t.cost.reserve(static_cast<std::size_t>(n) + 2 * static_cast<std::size_t>(m));
   t.cost = model.costs();
   int col = n;
   // Slack / surplus columns.
@@ -180,13 +182,22 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
+// A factorization of the seed basis made before solve_from: the warm
+// path's structural-rank probe, handed on so the seed is factorized once.
+struct SeedFactorization {
+  BasisLu lu;
+  double seconds = 0.0;
+};
+
 // Runs the simplex from `basis`: the dual phase while the seed is primal
 // infeasible, then primal phase 2. Cold starts (warm == false) seed it with
 // the slack/artificial basis of cold_basis; warm starts with a caller basis,
 // and a warm seed that cannot be factorized or repaired reports
-// kNumericalFailure so the caller can rerun cold.
+// kNumericalFailure so the caller can rerun cold. With `seeded`, `basis`
+// is already factorized there, and that factorization counts as the
+// solve's first.
 Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> basis, bool warm,
-                    const SolveOptions& options) {
+                    const SolveOptions& options, SeedFactorization* seeded = nullptr) {
   Solution sol;
   sol.warm_started = warm;
   const int m = model.num_constraints();
@@ -201,8 +212,12 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
     return ok;
   };
 
-  BasisLu lu;
-  if (!timed_factorize(lu)) {
+  BasisLu own_lu;
+  BasisLu& lu = seeded != nullptr ? seeded->lu : own_lu;
+  if (seeded != nullptr) {
+    sol.refactor_seconds += seeded->seconds;
+    ++sol.refactorizations;
+  } else if (!timed_factorize(lu)) {
     sol.status = SolveStatus::kNumericalFailure;
     return sol;
   }
@@ -215,24 +230,25 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   // columns and artificials, which are fixed at zero, never enter.
   std::vector<double> y(static_cast<std::size_t>(m));
   std::vector<double> alpha(static_cast<std::size_t>(m));
-  std::vector<int> alpha_nz(static_cast<std::size_t>(m));
+  std::vector<int> alpha_nz;
+  alpha_nz.reserve(static_cast<std::size_t>(m));
   std::vector<double> cost_b(static_cast<std::size_t>(m));
   std::vector<char> blocked(t.artificial.begin(), t.artificial.end());
   for (const int j : basis) blocked[static_cast<std::size_t>(j)] = 1;
-  // alpha = B^{-1} a_j, returning alpha's nonzero rows in ascending order.
-  // This helper and `pivot` are forced inline: called from both pivot
-  // loops, they were left as calls, and the primal loop then ran cold
-  // solves ~8% slower (five plan LPs timed in-process, same pivots).
+  // alpha = B^{-1} a_j by the hypersparse FTRAN, returning alpha's nonzero
+  // rows in ascending order; only the previous alpha's nonzeros are
+  // cleared. This helper and `pivot` are forced inline: called from both
+  // pivot loops, they were left as calls, and the primal loop then ran
+  // cold solves ~8% slower (five plan LPs timed in-process, same pivots).
   const auto ftran_column = [&](int j) __attribute__((always_inline)) {
-    std::fill(alpha.begin(), alpha.end(), 0.0);
-    t.a.axpy_column(j, 1.0, alpha);
-    lu.ftran(alpha);
-    int nnz = 0;
-    for (int i = 0; i < m; ++i) {
-      alpha_nz[static_cast<std::size_t>(nnz)] = i;
-      nnz += alpha[static_cast<std::size_t>(i)] != 0.0;
+    for (const int i : alpha_nz) alpha[static_cast<std::size_t>(i)] = 0.0;
+    alpha_nz.clear();
+    for (int k = t.a.col_begin(j); k < t.a.col_end(j); ++k) {
+      alpha[static_cast<std::size_t>(t.a.row_index(k))] = t.a.value(k);
+      alpha_nz.push_back(t.a.row_index(k));
     }
-    return std::span<const int>(alpha_nz.data(), static_cast<std::size_t>(nnz));
+    lu.ftran(alpha, alpha_nz);
+    return std::span<const int>(alpha_nz);
   };
   // Column `entering` replaces the basic column at row `leaving` and takes
   // the value `theta`; alpha holds its FTRAN image. Refactorizes when the
@@ -394,9 +410,27 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
     std::vector<double> d(n, 0.0);
     std::vector<double> weight(static_cast<std::size_t>(m), 1.0);
     std::vector<double> rho(static_cast<std::size_t>(m));
+    std::vector<int> rho_nz;
     std::vector<double> row(n, 0.0);
     std::vector<char> in_row(n, 0);
     std::vector<int> row_nz;
+    // Pricing candidates: every infeasible row is listed (rows that turned
+    // feasible may linger until pricing meets them). Rebuilt from x_B at
+    // each refactorization; a pivot can make infeasible only the rows
+    // whose x_B it moves, alpha's nonzeros and the leaving row.
+    std::vector<int> candidates;
+    std::vector<char> is_candidate(static_cast<std::size_t>(m), 0);
+    const auto add_candidate = [&](int i) {
+      if (is_candidate[static_cast<std::size_t>(i)]) return;
+      is_candidate[static_cast<std::size_t>(i)] = 1;
+      candidates.push_back(i);
+    };
+    const auto collect_candidates = [&] {
+      for (const int i : candidates) is_candidate[static_cast<std::size_t>(i)] = 0;
+      candidates.clear();
+      for (int i = 0; i < m; ++i)
+        if (infeasibility(i) != 0.0) add_candidate(i);
+    };
 
     // d = c - A^T B^{-T} c_B over the enterable columns, each negative one
     // shifted to zero.
@@ -444,18 +478,28 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
       cost[uj] += eps;
       d[uj] += eps;
     }
+    collect_candidates();
     while (true) {
-      // Pricing: dual Devex over the infeasible rows.
+      // Pricing: dual Devex over the infeasible rows, dropping the
+      // candidates found feasible. Equal scores keep the lowest row, the
+      // one an ascending scan of all rows would pick.
       int r = -1;
       double best = 0.0;
-      for (int i = 0; i < m; ++i) {
+      for (std::size_t c = 0; c < candidates.size();) {
+        const int i = candidates[c];
         const double infeas = infeasibility(i);
-        if (infeas == 0.0) continue;
+        if (infeas == 0.0) {
+          is_candidate[static_cast<std::size_t>(i)] = 0;
+          candidates[c] = candidates.back();
+          candidates.pop_back();
+          continue;
+        }
         const double score = infeas * infeas / weight[static_cast<std::size_t>(i)];
-        if (score > best) {
+        if (score > best || (score == best && i < r)) {
           best = score;
           r = i;
         }
+        ++c;
       }
       if (r < 0) return SolveStatus::kOptimal;
       if (iteration_counter >= cap) return SolveStatus::kIterationLimit;
@@ -465,13 +509,13 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
       const double dir = xb[ur] > 0.0 ? 1.0 : -1.0;
 
       // rho = B^{-T} e_r, and the pivot row over the enterable columns.
-      std::fill(rho.begin(), rho.end(), 0.0);
+      for (const int i : rho_nz) rho[static_cast<std::size_t>(i)] = 0.0;
+      rho_nz.assign(1, r);
       rho[ur] = 1.0;
-      lu.btran(rho);
+      lu.btran(rho, rho_nz);
       row_nz.clear();
-      for (int i = 0; i < m; ++i) {
+      for (const int i : rho_nz) {
         const double ri = rho[static_cast<std::size_t>(i)];
-        if (ri == 0.0) continue;
         for (int k = rows.col_begin(i); k < rows.col_end(i); ++k) {
           const auto j = static_cast<std::size_t>(rows.row_index(k));
           if (blocked[j]) continue;
@@ -539,7 +583,13 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
       const int eta_before = lu.eta_count();
       if (!pivot(r, entering, xb[ur] / alpha_r, nonzeros))
         return SolveStatus::kNumericalFailure;
-      if (lu.eta_count() <= eta_before) price_all();  // refactorized
+      if (lu.eta_count() <= eta_before) {  // refactorized
+        price_all();
+        collect_candidates();
+      } else {
+        for (const int i : nonzeros) add_candidate(i);
+        add_candidate(r);
+      }
     }
   };
 
@@ -646,11 +696,16 @@ Solution solve(const LpModel& model, const Basis& warm, const SolveOptions& opti
     // (which rows those are is invisible at the label level). Diagnose with
     // the LU, swap each failed position for the slack/artificial of an
     // unpivoted row, and retry; two rounds cover the cascade where a repair
-    // unblocks a previously-masked dependency.
+    // unblocks a previously-masked dependency. A probe that factorizes is
+    // the solve's first factorization.
+    SeedFactorization probe;
+    bool factored = false;
     for (int round = 0; round < 2; ++round) {
-      BasisLu probe;
       BasisLu::Deficiency def;
-      if (probe.factorize(t.a, *mapped, options.pivot_tol, &def) || !def.any()) break;
+      const auto f0 = std::chrono::steady_clock::now();
+      factored = probe.lu.factorize(t.a, *mapped, options.pivot_tol, &def);
+      probe.seconds = seconds_since(f0);
+      if (factored || !def.any()) break;
       bool repaired = true;
       for (std::size_t k = 0; k < def.positions.size() && repaired; ++k) {
         const int row = def.rows[k];
@@ -662,7 +717,8 @@ Solution solve(const LpModel& model, const Basis& warm, const SolveOptions& opti
       }
       if (!repaired) break;
     }
-    sol = solve_from(model, t, std::move(*mapped), /*warm=*/true, options);
+    sol = solve_from(model, t, std::move(*mapped), /*warm=*/true, options,
+                     factored ? &probe : nullptr);
   }
   // Any warm failure — unmappable basis, singular factorization, a dual
   // phase out of pivots, or numerical trouble mid-phase — falls back to the

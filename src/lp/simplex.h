@@ -8,7 +8,10 @@
 // warm one. A seed with hot artificials or negative basics is first made
 // primal feasible by the dual phase: dual infeasibilities are removed by
 // shifting costs, and the leaving row is priced by dual Devex weights. The
-// dual phase is also the one proof of infeasibility, a Farkas ray. Primal
+// dual phase is also the one proof of infeasibility, a Farkas ray. Its
+// per-pivot work follows the nonzeros: it prices a candidate list of the
+// infeasible rows and solves for rho and alpha with BasisLu's hypersparse
+// solves, bit for bit the dense ones. Primal
 // phase 2 then removes the shifts and finishes on the true costs; its
 // ratio test holds a basic artificial at zero from both sides. The
 // basis is held in a sparse LU (BasisLu) refreshed by product-form eta

@@ -8,8 +8,8 @@
 
 namespace titan::lp {
 
-// CSC matrix. Built from triplets (duplicate entries are summed), then
-// only ever extended by whole single-entry columns.
+// CSC matrix. Built from triplets (duplicate entries are summed, zero
+// sums dropped), then only ever extended by whole single-entry columns.
 class SparseMatrix {
  public:
   SparseMatrix() = default;
@@ -47,6 +47,14 @@ class SparseMatrix {
     ++cols_;
   }
 
+  // Reserves room for `count` more single-entry columns.
+  void reserve_columns(int count) {
+    const auto extra = static_cast<std::size_t>(count);
+    row_idx_.reserve(row_idx_.size() + extra);
+    values_.reserve(values_.size() + extra);
+    col_ptr_.reserve(col_ptr_.size() + extra);
+  }
+
   // The transpose, as a CSC: column i of the result is row i of this
   // matrix, its entries in ascending column order. The dual simplex reads
   // rows through it.
@@ -79,13 +87,22 @@ inline SparseMatrix SparseMatrix::from_triplets(int rows, int cols,
         m.col_ptr_[static_cast<std::size_t>(j)] + count[static_cast<std::size_t>(j)];
   m.row_idx_.resize(triplets.size());
   m.values_.resize(triplets.size());
+  // Done after the scatter when every column comes out strictly ascending
+  // in row with no zero value, as when the rows were added in order with
+  // distinct entries.
+  bool canonical = true;
   std::vector<int> cursor(m.col_ptr_.begin(), m.col_ptr_.end() - 1);
   for (const auto& t : triplets) {
     const int pos = cursor[static_cast<std::size_t>(t.col)]++;
+    canonical = canonical && t.value != 0.0 &&
+                (pos == m.col_ptr_[static_cast<std::size_t>(t.col)] ||
+                 m.row_idx_[static_cast<std::size_t>(pos) - 1] < t.row);
     m.row_idx_[static_cast<std::size_t>(pos)] = t.row;
     m.values_[static_cast<std::size_t>(pos)] = t.value;
   }
-  // Merge duplicates within each column (sort by row, then sum runs).
+  if (canonical) return m;
+  // Otherwise merge duplicates within each column (sort by row, then sum
+  // runs).
   std::vector<int> new_ptr(static_cast<std::size_t>(cols) + 1, 0);
   std::vector<int> out_rows;
   std::vector<double> out_vals;

@@ -93,9 +93,7 @@ lp::LpModel build_model(const PlanInputs& inputs, const LpBuildOptions& options,
   // Titan-Next variant; harmless otherwise (cost 0 keeps them defined).
   std::vector<int> yvar(links.size());
   for (std::size_t l = 0; l < links.size(); ++l)
-    yvar[l] = model.add_variable(
-        options.objective == Objective::kMinimizeWanPeaks ? 1.0 : 0.0,
-        "y_link" + std::to_string(links[l].value()));
+    yvar[l] = model.add_variable(options.objective == Objective::kMinimizeWanPeaks ? 1.0 : 0.0);
 
   // Precompute per (config, dc) link loads and resource coefficients.
   std::map<int, int> link_index;

@@ -4,7 +4,9 @@
 // simplex optima against an LP-duality certificate on small random LPs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
@@ -42,6 +44,24 @@ TEST(SparseMatrixTest, ZeroSumDuplicatesDropped) {
   std::vector<SparseMatrix::Triplet> trips = {{0, 0, 1.0}, {0, 0, -1.0}, {1, 0, 2.0}};
   const SparseMatrix m = SparseMatrix::from_triplets(2, 1, trips);
   EXPECT_EQ(m.nnz(), 1u);
+}
+
+// Rows given out of order are sorted and a lone zero is dropped; rows
+// given in order with no zero are taken as they are.
+TEST(SparseMatrixTest, FromTripletsSortsRowsAndDropsZeros) {
+  const SparseMatrix m =
+      SparseMatrix::from_triplets(3, 2, {{2, 0, 1.0}, {0, 0, 3.0}, {1, 1, 0.0}, {2, 1, 4.0}});
+  ASSERT_EQ(m.nnz(), 3u);
+  EXPECT_EQ(m.row_index(m.col_begin(0)), 0);
+  EXPECT_EQ(m.row_index(m.col_begin(0) + 1), 2);
+  ASSERT_EQ(m.col_end(1) - m.col_begin(1), 1);
+  EXPECT_EQ(m.row_index(m.col_begin(1)), 2);
+  EXPECT_EQ(m.value(m.col_begin(1)), 4.0);
+  const SparseMatrix in_order =
+      SparseMatrix::from_triplets(3, 2, {{0, 0, 3.0}, {1, 1, 5.0}, {2, 0, 1.0}});
+  ASSERT_EQ(in_order.nnz(), 3u);
+  EXPECT_EQ(in_order.row_index(in_order.col_begin(0) + 1), 2);
+  EXPECT_EQ(in_order.value(in_order.col_begin(1)), 5.0);
 }
 
 // Column i of the transpose is row i, entries in ascending column order;
@@ -307,6 +327,125 @@ TEST(BasisLuTest, UnitDiagonalsAndSignedZerosMatchPlainDivides) {
   x.assign(5, -0.0);
   lu.ftran(x);
   expect_same_bits(x, {0x0p+0, -0x0p+0, 0x0p+0, -0x0p+0, 0x0p+0});
+}
+
+// A sparse solve's result against the dense one: the same value at every
+// index (a dense +-0 matches the sparse +0), `nonzeros` exactly the
+// ascending indices of the nonzero entries, and +0 everywhere else.
+void expect_sparse_matches_dense(const std::vector<double>& sparse,
+                                 const std::vector<int>& nonzeros,
+                                 const std::vector<double>& dense) {
+  ASSERT_EQ(sparse.size(), dense.size());
+  std::vector<int> expected_nz;
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    EXPECT_EQ(sparse[i], dense[i]) << "entry " << i;
+    if (dense[i] != 0.0)
+      expected_nz.push_back(static_cast<int>(i));
+    else
+      EXPECT_FALSE(std::signbit(sparse[i])) << "entry " << i;
+  }
+  EXPECT_EQ(nonzeros, expected_nz);
+}
+
+// Random bases shaped like the plan LP's: a unit block of +-1 slack and
+// surplus columns, a structural kernel of a few entries per column, and a
+// dense coupling row like C4 that every structural column touches. Along a
+// refactor_interval of eta updates, every sparse FTRAN of a column and
+// BTRAN of a unit vector equals the dense solve value for value.
+TEST(BasisLuTest, SparseSolvesMatchDenseSolves) {
+  const int interval = SolveOptions{}.refactor_interval;
+  int factored = 0;
+  for (int seed = 0; seed < 12; ++seed) {
+    core::Rng rng(4000 + static_cast<std::uint64_t>(seed));
+    const int m = 100 + 60 * (seed % 4);
+    const int coupling = m - 1;
+    // Columns [0, m) are the unit columns of each row; the structural
+    // columns follow, each with a home row and a few other entries.
+    std::vector<SparseMatrix::Triplet> trips;
+    for (int i = 0; i < m; ++i) trips.push_back({i, i, rng.chance(0.5) ? 1.0 : -1.0});
+    const int n = m + 3 * m;
+    std::vector<int> home_of(static_cast<std::size_t>(n));
+    for (int j = m; j < n; ++j) {
+      // Off-home entries stay within a band of the home row, as a plan
+      // LP's column stays within its slot's rows.
+      const int home = static_cast<int>(rng.uniform_int(0, m - 2));
+      home_of[static_cast<std::size_t>(j)] = home;
+      for (int i = std::max(0, home - 6); i < std::min(coupling, home + 7); ++i) {
+        if (i == home)
+          trips.push_back({i, j, rng.uniform(1.0, 3.0) * (rng.chance(0.5) ? 1.0 : -1.0)});
+        else if (rng.chance(0.15))
+          trips.push_back({i, j, rng.uniform(-2.0, 2.0)});
+      }
+      trips.push_back({coupling, j, rng.uniform(0.5, 4.0)});
+    }
+    const SparseMatrix a = SparseMatrix::from_triplets(m, n, trips);
+    // About a third of the rows start on a structural column homed there.
+    // On odd seeds the coupling row's unit column leaves the basis too, so
+    // the coupling row pivots under a structural column and fills L with
+    // it; on even seeds it stays basic, as C4's slack usually does.
+    std::vector<int> basis(static_cast<std::size_t>(m));
+    std::vector<char> basic(static_cast<std::size_t>(n), 0);
+    for (int i = 0; i < m; ++i) basis[static_cast<std::size_t>(i)] = i;
+    for (int j = m; j < n; ++j) {
+      const int home = home_of[static_cast<std::size_t>(j)];
+      if (basis[static_cast<std::size_t>(home)] == home && rng.chance(0.35))
+        basis[static_cast<std::size_t>(home)] = j;
+    }
+    for (int j = m; j < n && seed % 2 == 1 && basis[static_cast<std::size_t>(coupling)] == coupling;
+         ++j)
+      if (!std::count(basis.begin(), basis.end(), j)) basis[static_cast<std::size_t>(coupling)] = j;
+    for (const int j : basis) basic[static_cast<std::size_t>(j)] = 1;
+
+    BasisLu lu;
+    if (!lu.factorize(a, basis)) continue;
+    ++factored;
+    // The sparse solves' vectors persist across calls, cleared only at
+    // their previous nonzeros, as the simplex keeps them.
+    std::vector<double> x(static_cast<std::size_t>(m), 0.0), y(static_cast<std::size_t>(m), 0.0);
+    std::vector<int> x_nz, y_nz;
+    for (int step = 0; step < interval; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " + std::to_string(step));
+      int q = -1;
+      while (q < 0 || basic[static_cast<std::size_t>(q)])
+        q = static_cast<int>(rng.uniform_int(0, n - 1));
+      std::vector<double> dense(static_cast<std::size_t>(m), 0.0);
+      a.axpy_column(q, 1.0, dense);
+      lu.ftran(dense);
+      for (const int i : x_nz) x[static_cast<std::size_t>(i)] = 0.0;
+      x_nz.clear();
+      for (int k = a.col_begin(q); k < a.col_end(q); ++k) {
+        x[static_cast<std::size_t>(a.row_index(k))] = a.value(k);
+        x_nz.push_back(a.row_index(k));
+      }
+      lu.ftran(x, x_nz);
+      expect_sparse_matches_dense(x, x_nz, dense);
+
+      // The entering column replaces the position of its largest |alpha|.
+      // BTRAN the unit vectors of a random position and of that one.
+      ASSERT_FALSE(x_nz.empty());
+      int leaving = x_nz.front();
+      for (const int i : x_nz)
+        if (std::abs(x[static_cast<std::size_t>(i)]) >
+            std::abs(x[static_cast<std::size_t>(leaving)]))
+          leaving = i;
+      for (const int r : {static_cast<int>(rng.uniform_int(0, m - 1)), leaving}) {
+        std::vector<double> dense_y(static_cast<std::size_t>(m), 0.0);
+        dense_y[static_cast<std::size_t>(r)] = 1.0;
+        lu.btran(dense_y);
+        for (const int i : y_nz) y[static_cast<std::size_t>(i)] = 0.0;
+        y_nz.assign(1, r);
+        y[static_cast<std::size_t>(r)] = 1.0;
+        lu.btran(y, y_nz);
+        expect_sparse_matches_dense(y, y_nz, dense_y);
+      }
+      ASSERT_TRUE(lu.update(leaving, x, x_nz));
+      basic[static_cast<std::size_t>(basis[static_cast<std::size_t>(leaving)])] = 0;
+      basic[static_cast<std::size_t>(q)] = 1;
+      basis[static_cast<std::size_t>(leaving)] = q;
+    }
+    EXPECT_EQ(lu.eta_count(), interval);
+  }
+  EXPECT_GE(factored, 8);
 }
 
 // --- Simplex ----------------------------------------------------------------
