@@ -213,12 +213,9 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", cli.out_path.c_str());
   }
 
-  // Budget enforcement: unlike the perf-report diff this one gates CI.
+  // Budget enforcement: gates CI (the parser already refused --check
+  // without --baseline).
   if (cli.check) {
-    if (cli.baseline_path.empty()) {
-      std::fprintf(stderr, "--check needs --baseline <budget.json>\n");
-      return 2;
-    }
     std::ifstream in(cli.baseline_path);
     if (!in) {
       std::fprintf(stderr, "cannot read budget %s\n", cli.baseline_path.c_str());

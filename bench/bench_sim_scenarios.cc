@@ -7,33 +7,39 @@
 // volume (>= 100k calls), daily replans. `--scenario all` sweeps the whole
 // library; `--threads N` exercises the sharded executor (results are
 // bit-identical across thread counts for a fixed seed).
+//
+// The run is a one-seed sweep: `--out PATH` writes its scenario report as
+// a sweep JSON (one run record per scenario: the checksum and every
+// metric_table() row), and `--baseline PATH --check` compares it with a
+// committed one within each row's band, exiting 1 on a regression and 2
+// on an incomparable baseline (sweep::check_against_baseline, shared with
+// bench_sim_sweep).
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "bench/common.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
-#include "sweep/perf_report.h"
+#include "sweep/baseline.h"
 #include "sweep/serialize.h"
+#include "sweep/sweep.h"
 
 namespace {
 
-titan::sim::SimResult run_one(const std::string& name, const titan::bench::Cli& cli,
+titan::sim::SimResult run_one(const titan::sweep::SweepSpec& spec, const std::string& name,
                               titan::obs::TraceRecorder* trace) {
   using namespace titan;
-  sim::Scenario scenario = sim::make_scenario(name);
-  scenario.seed = cli.seed;
-  scenario.training_weeks = cli.training_weeks();
-  scenario.peak_slot_calls = cli.peak_or(1200.0);  // paper-shaped volume
+  const sim::Scenario scenario = sweep::sweep_scenario(spec, name, spec.base_seed);
+  const int threads = spec.sim_threads.front();
 
   sim::SimEngine engine(scenario);
   engine.set_trace(trace);
   std::printf("\n-- %s: %s\n", scenario.name.c_str(), scenario.description.c_str());
   std::printf("   %zu calls over %d days, replan every %d slots, %d shards, %d threads\n",
               engine.eval_trace().calls().size(), scenario.eval_days,
-              scenario.replan_interval_slots, scenario.shards, cli.threads);
-  const auto r = engine.run(cli.threads);
+              scenario.replan_interval_slots, scenario.shards, threads);
+  const auto r = engine.run(threads);
 
   core::TextTable t({"metric", "value"});
   t.add_row({"calls simulated", std::to_string(r.calls)});
@@ -95,17 +101,6 @@ titan::sim::SimResult run_one(const std::string& name, const titan::bench::Cli& 
   return r;
 }
 
-bool write_json(const std::string& path, const titan::sweep::Json& doc) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << doc.dump(2) << "\n";
-  std::printf("wrote %s\n", path.c_str());
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -116,50 +111,58 @@ int main(int argc, char** argv) {
   const bench::Cli cli = bench::parse_cli(argc, argv, sim::scenario_names());
   bench::print_header("Closed-loop scenario simulation", "§8 long-term / stability setup");
 
-  std::vector<std::string> names;
+  // The run as a one-seed sweep spec: the report echoes it, and
+  // sweep_scenario applies its overrides exactly as bench_sim_sweep does.
+  sweep::SweepSpec spec;
   if (cli.scenario.empty()) {
-    names = {"fiber-cut-failover"};
+    spec.scenarios = {"fiber-cut-failover"};
   } else if (cli.scenario == "all") {
-    names = sim::scenario_names();
+    spec.scenarios = sim::scenario_names();
   } else {
-    names = bench::split_csv(cli.scenario);  // one name or a comma list
+    spec.scenarios = bench::split_csv(cli.scenario);  // one name or a comma list
   }
+  spec.base_seed = cli.seed;
+  spec.num_seeds = 1;
+  spec.sim_threads = {std::max(1, cli.threads)};
+  spec.peak_slot_calls = cli.peak_or(1200.0);  // paper-shaped volume
+  spec.training_weeks = cli.training_weeks();
+
+  // Read the baseline before simulating: a bad file is a usage error.
+  sweep::SweepResult baseline;
+  if (cli.check) {
+    try {
+      baseline = sweep::read_baseline(cli.baseline_path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
+  }
+
   // One recorder across the whole run: scenarios sequence on a shared
   // timeline, so the exported trace shows the full bench end to end.
   obs::TraceRecorder trace;
   obs::TraceRecorder* trace_ptr = cli.trace_out_path.empty() ? nullptr : &trace;
 
-  std::vector<sim::SimResult> results;
-  results.reserve(names.size());
-  for (const auto& name : names) results.push_back(run_one(name, cli, trace_ptr));
+  std::vector<sweep::RunRecord> runs;
+  runs.reserve(spec.scenarios.size());
+  bool leaked = false;
+  for (const auto& name : spec.scenarios) {
+    const sim::SimResult r = run_one(spec, name, trace_ptr);
+    runs.push_back(sweep::make_run_record(r, spec.base_seed));
+    leaked = leaked || r.leaked_calls != 0;
+  }
+  const sweep::SweepResult report = sweep::assemble_sweep_result(spec, std::move(runs), {}, {});
 
-  // Per-scenario report (docs/observability.md): every metric_table() row,
-  // the checksum and the latency histograms. CI uploads it as an artifact;
-  // the checksums double as cheap golden values.
-  if (!cli.json_path.empty()) {
-    const sweep::Json report = sweep::perf_report_json(results, cli.peak_or(1200.0), cli.weeks,
-                                                       cli.threads, cli.seed);
-    if (!write_json(cli.json_path, report)) return 1;
-
-    // Informational diff against a committed baseline: printed, never
-    // fatal — wall clock is machine-dependent, the trajectory is the point.
-    if (!cli.perf_baseline_path.empty()) {
-      std::ifstream in(cli.perf_baseline_path);
-      if (!in) {
-        std::fprintf(stderr, "perf baseline %s unreadable; skipping diff\n",
-                     cli.perf_baseline_path.c_str());
-      } else {
-        std::ostringstream text;
-        text << in.rdbuf();
-        try {
-          const sweep::Json baseline = sweep::Json::parse(text.str());
-          std::printf("\n%s", sweep::perf_diff_text(baseline, report).c_str());
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "perf baseline %s unparsable (%s); skipping diff\n",
-                       cli.perf_baseline_path.c_str(), e.what());
-        }
-      }
+  // Write the report before any failure exit: on a red run it is exactly
+  // the artifact that diagnoses the failure (CI uploads it regardless).
+  if (!cli.out_path.empty()) {
+    std::ofstream out(cli.out_path, std::ios::binary);
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", cli.out_path.c_str());
+      return 1;
     }
+    out << sweep::to_json_text(report);
+    std::printf("wrote %s\n", cli.out_path.c_str());
   }
 
   // Chrome trace_event export of the runs' phase spans (Perfetto-loadable).
@@ -175,7 +178,7 @@ int main(int argc, char** argv) {
   }
 
   // Leaked calls mean corrupted usage streams; fail the smoke run loudly.
-  for (const auto& r : results)
-    if (r.leaked_calls != 0) return 1;
+  if (leaked) return 1;
+  if (cli.check) return sweep::check_against_baseline(report, baseline, cli.baseline_path);
   return 0;
 }

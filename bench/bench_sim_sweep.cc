@@ -16,13 +16,13 @@
 //
 // --check re-runs the sweep with the baseline's spec expected to match the
 // CLI-derived spec, diffs the aggregates within each metric row's band,
-// and exits 1 on any regression (2 on an incomparable baseline).
+// and exits 1 on any regression (2 on an incomparable baseline;
+// sweep::check_against_baseline, shared with bench_sim_scenarios).
 // Determinism is audited on every run: each (seed, scenario) simulates at
 // every --sim-threads count and any divergence fails the run.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "bench/common.h"
 #include "core/table.h"
@@ -33,14 +33,6 @@
 namespace {
 
 using namespace titan;
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::invalid_argument("cannot read " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 void print_aggregates(const sweep::SweepResult& result) {
   // One table per scenario: every metric's distribution across seeds.
@@ -66,13 +58,9 @@ int main(int argc, char** argv) {
                       "§8 evaluated as distributions, not single runs");
 
   sweep::SweepSpec spec;
-  // --scenarios wins; the shared singular --scenario also narrows the
-  // sweep so no documented sim-bench flag is silently ignored.
-  if (!cli.scenarios.empty() && cli.scenarios != "all") {
-    spec.scenarios = bench::split_csv(cli.scenarios);
-  } else if (!cli.scenario.empty() && cli.scenario != "all") {
+  // No --scenario (or "all") sweeps the whole library.
+  if (!cli.scenario.empty() && cli.scenario != "all")
     spec.scenarios = bench::split_csv(cli.scenario);
-  }
   spec.base_seed = cli.seed;
   spec.num_seeds = cli.seeds;
   if (!cli.sim_threads.empty()) {
@@ -96,18 +84,11 @@ int main(int argc, char** argv) {
   try {
     const sweep::SweepRunner runner(spec);
 
-    // Validate --check prerequisites before burning minutes of sweeping:
-    // a missing flag or an unreadable/malformed baseline is a CLI error,
-    // not something a simulation can fix. (Spec comparison happens after
-    // the run, on the result.)
-    sweep::SweepResult baseline;
-    if (cli.check) {
-      if (cli.baseline_path.empty()) {
-        std::fprintf(stderr, "--check requires --baseline PATH\n");
-        return 2;
-      }
-      baseline = sweep::from_json_text(read_file(cli.baseline_path));
-    }
+    // Read the baseline before burning minutes of sweeping: an unreadable
+    // or malformed file is a CLI error, not something a simulation can
+    // fix. (Spec comparison happens after the run, on the result.)
+    const sweep::SweepResult baseline =
+        cli.check ? sweep::read_baseline(cli.baseline_path) : sweep::SweepResult{};
     const sweep::SweepSpec& resolved = runner.spec();
     std::string sim_threads;
     for (const int t : resolved.sim_threads) {
@@ -171,19 +152,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (cli.check) {
-      const auto regressions = sweep::compare_to_baseline(result, baseline);
-      if (!regressions.empty()) {
-        std::fprintf(stderr, "\n%zu metric regression(s) vs %s:\n", regressions.size(),
-                     cli.baseline_path.c_str());
-        for (const auto& r : regressions) std::fprintf(stderr, "  %s\n", r.describe().c_str());
-        std::fprintf(stderr,
-                     "If the change is intentional, refresh the baseline (see README, "
-                     "\"Sweep workflow\").\n");
-        return 1;
-      }
-      std::printf("\nbaseline check PASSED against %s\n", cli.baseline_path.c_str());
-    }
+    if (cli.check) return sweep::check_against_baseline(result, baseline, cli.baseline_path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

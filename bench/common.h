@@ -31,32 +31,27 @@ namespace titan::bench {
 //   --peak X      busiest-slot call volume    (default: per bench)
 //   --scenario S  named scenario, a comma list of names, or "all"
 //                 (sim benches only)
-//   --json PATH   per-scenario report: every metric_table() row, the
-//                 checksum and the latency histograms (bench_sim_scenarios;
-//                 docs/observability.md documents the schema)
-//   --perf-baseline PATH  committed --json report to diff against,
-//                 informationally — never changes the exit code
 //   --trace-out PATH  Chrome trace_event JSON of the runs' phase spans,
 //                 loadable in Perfetto (bench_sim_scenarios only)
 //   --list-scenarios  print the scenario library and exit (sim benches only)
+//   --out P       write the bench's JSON report: the sweep JSON of the sim
+//                 benches (bench_sim_scenarios' is a one-seed sweep), the
+//                 latency report of bench_assign_latency
+//   --baseline P  committed JSON to check the run against with --check
+//   --check       check against --baseline (required with it); exit 1 on
+//                 a regression, 2 on an incomparable baseline
 // Open-loop latency harness (`bench_assign_latency`) extras
 // (docs/observability.md, "Assignment-latency budget"):
 //   --rate X        sustained arrival rate, controller calls per second
 //   --warmup-sec X  leading window whose samples are excluded
 //   --measure-sec X measured window length (the reported distribution)
 //   --cooldown-sec X trailing window whose samples are excluded
-//   (--baseline / --check / --out are shared with the sweep bench: the
-//   baseline is the committed latency-budget JSON, --check exits 1 when
-//   the measured p99 exceeds it, --out writes the perf-report-schema
-//   latency report)
+//   (its --baseline is the committed latency-budget JSON, and --check
+//   exits 1 when the measured p99 exceeds it)
 // Sweep bench (`bench_sim_sweep`) extras:
 //   --seeds N     sweep N consecutive seeds starting at --seed
-//   --scenarios L comma-separated scenario names, or "all"
 //   --sim-threads L  comma list of per-sim thread counts (default "1")
 //   --workers N   sweep worker pool size (default: hardware threads)
-//   --baseline P  baseline JSON to diff against with --check
-//   --check       compare against --baseline; exit 1 on regression
-//   --out P       write the sweep JSON (runs + aggregates)
 // The workload knobs apply to the benches that generate call traces
 // (fig14/15/20, table3/4, sim); pure measurement-study benches accept but
 // do not consume them.
@@ -66,9 +61,10 @@ struct Cli {
   int threads = 1;
   double peak_slot_calls = -1.0;  // < 0: keep the bench's default
   std::string scenario;
-  std::string json_path;
-  std::string perf_baseline_path;
   std::string trace_out_path;
+  std::string baseline_path;
+  bool check = false;
+  std::string out_path;
   // Open-loop latency harness (bench_assign_latency) only.
   double rate_per_sec = 50000.0;
   double warmup_sec = 0.5;
@@ -76,12 +72,8 @@ struct Cli {
   double cooldown_sec = 0.25;
   // Sweep bench only.
   int seeds = 1;
-  std::string scenarios;    // comma list; "" or "all" = whole library
   std::string sim_threads;  // comma list; "" = {1}
   int workers = 0;          // <= 0: hardware threads
-  std::string baseline_path;
-  bool check = false;
-  std::string out_path;
 
   [[nodiscard]] double peak_or(double fallback) const {
     return peak_slot_calls > 0.0 ? peak_slot_calls : fallback;
@@ -118,7 +110,7 @@ inline std::vector<std::string> split_csv(const std::string& list) {
 }
 
 // `known_scenarios` non-empty enables the scenario-aware behaviour: the
-// --scenario / --scenarios values are validated against it (the literal
+// --scenario value is validated against it (the literal
 // "all" is always accepted), an unknown name fails with the valid list,
 // and --list-scenarios prints the library.
 inline CliParse parse_cli_args(int argc, char** argv,
@@ -179,23 +171,6 @@ inline CliParse parse_cli_args(int argc, char** argv,
           if (!check_scenario(name)) break;
         }
       }
-    } else if (is("--scenarios")) {
-      if ((v = value())) {
-        cli.scenarios = v;
-        const auto names = split_csv(cli.scenarios);
-        for (const auto& name : names) {
-          // "all" only makes sense as the entire value.
-          if (name == "all" && names.size() > 1) {
-            fail("'all' cannot be combined with other --scenarios names");
-            break;
-          }
-          if (!check_scenario(name)) break;
-        }
-      }
-    } else if (is("--json")) {
-      if ((v = value())) cli.json_path = v;
-    } else if (is("--perf-baseline")) {
-      if ((v = value())) cli.perf_baseline_path = v;
     } else if (is("--trace-out")) {
       if ((v = value())) cli.trace_out_path = v;
     } else if (is("--rate")) {
@@ -244,18 +219,19 @@ inline CliParse parse_cli_args(int argc, char** argv,
       parse.exit_code = 0;
       parse.message = std::string("usage: ") + argv0 +
                       " [--seed N] [--weeks N] [--threads N] [--peak X] [--scenario S]"
-                      " [--json PATH]"
-                      " [--perf-baseline PATH] [--trace-out PATH]"
+                      " [--trace-out PATH]"
                       " [--rate X] [--warmup-sec X] [--measure-sec X] [--cooldown-sec X]"
-                      " [--seeds N] [--scenarios A,B|all]"
-                      " [--sim-threads L]"
-                      " [--workers N]"
+                      " [--seeds N] [--sim-threads L] [--workers N]"
                       " [--baseline PATH] [--check] [--out PATH]"
                       " [--list-scenarios]\n";
     } else {
       fail(std::string("unknown flag ") + argv[i] + " (try --help)");
     }
   }
+  // A check with nothing to check against is a usage error, caught before
+  // any bench spends minutes on the run it would check.
+  if (parse.exit_code < 0 && cli.check && cli.baseline_path.empty())
+    fail("--check requires --baseline PATH");
   return parse;
 }
 

@@ -120,7 +120,7 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
   std::vector<int>& touched = reach_;    // original rows with nonzero work
   std::vector<int>& stack = stack_;      // DFS state
   std::vector<int>& stack_k = stack_cursor_;
-  std::vector<int>& topo = topo_;        // pivot positions in dependency order
+  std::vector<int>& topo = topo_;        // reached pivot positions, then sorted
 
   for (int j = 0; j < m_; ++j) {
     const int col = basis[static_cast<std::size_t>(col_order_[static_cast<std::size_t>(j)])];
@@ -172,7 +172,7 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
           }
         }
         if (!descended) {
-          // Post-order: pivoted rows go to topo, everything to touched.
+          // Finished: pivoted rows go to topo, everything to touched.
           if (pk >= 0) topo.push_back(pk);
           touched.push_back(r);
           stack.pop_back();
@@ -180,9 +180,10 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
         }
       }
     }
-    // Post-order gives children before parents; eliminate in reverse
-    // (ancestors first = increasing dependency order).
-    std::reverse(topo.begin(), topo.end());
+    // Eliminate in increasing pivot position: L column k only updates rows
+    // pivoted after step k, so every update to a row lands before that
+    // row's own column is applied. topo holds distinct positions, so the
+    // sort alone fixes the order.
     std::sort(topo.begin(), topo.end());
 
     // ---- Numeric: scatter and eliminate.

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
+
+#include "sweep/serialize.h"
 
 namespace titan::sweep {
 
@@ -55,6 +59,36 @@ std::vector<Regression> compare_to_baseline(const SweepResult& current,
     }
   }
   return regressions;
+}
+
+SweepResult read_baseline(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::invalid_argument("cannot read " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return from_json_text(buf.str());
+}
+
+int check_against_baseline(const SweepResult& current, const SweepResult& baseline,
+                           const std::string& path) {
+  std::vector<Regression> regressions;
+  try {
+    regressions = compare_to_baseline(current, baseline);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s (%s)\n", e.what(), path.c_str());
+    return 2;
+  }
+  if (!regressions.empty()) {
+    std::fprintf(stderr, "\n%zu metric regression(s) vs %s:\n", regressions.size(),
+                 path.c_str());
+    for (const auto& r : regressions) std::fprintf(stderr, "  %s\n", r.describe().c_str());
+    std::fprintf(stderr,
+                 "If the change is intentional, refresh the baseline (see README, "
+                 "\"Sweep workflow\").\n");
+    return 1;
+  }
+  std::printf("\nbaseline check PASSED against %s\n", path.c_str());
+  return 0;
 }
 
 }  // namespace titan::sweep

@@ -34,4 +34,16 @@ struct Regression {
 [[nodiscard]] std::vector<Regression> compare_to_baseline(const SweepResult& current,
                                                           const SweepResult& baseline);
 
+// Reads a committed sweep JSON. Throws std::invalid_argument when the file
+// is unreadable or is not a sweep document of this binary's schema, so a
+// bench can refuse a bad --baseline before it simulates anything.
+[[nodiscard]] SweepResult read_baseline(const std::string& path);
+
+// The --check step both sim benches share: compares `current` against
+// `baseline` (read from `path`), prints every regression to stderr or a
+// pass line to stdout, and returns the bench's exit code — 0 on pass, 1 on
+// any regression, 2 when the two are not comparable.
+[[nodiscard]] int check_against_baseline(const SweepResult& current,
+                                         const SweepResult& baseline, const std::string& path);
+
 }  // namespace titan::sweep

@@ -138,7 +138,7 @@ RunRecord run_record_from_json(const Json& j) {
 
 }  // namespace
 
-Json to_json(const SweepResult& result, bool include_runs) {
+Json to_json(const SweepResult& result) {
   Json doc = Json::object();
   doc.set("schema", Json::number(kSweepSchemaVersion));
   doc.set("spec", sweep_spec_to_json(result.spec));
@@ -147,11 +147,9 @@ Json to_json(const SweepResult& result, bool include_runs) {
   for (const auto& name : metric_names()) metrics.push_back(Json::string(name));
   doc.set("metrics", std::move(metrics));
 
-  if (include_runs) {
-    Json runs = Json::array();
-    for (const auto& run : result.runs) runs.push_back(run_record_to_json(run));
-    doc.set("runs", std::move(runs));
-  }
+  Json runs = Json::array();
+  for (const auto& run : result.runs) runs.push_back(run_record_to_json(run));
+  doc.set("runs", std::move(runs));
 
   Json aggregates = Json::array();
   for (const auto& agg : result.aggregates) {
@@ -172,9 +170,7 @@ Json to_json(const SweepResult& result, bool include_runs) {
   return doc;
 }
 
-std::string to_json_text(const SweepResult& result, bool include_runs) {
-  return to_json(result, include_runs).dump(2);
-}
+std::string to_json_text(const SweepResult& result) { return to_json(result).dump(2); }
 
 SweepResult from_json(const Json& doc) {
   if (doc.at("schema").as_int() != kSweepSchemaVersion)
@@ -192,11 +188,9 @@ SweepResult from_json(const Json& doc) {
   SweepResult result;
   result.spec = sweep_spec_from_json(doc.at("spec"));
 
-  if (doc.has("runs")) {
-    const Json& runs = doc.at("runs");
-    for (std::size_t i = 0; i < runs.size(); ++i)
-      result.runs.push_back(run_record_from_json(runs.at(i)));
-  }
+  const Json& runs = doc.at("runs");
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    result.runs.push_back(run_record_from_json(runs.at(i)));
 
   const Json& aggregates = doc.at("aggregates");
   for (std::size_t i = 0; i < aggregates.size(); ++i) {

@@ -1,15 +1,16 @@
 // SweepResult <-> JSON.
 //
-// The sweep JSON is the contract between `bench_sim_sweep`, the committed
-// regression baseline under bench/baselines/, and CI artifacts, so the
-// mapping is versioned (`schema`) and loss-free: serialize -> parse ->
-// re-serialize is byte-identical (doubles go through %.17g, checksums
-// through fixed-width hex, seeds — full uint64 values a JSON double would
-// corrupt past 2^53 — through decimal strings, object keys keep insertion
-// order). Execution knobs (worker count, task shuffle seed) are
-// intentionally NOT part of the document — two sweeps that differ only in
-// how they were scheduled serialize to the same bytes. The reader ignores
-// unknown keys, so additive fields never break an older baseline.
+// The sweep JSON is the contract between the sim benches (`bench_sim_sweep`
+// and `bench_sim_scenarios`' one-seed scenario report), the committed
+// baselines under bench/baselines/, and CI artifacts, so the mapping is
+// versioned (`schema`) and loss-free: serialize -> parse -> re-serialize is
+// byte-identical (doubles go through %.17g, checksums through fixed-width
+// hex, seeds — full uint64 values a JSON double would corrupt past 2^53 —
+// through decimal strings, object keys keep insertion order). Execution
+// knobs (worker count, task shuffle seed) are intentionally NOT part of the
+// document — two sweeps that differ only in how they were scheduled
+// serialize to the same bytes. The reader ignores unknown keys, so additive
+// fields never break an older baseline.
 #pragma once
 
 #include <string>
@@ -43,15 +44,18 @@ namespace titan::sweep {
 // metric_aggregation_seconds, shard_work_seconds, lp_build_seconds,
 // lp_phase1_seconds, lp_phase2_seconds and lp_refactor_seconds. Earlier
 // baselines must be regenerated, not compared.
-inline constexpr int kSweepSchemaVersion = 7;
+// v8: the controller's latency summaries became wall-clock rows
+// (assign_p50_us, assign_p99_us, admission_p50_us, admission_p99_us), and
+// bench_sim_scenarios' scenario report became a one-seed sweep document,
+// replacing its own report schema. Earlier baselines must be regenerated,
+// not compared.
+inline constexpr int kSweepSchemaVersion = 8;
 
 // Checksums travel as 16-digit lowercase hex strings.
 [[nodiscard]] std::string hex64(std::uint64_t v);
 
-// `include_runs` = false drops the per-run records (aggregates only), for
-// compact CI artifacts; the committed baseline keeps runs for forensics.
-[[nodiscard]] Json to_json(const SweepResult& result, bool include_runs = true);
-[[nodiscard]] std::string to_json_text(const SweepResult& result, bool include_runs = true);
+[[nodiscard]] Json to_json(const SweepResult& result);
+[[nodiscard]] std::string to_json_text(const SweepResult& result);
 
 // Throws std::invalid_argument on malformed documents, unknown schema
 // versions, or metric schemas that do not match this binary's.

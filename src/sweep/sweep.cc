@@ -160,6 +160,16 @@ const std::vector<MetricDef>& metric_table() {
       wall_clock("lp_refactor_seconds", [](const SimResult& r) {
         return replan_total(r, &sim::ReplanStat::refactor_seconds);
       }),
+      // Controller and admission latency summaries (schema v8), wall clock.
+      // The admission histogram is empty (0) outside the overload scenarios.
+      wall_clock("assign_p50_us",
+                 [](const SimResult& r) { return r.perf.assign_latency_us.quantile(0.50); }),
+      wall_clock("assign_p99_us",
+                 [](const SimResult& r) { return r.perf.assign_latency_us.quantile(0.99); }),
+      wall_clock("admission_p50_us",
+                 [](const SimResult& r) { return r.perf.admission_latency_us.quantile(0.50); }),
+      wall_clock("admission_p99_us",
+                 [](const SimResult& r) { return r.perf.admission_latency_us.quantile(0.99); }),
   };
   return table;
 }
@@ -171,6 +181,16 @@ const std::vector<std::string>& metric_names() {
     return out;
   }();
   return names;
+}
+
+RunRecord make_run_record(const sim::SimResult& r, std::uint64_t seed) {
+  RunRecord record;
+  record.scenario = r.scenario;
+  record.seed = seed;
+  record.threads = r.threads;
+  record.checksum = r.checksum;
+  record.values = metric_values(r);
+  return record;
 }
 
 std::vector<double> metric_values(const sim::SimResult& r) {
@@ -274,17 +294,11 @@ SweepTaskResult run_sweep_task(const SweepSpec& spec, const std::string& scenari
   sims.reserve(variants);
   for (std::size_t v = 0; v < variants; ++v) {
     sims.push_back(engine.run(spec.sim_threads[v]));
-    sim::SimResult& r = sims.back();
-    RunRecord& record = task.records[v];
-    record.scenario = scenario;
-    record.seed = seed;
-    record.threads = spec.sim_threads[v];
-    record.checksum = r.checksum;
-    record.values = metric_values(r);
+    task.records[v] = make_run_record(sims.back(), seed);
     // Mask the wall-clock fields in place (the record has already captured
     // everything it needs): what remains must be bit-identical across
     // thread counts.
-    r.zero_wallclock();
+    sims.back().zero_wallclock();
   }
   // The engine's core promise: thread count changes nothing. Compare the
   // full SimResult (streams included) bit-for-bit.
@@ -301,11 +315,8 @@ SweepTaskResult run_sweep_task(const SweepSpec& spec, const std::string& scenari
   return task;
 }
 
-// Assembles the filled canonical slots ((scenario-index * num_seeds +
-// seed-index) * |sim_threads| + variant) into the final SweepResult: sorts
-// the violations and aggregates across seeds. A pure function of its
-// inputs, so any schedule that fills the same slots produces the same
-// bytes.
+}  // namespace
+
 SweepResult assemble_sweep_result(const SweepSpec& spec, std::vector<RunRecord> runs,
                                   std::vector<std::string> determinism_violations,
                                   std::vector<double> task_seconds) {
@@ -342,8 +353,6 @@ SweepResult assemble_sweep_result(const SweepSpec& spec, std::vector<RunRecord> 
   }
   return result;
 }
-
-}  // namespace
 
 SweepRunner::SweepRunner(SweepSpec spec) : spec_(validate_sweep_spec(std::move(spec))) {}
 

@@ -78,8 +78,8 @@ struct MetricDef {
 };
 
 // The metric table, in report order: the one list every surface derives
-// from — the sweep schema, masking, baseline bands, and the per-scenario
-// report of bench_sim_scenarios --json (sweep/perf_report.h).
+// from — the sweep schema (bench_sim_sweep's sweep and bench_sim_scenarios'
+// one-seed scenario report alike), masking and baseline bands.
 [[nodiscard]] const std::vector<MetricDef>& metric_table();
 
 // Views of metric_table(): the names, one value per name, and the indices
@@ -98,6 +98,10 @@ struct RunRecord {
 
   bool operator==(const RunRecord&) const = default;
 };
+
+// One simulation reduced to its record: the run's scenario, thread count,
+// checksum and metric_values, under `seed`.
+[[nodiscard]] RunRecord make_run_record(const sim::SimResult& r, std::uint64_t seed);
 
 // Distribution of one metric across seeds.
 struct MetricStats {
@@ -180,5 +184,16 @@ class SweepRunner {
 // benches/tests can reproduce exactly what the sweep simulated.
 [[nodiscard]] sim::Scenario sweep_scenario(const SweepSpec& spec, const std::string& name,
                                            std::uint64_t seed);
+
+// Assembles filled canonical slots ((scenario-index * num_seeds +
+// seed-index) * |sim_threads| + variant) into a SweepResult: normalizes
+// the spec echo's execution knobs, sorts the violations and aggregates
+// every metric across seeds. A pure function of its inputs, so any
+// schedule that fills the same slots produces the same bytes.
+// `task_seconds` may be empty when the caller did not time its tasks.
+[[nodiscard]] SweepResult assemble_sweep_result(const SweepSpec& spec,
+                                                std::vector<RunRecord> runs,
+                                                std::vector<std::string> determinism_violations,
+                                                std::vector<double> task_seconds);
 
 }  // namespace titan::sweep

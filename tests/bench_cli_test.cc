@@ -1,5 +1,5 @@
 // Tests for the shared bench CLI (bench/common.h): flag parsing, the
-// scenario-aware validation (--scenario/--scenarios against a library,
+// scenario-aware validation (--scenario against a library,
 // unknown names exit 2 with the valid list), and --list-scenarios. The
 // benches call the exiting wrapper parse_cli(); these tests drive the
 // non-exiting core parse_cli_args() it is built on.
@@ -23,7 +23,7 @@ CliParse parse(std::vector<std::string> args,
 
 TEST(BenchCliTest, ParsesSharedAndSweepFlags) {
   const CliParse p = parse({"--seed", "7", "--weeks", "3", "--threads", "4", "--peak",
-                            "250", "--seeds", "5", "--scenarios", "steady-week,dc-drain",
+                            "250", "--seeds", "5", "--scenario", "steady-week,dc-drain",
                             "--sim-threads", "1,2,8", "--workers", "6", "--baseline",
                             "base.json", "--check", "--out", "sweep.json"},
                            sim::scenario_names());
@@ -34,7 +34,7 @@ TEST(BenchCliTest, ParsesSharedAndSweepFlags) {
   EXPECT_EQ(p.cli.threads, 4);
   EXPECT_DOUBLE_EQ(p.cli.peak_slot_calls, 250.0);
   EXPECT_EQ(p.cli.seeds, 5);
-  EXPECT_EQ(p.cli.scenarios, "steady-week,dc-drain");
+  EXPECT_EQ(p.cli.scenario, "steady-week,dc-drain");
   EXPECT_EQ(p.cli.sim_threads, "1,2,8");
   EXPECT_EQ(p.cli.workers, 6);
   EXPECT_EQ(p.cli.baseline_path, "base.json");
@@ -42,51 +42,29 @@ TEST(BenchCliTest, ParsesSharedAndSweepFlags) {
   EXPECT_EQ(p.cli.out_path, "sweep.json");
 }
 
-// The rolling-horizon replan drill and its report are gone (perfbench's
-// `steady` vs `cold` measures replan latency); its flag is unknown.
-TEST(BenchCliTest, ReplanJsonFlagIsRejected) {
-  const CliParse p = parse({"--replan-json", "replan.json"}, sim::scenario_names());
-  EXPECT_EQ(p.exit_code, 2);
-  EXPECT_NE(p.message.find("unknown flag --replan-json"), std::string::npos) << p.message;
-  const CliParse help = parse({"--help"});
-  EXPECT_EQ(help.message.find("--replan-json"), std::string::npos) << help.message;
-}
-
-TEST(BenchCliTest, ParsesObservabilityPaths) {
-  const CliParse p = parse({"--json", "report.json", "--perf-baseline", "base_perf.json",
-                            "--trace-out", "trace.json"},
-                           sim::scenario_names());
-  ASSERT_LT(p.exit_code, 0) << p.message;
-  EXPECT_EQ(p.cli.json_path, "report.json");
-  EXPECT_EQ(p.cli.perf_baseline_path, "base_perf.json");
-  EXPECT_EQ(p.cli.trace_out_path, "trace.json");
-  // Off by default: the hot paths must not pay for tracing unasked.
-  const CliParse bare = parse({}, sim::scenario_names());
-  EXPECT_TRUE(bare.cli.json_path.empty());
-  EXPECT_TRUE(bare.cli.perf_baseline_path.empty());
-  EXPECT_TRUE(bare.cli.trace_out_path.empty());
-}
-
-TEST(BenchCliTest, ObservabilityFlagsMissingValuesExitTwo) {
-  EXPECT_EQ(parse({"--json"}).exit_code, 2);
-  EXPECT_EQ(parse({"--perf-baseline"}).exit_code, 2);
-  EXPECT_EQ(parse({"--trace-out"}).exit_code, 2);
-  // The help text advertises every observability flag.
+// Report flags that no bench reads any more are unknown: the scenario
+// report is written by --out and checked by --baseline/--check, replan
+// latency is perfbench's, and --scenario takes a comma list.
+TEST(BenchCliTest, RemovedFlagsAreRejected) {
   const CliParse help = parse({"--help"});
   ASSERT_EQ(help.exit_code, 0);
-  EXPECT_NE(help.message.find("--json"), std::string::npos) << help.message;
-  EXPECT_NE(help.message.find("--perf-baseline"), std::string::npos) << help.message;
-  EXPECT_NE(help.message.find("--trace-out"), std::string::npos) << help.message;
+  for (const std::string flag :
+       {"--replan-json", "--perf-json", "--json", "--perf-baseline", "--scenarios"}) {
+    const CliParse p = parse({flag, "x.json"}, sim::scenario_names());
+    EXPECT_EQ(p.exit_code, 2) << flag;
+    EXPECT_NE(p.message.find("unknown flag " + flag), std::string::npos) << p.message;
+    EXPECT_EQ(help.message.find(flag), std::string::npos) << help.message;
+  }
 }
 
-// --json is the one scenario report; the separate perf report flag is
-// gone and is rejected like any unknown flag.
-TEST(BenchCliTest, PerfJsonFlagIsRejected) {
-  const CliParse p = parse({"--perf-json", "perf.json"}, sim::scenario_names());
-  EXPECT_EQ(p.exit_code, 2);
-  EXPECT_NE(p.message.find("unknown flag --perf-json"), std::string::npos) << p.message;
-  const CliParse help = parse({"--help"});
-  EXPECT_EQ(help.message.find("--perf-json"), std::string::npos) << help.message;
+TEST(BenchCliTest, ParsesTraceOutPath) {
+  const CliParse p = parse({"--trace-out", "trace.json"}, sim::scenario_names());
+  ASSERT_LT(p.exit_code, 0) << p.message;
+  EXPECT_EQ(p.cli.trace_out_path, "trace.json");
+  // Off by default: the hot paths must not pay for tracing unasked.
+  EXPECT_TRUE(parse({}, sim::scenario_names()).cli.trace_out_path.empty());
+  EXPECT_EQ(parse({"--trace-out"}).exit_code, 2);
+  EXPECT_NE(parse({"--help"}).message.find("--trace-out"), std::string::npos);
 }
 
 TEST(BenchCliTest, ParsesOpenLoopHarnessFlags) {
@@ -130,9 +108,7 @@ TEST(BenchCliTest, UnknownScenarioExitsTwoWithTheValidList) {
 }
 
 TEST(BenchCliTest, ScenarioAcceptsACommaList) {
-  // The singular flag takes a comma list too (the CI overload-smoke step
-  // uses it), with the same per-name validation and "all" exclusivity as
-  // --scenarios.
+  // The flag takes a comma list, each name validated, "all" only alone.
   const CliParse p = parse({"--scenario", "overload-sustained,cascading-drain"},
                            sim::scenario_names());
   EXPECT_LT(p.exit_code, 0) << p.message;
@@ -150,19 +126,19 @@ TEST(BenchCliTest, ScenarioAcceptsACommaList) {
 
 TEST(BenchCliTest, UnknownNameInScenariosListAlsoExitsTwo) {
   const CliParse p =
-      parse({"--scenarios", "steady-week,bogus,dc-drain"}, sim::scenario_names());
+      parse({"--scenario", "steady-week,bogus,dc-drain"}, sim::scenario_names());
   EXPECT_EQ(p.exit_code, 2);
   EXPECT_NE(p.message.find("unknown scenario 'bogus'"), std::string::npos) << p.message;
 }
 
 TEST(BenchCliTest, AllMixedIntoAScenariosListIsRejected) {
-  // "all" is only meaningful as the entire --scenarios value; combined
+  // "all" is only meaningful as the entire --scenario value; combined
   // with names it would otherwise sail past validation and blow up later
   // in the sweep runner without the helpful message.
-  const CliParse p = parse({"--scenarios", "steady-week,all"}, sim::scenario_names());
+  const CliParse p = parse({"--scenario", "dc-drain,all"}, sim::scenario_names());
   EXPECT_EQ(p.exit_code, 2);
   EXPECT_NE(p.message.find("'all' cannot be combined"), std::string::npos) << p.message;
-  const CliParse alone = parse({"--scenarios", "all"}, sim::scenario_names());
+  const CliParse alone = parse({"--scenario", "all"}, sim::scenario_names());
   EXPECT_LT(alone.exit_code, 0) << alone.message;
 }
 
@@ -195,6 +171,11 @@ TEST(BenchCliTest, UsageErrorsExitTwo) {
   EXPECT_EQ(parse({"--seed"}).exit_code, 2);     // missing value
   EXPECT_EQ(parse({"--weeks", "0"}).exit_code, 2);
   EXPECT_EQ(parse({"--seeds", "0"}).exit_code, 2);
+  // --check with nothing to check against is refused before any run.
+  const CliParse check = parse({"--check"});
+  EXPECT_EQ(check.exit_code, 2);
+  EXPECT_NE(check.message.find("--check requires --baseline"), std::string::npos)
+      << check.message;
   const CliParse help = parse({"--help"});
   EXPECT_EQ(help.exit_code, 0);
   EXPECT_NE(help.message.find("usage:"), std::string::npos);

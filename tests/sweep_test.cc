@@ -3,8 +3,8 @@
 // and sweep output invariant under task-order shuffling and worker count),
 // distribution statistics, lossless JSON round-trips of per-run and
 // aggregate results, baseline regression comparison (passing on self,
-// failing on perturbation beyond a row's band), the per-scenario report and
-// its informational diff, and the assignment-latency budget gate.
+// failing on perturbation beyond a row's band), the one-seed scenario
+// report of bench_sim_scenarios, and the assignment-latency budget gate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -306,13 +306,6 @@ TEST(SweepJsonTest, SweepResultRoundTripIsLossless) {
 
   // Byte-level: serialize -> parse -> re-serialize is the identity.
   EXPECT_EQ(to_json_text(parsed), text);
-
-  // Aggregate-only documents (CI artifacts) round-trip the same way.
-  const std::string aggregate_text = to_json_text(result, /*include_runs=*/false);
-  const SweepResult aggregate_parsed = from_json_text(aggregate_text);
-  EXPECT_TRUE(aggregate_parsed.runs.empty());
-  EXPECT_TRUE(aggregate_parsed.aggregates == result.aggregates);
-  EXPECT_EQ(to_json_text(aggregate_parsed, /*include_runs=*/false), aggregate_text);
 }
 
 // Seeds are full uint64 values; JSON numbers would corrupt them past 2^53,
@@ -439,78 +432,74 @@ TEST(SweepBaselineTest, IncomparableSpecsThrow) {
   EXPECT_THROW((void)compare_to_baseline(result, different_peak), std::invalid_argument);
 }
 
-// --- per-scenario report (bench_sim_scenarios --json) --------------------
+// --- scenario report (bench_sim_scenarios --out / --check) ---------------
 
-// Every number of a scenario entry is a metric_table() row, in the block
-// its kind names, with the value metric_values reads; besides the rows the
-// entry holds only the scenario name, the checksum and the two latency
-// histograms.
-TEST(PerfReportTest, ScenarioEntryIsExactlyTheMetricTable) {
+// The scenario report as bench_sim_scenarios assembles it: a one-seed spec
+// echo, one record per simulated scenario, and the sweep's own
+// aggregation. One steady-week run serves every case.
+SweepSpec report_spec() {
   SweepSpec spec = small_spec();
+  spec.scenarios = {"steady-week"};
   spec.num_seeds = 1;
-  const sim::SimResult r =
-      sim::SimEngine(sweep_scenario(spec, "steady-week", spec.base_seed)).run(1);
-  const Json entry = perf_scenario_json(r);
+  return spec;
+}
 
-  std::vector<std::string> keys;
-  for (const auto& [key, value] : entry.members()) keys.push_back(key);
-  EXPECT_EQ(keys, (std::vector<std::string>{"scenario", "checksum", "deterministic",
-                                            "wall_clock", "assign_latency_us",
-                                            "admission_latency_us"}));
-  EXPECT_EQ(entry.at("checksum").as_string(), hex64(r.checksum));
+const sim::SimResult& report_run() {
+  static const sim::SimResult r =
+      sim::SimEngine(sweep_scenario(report_spec(), "steady-week", report_spec().base_seed))
+          .run(1);
+  return r;
+}
 
-  const Json& det = entry.at("deterministic");
-  const Json& wall = entry.at("wall_clock");
-  EXPECT_EQ(det.size() + wall.size(), metric_table().size());
-  const auto values = metric_values(r);
-  for (std::size_t i = 0; i < metric_table().size(); ++i) {
-    const MetricDef& m = metric_table()[i];
-    const Json& block = m.wall_clock ? wall : det;
-    const Json& other = m.wall_clock ? det : wall;
-    ASSERT_TRUE(block.has(m.name)) << m.name;
-    EXPECT_FALSE(other.has(m.name)) << m.name;
-    EXPECT_EQ(block.at(m.name).as_number(), values[i]) << m.name;
+SweepResult scenario_report(std::vector<RunRecord> runs) {
+  return assemble_sweep_result(report_spec(), std::move(runs), {}, {});
+}
+
+RunRecord report_record() { return make_run_record(report_run(), report_spec().base_seed); }
+
+TEST(ScenarioReportTest, OneSeedReportRoundTripsByteIdentically) {
+  const std::string text = to_json_text(scenario_report({report_record()}));
+  const SweepResult parsed = from_json_text(text);
+  EXPECT_EQ(to_json_text(parsed), text);
+  ASSERT_EQ(parsed.aggregates.size(), 1u);
+  EXPECT_EQ(parsed.aggregates[0].seeds, 1);
+}
+
+// The record is exactly the run's checksum and metric_table() values, and
+// each one-seed aggregate is that value.
+TEST(ScenarioReportTest, RecordIsTheMetricValuesAndChecksum) {
+  const SweepResult r = scenario_report({report_record()});
+  ASSERT_EQ(r.runs.size(), 1u);
+  const RunRecord& run = r.runs[0];
+  EXPECT_EQ(run.scenario, "steady-week");
+  EXPECT_EQ(run.seed, report_spec().base_seed);
+  EXPECT_EQ(run.threads, 1);
+  EXPECT_EQ(run.checksum, report_run().checksum);
+  EXPECT_EQ(run.values, metric_values(report_run()));
+  for (std::size_t m = 0; m < metric_names().size(); ++m)
+    EXPECT_EQ(r.aggregates[0].stats[m].mean, run.values[m]) << metric_names()[m];
+}
+
+// A run whose pivot count doubles fails the check on replan_iterations,
+// the work counter it moved.
+TEST(ScenarioReportTest, ChangedPivotsRegressReplanIterations) {
+  const RunRecord record = report_record();
+  const auto& names = metric_names();
+  const std::size_t pivots = static_cast<std::size_t>(
+      std::find(names.begin(), names.end(), "replan_iterations") - names.begin());
+  ASSERT_LT(pivots, names.size());
+  ASSERT_GT(record.values[pivots], 0.0);
+
+  RunRecord doubled = record;
+  doubled.values[pivots] *= 2.0;
+  const SweepResult baseline = scenario_report({record});
+  EXPECT_TRUE(compare_to_baseline(baseline, baseline).empty());
+  const auto regressions = compare_to_baseline(scenario_report({doubled}), baseline);
+  ASSERT_EQ(regressions.size(), 2u);  // its mean and its p95
+  for (const auto& regression : regressions) {
+    EXPECT_EQ(regression.scenario, "steady-week");
+    EXPECT_EQ(regression.metric, "replan_iterations");
   }
-}
-
-// --- perf report diff (bench_sim_scenarios --perf-baseline) --------------
-
-// A one-scenario perf report with checksum `checksum`, deterministic block
-// `det` (a JSON object literal) and a fixed throughput.
-Json perf_report_with(const std::string& det, const std::string& checksum = "00aa") {
-  return Json::parse(R"({"config": {"peak_slot_calls": 200},
-    "scenarios": [{"scenario": "steady-week", "checksum": ")" + checksum + R"(",
-                   "deterministic": )" + det + R"(,
-                   "wall_clock": {"calls_per_sec": 1000}}]})");
-}
-
-TEST(PerfDiffTest, NamesEveryChangedDeterministicAnchor) {
-  const std::string text = perf_diff_text(
-      perf_report_with(R"({"calls": 25459, "replan_iterations": 155980})", "00aa"),
-      perf_report_with(R"({"calls": 25459, "replan_iterations": 311960})", "00bb"));
-  EXPECT_NE(text.find("workload changed"), std::string::npos) << text;
-  EXPECT_NE(text.find("replan_iterations 155980 -> 311960"), std::string::npos) << text;
-  EXPECT_NE(text.find("checksum 00aa -> 00bb"), std::string::npos) << text;
-  EXPECT_EQ(text.find("calls 25459"), std::string::npos) << text;  // unchanged: not named
-}
-
-// A row the baseline predates is a schema difference, not a workload
-// change.
-TEST(PerfDiffTest, OneSidedKeysAreAbsentNotChanged) {
-  const std::string text =
-      perf_diff_text(perf_report_with(R"({"calls": 7, "stale": 1})"),
-                     perf_report_with(R"({"calls": 7, "replan_fallback_pivots": 0})"));
-  EXPECT_EQ(text.find("workload changed"), std::string::npos) << text;
-  EXPECT_NE(text.find("replan_fallback_pivots (not in baseline)"), std::string::npos) << text;
-  EXPECT_NE(text.find("stale (not in current)"), std::string::npos) << text;
-}
-
-TEST(PerfDiffTest, IdenticalDeterministicBlocksPrintNoNote) {
-  const Json report = perf_report_with(R"({"calls": 7})");
-  const std::string text = perf_diff_text(report, report);
-  EXPECT_EQ(text.find("workload changed"), std::string::npos) << text;
-  EXPECT_EQ(text.find("not in"), std::string::npos) << text;
-  EXPECT_NE(text.find("calls/sec"), std::string::npos) << text;
 }
 
 // --- assignment-latency budget gate (bench_assign_latency --check) ------
