@@ -13,8 +13,10 @@
 // metric_table() row), and `--baseline PATH --check` compares it with a
 // committed one within each row's band, exiting 1 on a regression and 2
 // on an incomparable baseline (sweep::check_against_baseline, shared with
-// bench_sim_sweep).
+// bench_sim_sweep). Each scenario's printed table is its run record: the
+// metric_table() rows and the checksum.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -41,48 +43,17 @@ titan::sim::SimResult run_one(const titan::sweep::SweepSpec& spec, const std::st
               scenario.replan_interval_slots, scenario.shards, threads);
   const auto r = engine.run(threads);
 
+  // The table is the report's run record: every metric_table() row, then
+  // the checksum. Whole numbers (counts) print as integers.
+  const auto& names = sweep::metric_names();
+  const std::vector<double> values = sweep::metric_values(r);
   core::TextTable t({"metric", "value"});
-  t.add_row({"calls simulated", std::to_string(r.calls)});
-  t.add_row({"replans", std::to_string(r.replans)});
-  t.add_row({"inter-DC migrations",
-             std::to_string(r.dc_migrations) + "  (" +
-                 core::TextTable::pct(r.migration_rate()) + " of calls)"});
-  t.add_row({"forced evacuations", std::to_string(r.forced_migrations)});
-  t.add_row({"route failovers (Internet->WAN)", std::to_string(r.route_changes)});
-  t.add_row({"transit failovers (pair steering)", std::to_string(r.transit_failovers)});
-  t.add_row({"out-of-plan convergences",
-             std::to_string(r.out_of_plan) + "  (" + core::TextTable::pct(r.out_of_plan_rate()) +
-                 ")"});
-  t.add_row({"fallback assignments", std::to_string(r.fallback_assignments)});
-  if (r.rejected_calls > 0 || r.degraded_calls > 0) {
-    t.add_row({"rejected calls (admission shed)",
-               std::to_string(r.rejected_calls) + "  (" +
-                   core::TextTable::pct(r.calls > 0 ? static_cast<double>(r.rejected_calls) /
-                                                          static_cast<double>(r.calls)
-                                                    : 0.0) +
-                   " of offered)"});
-    t.add_row({"degraded admissions (media step-down)", std::to_string(r.degraded_calls)});
-    t.add_row({"admission latency",
-               "p50 " + core::TextTable::num(r.perf.admission_latency_us.quantile(0.5), 2) +
-                   " us, p99 " +
-                   core::TextTable::num(r.perf.admission_latency_us.quantile(0.99), 2) + " us"});
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const double v = values[i];
+    t.add_row({names[i], v == std::floor(v) && std::abs(v) < 1e15
+                             ? std::to_string(static_cast<long long>(v))
+                             : core::TextTable::num(v, 4)});
   }
-  t.add_row({"internet share", core::TextTable::pct(r.internet_share)});
-  t.add_row({"mean MOS proxy", core::TextTable::num(r.mean_mos, 3)});
-  t.add_row({"sum of WAN day-peaks (worst day)",
-             core::TextTable::num(*std::max_element(r.wan.per_day_sum_of_peaks_mbps.begin(),
-                                                    r.wan.per_day_sum_of_peaks_mbps.end()),
-                                  0) +
-                 " Mbps"});
-  t.add_row({"plan time (LP)", core::TextTable::num(r.plan_seconds, 2) + " s"});
-  t.add_row({"forecast time", core::TextTable::num(r.forecast_seconds, 2) + " s"});
-  t.add_row({"wall time", core::TextTable::num(r.wall_seconds, 2) + " s"});
-  t.add_row({"throughput", core::TextTable::num(r.calls_per_sec(), 0) + " calls/s, " +
-                               core::TextTable::num(r.events_per_sec(), 0) + " events/s"});
-  t.add_row({"assign latency",
-             "p50 " + core::TextTable::num(r.perf.assign_latency_us.quantile(0.5), 1) +
-                 " us, p99 " + core::TextTable::num(r.perf.assign_latency_us.quantile(0.99), 1) +
-                 " us, max " + core::TextTable::num(r.perf.assign_latency_us.max(), 1) + " us"});
   t.add_row({"determinism checksum", sweep::hex64(r.checksum)});
   std::printf("%s", t.render().c_str());
 

@@ -13,7 +13,7 @@ namespace {
 
 // Runs the additive Holt-Winters recursion over the series, returning the
 // final state and accumulating one-step-ahead SSE.
-HoltWintersFit run(const std::vector<double>& series, const HoltWintersParams& p) {
+HoltWintersFit run(std::span<const double> series, const HoltWintersParams& p) {
   const int m = p.season_length;
   const auto n = static_cast<int>(series.size());
   if (m < 2) throw std::invalid_argument("HoltWinters: season_length must be >= 2");
@@ -60,12 +60,12 @@ HoltWintersFit run(const std::vector<double>& series, const HoltWintersParams& p
 
 }  // namespace
 
-HoltWintersFit HoltWinters::fit(const std::vector<double>& series,
+HoltWintersFit HoltWinters::fit(std::span<const double> series,
                                 const HoltWintersParams& params) {
   return run(series, params);
 }
 
-HoltWintersFit HoltWinters::fit_auto(const std::vector<double>& series, int season_length) {
+HoltWintersFit HoltWinters::fit_auto(std::span<const double> series, int season_length) {
   // Coarse grid, then one refinement pass around the best cell. Call-count
   // series are smooth enough that this lands within a hair of the optimum.
   const std::vector<double> coarse = {0.05, 0.15, 0.3, 0.5, 0.75};

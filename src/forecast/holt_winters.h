@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace titan::forecast {
@@ -34,10 +35,10 @@ class HoltWinters {
  public:
   // Fits with fixed parameters. `series` must span at least two full
   // seasons; throws std::invalid_argument otherwise.
-  static HoltWintersFit fit(const std::vector<double>& series, const HoltWintersParams& params);
+  static HoltWintersFit fit(std::span<const double> series, const HoltWintersParams& params);
 
   // Grid-searches (alpha, beta, gamma) minimizing one-step-ahead SSE.
-  static HoltWintersFit fit_auto(const std::vector<double>& series, int season_length);
+  static HoltWintersFit fit_auto(std::span<const double> series, int season_length);
 
   // Point forecasts for the next `horizon` steps after the end of the
   // training series. Negative forecasts are clamped to zero (call counts).

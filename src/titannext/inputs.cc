@@ -20,23 +20,16 @@ void PlanInputs::set_demand(const workload::ConfigRegistry& registry,
 
   // Group original configs into (possibly reduced) shapes, accumulating
   // reduced units = count * multiplier so resources are preserved (§6.2).
-  std::map<workload::CallConfig, ReducedDemand> grouped;
+  // The registry's grouping maps each config to its group; groups enter
+  // the sort below in CallConfig order of their shapes.
+  const workload::ConfigGrouping& grouping = registry.grouping(use_reduction);
+  std::vector<ReducedDemand> grouped(grouping.shapes.size());
   const int slots = scope_.timeslots;
   for (std::size_t cfg = 0; cfg < registry.size(); ++cfg) {
     const auto& counts = counts_per_config[cfg];
-    const workload::CallConfig& original = registry.get(core::ConfigId(static_cast<int>(cfg)));
-    workload::CallConfig shape = original;
-    int multiplier = 1;
-    if (use_reduction) {
-      const auto reduced = workload::reduce(original);
-      shape = reduced.config;
-      multiplier = reduced.multiplier;
-    }
-    auto& d = grouped[shape];
-    if (d.units_per_slot.empty()) {
-      d.config = shape;
-      d.units_per_slot.assign(static_cast<std::size_t>(slots), 0.0);
-    }
+    const int multiplier = grouping.multiplier[cfg];
+    auto& d = grouped[static_cast<std::size_t>(grouping.group_of[cfg])];
+    if (d.units_per_slot.empty()) d.units_per_slot.assign(static_cast<std::size_t>(slots), 0.0);
     const int n = std::min<int>(slots, static_cast<int>(counts.size()));
     for (int t = 0; t < n; ++t) {
       const double units = counts[static_cast<std::size_t>(t)] * multiplier;
@@ -46,7 +39,11 @@ void PlanInputs::set_demand(const workload::ConfigRegistry& registry,
   }
 
   demands_.reserve(grouped.size());
-  for (auto& [shape, d] : grouped) demands_.push_back(std::move(d));
+  for (const int group : grouping.order) {
+    auto& d = grouped[static_cast<std::size_t>(group)];
+    d.config = grouping.shapes[static_cast<std::size_t>(group)];
+    demands_.push_back(std::move(d));
+  }
   std::sort(demands_.begin(), demands_.end(),
             [](const ReducedDemand& a, const ReducedDemand& b) {
               return a.total_units > b.total_units;

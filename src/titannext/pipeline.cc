@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <span>
 
 namespace titan::titannext {
 
@@ -11,33 +12,48 @@ ForecastOutput forecast_counts(const std::vector<std::vector<double>>& history,
   const auto t0 = std::chrono::steady_clock::now();
   ForecastOutput out;
   out.counts.assign(history.size(), std::vector<double>(static_cast<std::size_t>(horizon), 0.0));
+  // A series is read within its own length; slots past its end count as 0.
+  const auto observed = [&](std::size_t c) {
+    return std::span<const double>(history[c]).first(std::min<std::size_t>(
+        history[c].size(), static_cast<std::size_t>(std::max(history_end, 0))));
+  };
 
-  // Rank configs by training volume.
-  std::vector<std::size_t> order(history.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<double> totals(history.size(), 0.0);
-  for (std::size_t c = 0; c < history.size(); ++c)
-    for (int t = 0; t < history_end && t < static_cast<int>(history[c].size()); ++t)
-      totals[c] += history[c][static_cast<std::size_t>(t)];
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return totals[a] > totals[b]; });
-
+  // Persistence: same slot one week earlier (zeros when history is short).
   const int season = core::kSlotsPerWeek;
-  for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    const std::size_t c = order[rank];
-    const std::vector<double> series(history[c].begin(),
-                                     history[c].begin() + history_end);
-    if (static_cast<int>(rank) < top_k && history_end >= 2 * season && totals[c] > 0.0) {
-      const auto fit = forecast::HoltWinters::fit_auto(series, season);
-      out.counts[c] = forecast::HoltWinters::forecast(fit, horizon);
-      ++out.hw_configs;
-    } else {
-      // Persistence: same slot one week earlier (zeros when history short).
-      for (int h = 0; h < horizon; ++h) {
-        const int src = history_end + h - season;
-        out.counts[c][static_cast<std::size_t>(h)] =
-            (src >= 0 && src < history_end) ? series[static_cast<std::size_t>(src)] : 0.0;
+  for (std::size_t c = 0; c < history.size(); ++c) {
+    const std::span<const double> series = observed(c);
+    for (int h = 0; h < horizon; ++h) {
+      const int src = history_end + h - season;
+      if (src >= 0 && src < static_cast<int>(series.size()))
+        out.counts[c][static_cast<std::size_t>(h)] = series[static_cast<std::size_t>(src)];
+    }
+  }
+
+  // Holt-Winters replaces persistence for the top `top_k` configs by
+  // training volume. A fit needs two full seasons, so with less history
+  // nothing is ranked.
+  if (history_end >= 2 * season && top_k > 0) {
+    std::vector<std::size_t> order(history.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::vector<double> totals(history.size(), 0.0);
+    for (std::size_t c = 0; c < history.size(); ++c)
+      for (const double v : observed(c)) totals[c] += v;
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return totals[a] > totals[b]; });
+    const std::size_t fits = std::min(order.size(), static_cast<std::size_t>(top_k));
+    for (std::size_t rank = 0; rank < fits; ++rank) {
+      const std::size_t c = order[rank];
+      if (!(totals[c] > 0.0)) continue;
+      std::span<const double> series = observed(c);
+      std::vector<double> padded;
+      if (series.size() < static_cast<std::size_t>(history_end)) {
+        padded.assign(series.begin(), series.end());
+        padded.resize(static_cast<std::size_t>(history_end), 0.0);
+        series = padded;
       }
+      out.counts[c] =
+          forecast::HoltWinters::forecast(forecast::HoltWinters::fit_auto(series, season), horizon);
+      ++out.hw_configs;
     }
   }
   out.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

@@ -41,8 +41,11 @@ struct DayPlan {
 };
 
 // Per-config forecast of the next `horizon` slots from history
-// counts[config][0..history_end). Configs ranked by volume; the top
-// `top_k` get Holt-Winters, the rest persistence.
+// counts[config][0..history_end); slots past a series' own end read 0.
+// Configs ranked by volume; the top `top_k` get Holt-Winters, the rest
+// persistence (same slot one week earlier). A fit needs two weekly seasons,
+// so with `history_end` under 2 x kSlotsPerWeek every config is persistence
+// and hw_configs is 0.
 struct ForecastOutput {
   std::vector<std::vector<double>> counts;  // [config][horizon slot]
   double seconds = 0.0;

@@ -76,17 +76,42 @@ std::size_t ConfigRegistry::Hash::operator()(const CallConfig& c) const {
   return h;
 }
 
+namespace {
+
+// Adds one config to a grouping as a `multiplier`-unit member of `shape`,
+// opening a group (kept in CallConfig order) when the shape is new.
+void add_to_grouping(ConfigGrouping& grouping, const CallConfig& shape, int multiplier) {
+  const auto pos = std::lower_bound(
+      grouping.order.begin(), grouping.order.end(), shape, [&](int group, const CallConfig& s) {
+        return grouping.shapes[static_cast<std::size_t>(group)] < s;
+      });
+  int group = 0;
+  if (pos != grouping.order.end() && grouping.shapes[static_cast<std::size_t>(*pos)] == shape) {
+    group = *pos;
+  } else {
+    group = static_cast<int>(grouping.shapes.size());
+    grouping.shapes.push_back(shape);
+    grouping.order.insert(pos, group);
+  }
+  grouping.group_of.push_back(group);
+  grouping.multiplier.push_back(multiplier);
+}
+
+}  // namespace
+
 core::ConfigId ConfigRegistry::intern(const CallConfig& config) {
   const auto it = index_.find(config);
   if (it != index_.end()) return it->second;
-  const core::ConfigId id(static_cast<int>(configs_.size()));
-  configs_.push_back(config);
+  const core::ConfigId id(static_cast<int>(size()));
   index_.emplace(config, id);
+  add_to_grouping(full_, config, 1);
+  const ReducedCallConfig reduced = reduce(config);
+  add_to_grouping(reduced_, reduced.config, reduced.multiplier);
   return id;
 }
 
 const CallConfig& ConfigRegistry::get(core::ConfigId id) const {
-  return configs_.at(static_cast<std::size_t>(id.value()));
+  return full_.shapes.at(static_cast<std::size_t>(id.value()));
 }
 
 }  // namespace titan::workload

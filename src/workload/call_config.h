@@ -57,19 +57,35 @@ struct ReducedCallConfig {
 // §6.2 reduction: GCD factor-out; intra-country collapses to 1 participant.
 [[nodiscard]] ReducedCallConfig reduce(const CallConfig& config);
 
+// How the LP's demand grouping (§6.2) maps a registry's configs onto
+// shapes: the reduced shape with reduction, the config itself without.
+struct ConfigGrouping {
+  std::vector<CallConfig> shapes;  // [group] -> shape
+  std::vector<int> order;          // groups in CallConfig order of their shapes
+  std::vector<int> group_of;       // [config id] -> group
+  std::vector<int> multiplier;     // [config id] -> shape units per call
+};
+
 // Registry interning configs to dense ids (used for counting and the LP).
+// It extends both groupings as it interns, so planning reads them instead
+// of reducing every config again; without reduction each config is its own
+// group, so config ids are group indices.
 class ConfigRegistry {
  public:
   core::ConfigId intern(const CallConfig& config);
   [[nodiscard]] const CallConfig& get(core::ConfigId id) const;
-  [[nodiscard]] std::size_t size() const { return configs_.size(); }
+  [[nodiscard]] std::size_t size() const { return full_.shapes.size(); }
+  [[nodiscard]] const ConfigGrouping& grouping(bool use_reduction) const {
+    return use_reduction ? reduced_ : full_;
+  }
 
  private:
   struct Hash {
     std::size_t operator()(const CallConfig& c) const;
   };
-  std::vector<CallConfig> configs_;
   std::unordered_map<CallConfig, core::ConfigId, Hash> index_;
+  ConfigGrouping full_;
+  ConfigGrouping reduced_;
 };
 
 }  // namespace titan::workload

@@ -2,9 +2,11 @@
 // latency helpers), the Fig. 13 LP (constraint satisfaction, offload
 // behaviour, ablations), the offline plan, the online controller, and the
 // forecasting pipeline.
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -85,6 +87,95 @@ TEST_F(TitanNextTest, DemandGroupingPreservesResources) {
     raw_bw += counts[c][9] * config.network_mbps();
   }
   EXPECT_NEAR(grouped_bw, raw_bw, 1e-6);
+}
+
+// The §6.2 grouping as a std::map keyed by shape, reducing every config on
+// every call: set_demand's reference, which it must match bit for bit.
+std::vector<ReducedDemand> map_grouped_demand(const workload::ConfigRegistry& registry,
+                                              const std::vector<std::vector<double>>& counts,
+                                              bool use_reduction, const PlanScope& scope) {
+  std::map<workload::CallConfig, ReducedDemand> grouped;
+  for (std::size_t cfg = 0; cfg < registry.size(); ++cfg) {
+    const workload::CallConfig& original = registry.get(core::ConfigId(static_cast<int>(cfg)));
+    workload::CallConfig shape = original;
+    int multiplier = 1;
+    if (use_reduction) {
+      const auto reduced = workload::reduce(original);
+      shape = reduced.config;
+      multiplier = reduced.multiplier;
+    }
+    auto& d = grouped[shape];
+    if (d.units_per_slot.empty()) {
+      d.config = shape;
+      d.units_per_slot.assign(static_cast<std::size_t>(scope.timeslots), 0.0);
+    }
+    const int n = std::min<int>(scope.timeslots, static_cast<int>(counts[cfg].size()));
+    for (int t = 0; t < n; ++t) {
+      const double units = counts[cfg][static_cast<std::size_t>(t)] * multiplier;
+      d.units_per_slot[static_cast<std::size_t>(t)] += units;
+      d.total_units += units;
+    }
+  }
+  std::vector<ReducedDemand> out;
+  for (auto& [shape, d] : grouped) out.push_back(std::move(d));
+  std::sort(out.begin(), out.end(), [](const ReducedDemand& a, const ReducedDemand& b) {
+    return a.total_units > b.total_units;
+  });
+  if (static_cast<int>(out.size()) > scope.max_reduced_configs)
+    out.resize(static_cast<std::size_t>(scope.max_reduced_configs));
+  return out;
+}
+
+// Checks set_demand against the map grouping; returns whether the
+// reference has equal total_units on adjacent demands (a sort tie).
+bool expect_map_grouping(const net::NetworkDb& db, const workload::Trace& trace,
+                         const std::map<std::pair<int, int>, double>& fractions,
+                         const PlanScope& scope, bool use_reduction) {
+  const auto counts = trace.config_counts();
+  PlanInputs inputs(db, scope, fractions);
+  inputs.set_demand(trace.configs(), counts, use_reduction);
+  const auto want = map_grouped_demand(trace.configs(), counts, use_reduction, scope);
+  const auto& got = inputs.demands();
+  EXPECT_EQ(got.size(), want.size());
+  bool tie = false;
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    EXPECT_EQ(got[i].config, want[i].config) << "demand " << i;
+    EXPECT_EQ(got[i].total_units, want[i].total_units) << "demand " << i;
+    EXPECT_EQ(got[i].units_per_slot, want[i].units_per_slot) << "demand " << i;
+    if (i > 0 && want[i].total_units == want[i - 1].total_units) tie = true;
+  }
+  return tie;
+}
+
+TEST_F(TitanNextTest, DemandGroupingMatchesMapGrouping) {
+  PlanScope whole = small_scope();
+  whole.max_reduced_configs = 100000;  // no truncation
+  for (const bool use_reduction : {true, false}) {
+    SCOPED_TRACE(use_reduction ? "reduced" : "full configs");
+    EXPECT_TRUE(expect_map_grouping(*db_, *trace_, *fractions_, whole, use_reduction))
+        << "no equal total_units: the sort's tie order is not exercised";
+    expect_map_grouping(*db_, *trace_, *fractions_, small_scope(), use_reduction);
+  }
+
+  // Each registry carries its own table: two traces planned alternately,
+  // and a trace rebuilt in the same storage (so at the same address), each
+  // group their own configs.
+  workload::TraceOptions topts;
+  topts.weeks = 1;
+  topts.peak_slot_calls = 30.0;
+  topts.seed = 77;
+  const auto other = workload::TraceGenerator(*world_).generate(topts);
+  for (int round = 0; round < 2; ++round) {
+    expect_map_grouping(*db_, *trace_, *fractions_, whole, true);
+    expect_map_grouping(*db_, other, *fractions_, whole, true);
+  }
+  std::optional<workload::Trace> reused;
+  for (const std::uint64_t seed : {5, 6, 5}) {
+    SCOPED_TRACE(seed);
+    topts.seed = seed;
+    reused.emplace(workload::TraceGenerator(*world_).generate(topts));
+    expect_map_grouping(*db_, *reused, *fractions_, whole, true);
+  }
 }
 
 TEST_F(TitanNextTest, ReductionShrinksConfigSpace) {
@@ -1032,6 +1123,123 @@ TEST_F(TitanNextTest, ForecastAccuracyOnTopConfigs) {
   // 4.9% with 4 training weeks; this test trains on only 2).
   std::sort(maes.begin(), maes.end());
   EXPECT_LT(maes[maes.size() / 2], 0.2);
+}
+
+// forecast_counts as it was before it read history in place: totals and
+// ranking on every call, each series copied. Its reference; it needs every
+// series at least `history_end` long.
+ForecastOutput copying_forecast(const std::vector<std::vector<double>>& history,
+                                int history_end, int horizon, int top_k) {
+  ForecastOutput out;
+  out.counts.assign(history.size(), std::vector<double>(static_cast<std::size_t>(horizon), 0.0));
+  std::vector<std::size_t> order(history.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<double> totals(history.size(), 0.0);
+  for (std::size_t c = 0; c < history.size(); ++c)
+    for (int t = 0; t < history_end && t < static_cast<int>(history[c].size()); ++t)
+      totals[c] += history[c][static_cast<std::size_t>(t)];
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return totals[a] > totals[b]; });
+  const int season = core::kSlotsPerWeek;
+  for (std::size_t rank = 0; rank < order.size(); ++rank) {
+    const std::size_t c = order[rank];
+    const std::vector<double> series(history[c].begin(), history[c].begin() + history_end);
+    if (static_cast<int>(rank) < top_k && history_end >= 2 * season && totals[c] > 0.0) {
+      out.counts[c] = forecast::HoltWinters::forecast(
+          forecast::HoltWinters::fit_auto(series, season), horizon);
+      ++out.hw_configs;
+    } else {
+      for (int h = 0; h < horizon; ++h) {
+        const int src = history_end + h - season;
+        out.counts[c][static_cast<std::size_t>(h)] =
+            (src >= 0 && src < history_end) ? series[static_cast<std::size_t>(src)] : 0.0;
+      }
+    }
+  }
+  return out;
+}
+
+void expect_same_forecast(const ForecastOutput& got, const ForecastOutput& want) {
+  EXPECT_EQ(got.hw_configs, want.hw_configs);
+  ASSERT_EQ(got.counts.size(), want.counts.size());
+  for (std::size_t c = 0; c < want.counts.size(); ++c) {
+    ASSERT_EQ(got.counts[c].size(), want.counts[c].size()) << "config " << c;
+    for (std::size_t h = 0; h < want.counts[c].size(); ++h)
+      EXPECT_EQ(got.counts[c][h], want.counts[c][h]) << "config " << c << " slot " << h;
+  }
+}
+
+TEST_F(TitanNextTest, ForecastMatchesCopyingForecastUnderTwoSeasons) {
+  // One training week and a bit: no fit can run, every config persists.
+  const auto history = trace_->config_counts();
+  const int history_end = core::kSlotsPerWeek + 7;
+  const auto fc = forecast_counts(history, history_end, core::kSlotsPerDay, 300);
+  EXPECT_EQ(fc.hw_configs, 0);
+  expect_same_forecast(fc, copying_forecast(history, history_end, core::kSlotsPerDay, 300));
+}
+
+TEST_F(TitanNextTest, ForecastMatchesCopyingForecastWithTiesAtTopK) {
+  const auto history = trace_->config_counts();
+  const int history_end = 2 * core::kSlotsPerWeek;
+  // Call counts are whole numbers, so equal training totals are exact ties.
+  // Put top_k inside a run of them, three tied configs on either side:
+  // which of them get a fit is then down to the sort's tie order.
+  std::vector<double> totals;
+  for (const auto& series : history)
+    totals.push_back(std::accumulate(series.begin(), series.begin() + history_end, 0.0));
+  std::sort(totals.begin(), totals.end(), std::greater<>());
+  int top_k = 10;
+  while (top_k + 2 < static_cast<int>(totals.size()) &&
+         totals[static_cast<std::size_t>(top_k - 3)] != totals[static_cast<std::size_t>(top_k + 2)])
+    ++top_k;
+  ASSERT_LT(top_k + 2, static_cast<int>(totals.size()));
+  ASSERT_GT(totals[static_cast<std::size_t>(top_k + 2)], 0.0);
+  const auto fc = forecast_counts(history, history_end, core::kSlotsPerDay, top_k);
+  EXPECT_EQ(fc.hw_configs, top_k);
+  expect_same_forecast(fc, copying_forecast(history, history_end, core::kSlotsPerDay, top_k));
+}
+
+TEST(ForecastCountsTest, ShortSeriesReadZeroPastTheirEnd) {
+  const int season = core::kSlotsPerWeek;
+  const int horizon = core::kSlotsPerDay;
+  const auto ramp = [](int n, double scale) {
+    std::vector<double> v(static_cast<std::size_t>(n));
+    for (int t = 0; t < n; ++t) v[static_cast<std::size_t>(t)] = scale * (1 + t % 7);
+    return v;
+  };
+
+  // Persistence only: slot history_end + h - season, 0 where the series ends.
+  {
+    const int history_end = season + 80;
+    const std::vector<std::vector<double>> history = {ramp(100, 1.0), {}};
+    const auto fc = forecast_counts(history, history_end, horizon, 5);
+    EXPECT_EQ(fc.hw_configs, 0);
+    for (int h = 0; h < horizon; ++h) {
+      const int src = history_end + h - season;
+      EXPECT_EQ(fc.counts[0][static_cast<std::size_t>(h)],
+                src < 100 ? history[0][static_cast<std::size_t>(src)] : 0.0);
+      EXPECT_EQ(fc.counts[1][static_cast<std::size_t>(h)], 0.0);
+    }
+  }
+
+  // A fit trains on the series padded with zeros up to history_end.
+  {
+    const int history_end = 2 * season + 30;
+    const std::vector<std::vector<double>> history = {ramp(2 * season, 3.0),
+                                                      ramp(2 * season - 20, 1.0), {}};
+    const auto fc = forecast_counts(history, history_end, horizon, 1);
+    EXPECT_EQ(fc.hw_configs, 1);
+    std::vector<double> padded = history[0];
+    padded.resize(static_cast<std::size_t>(history_end), 0.0);
+    EXPECT_EQ(fc.counts[0], forecast::HoltWinters::forecast(
+                                forecast::HoltWinters::fit_auto(padded, season), horizon));
+    for (int h = 0; h < horizon; ++h) {
+      const int src = history_end + h - season;
+      EXPECT_EQ(fc.counts[1][static_cast<std::size_t>(h)],
+                src < 2 * season - 20 ? history[1][static_cast<std::size_t>(src)] : 0.0);
+      EXPECT_EQ(fc.counts[2][static_cast<std::size_t>(h)], 0.0);
+    }
+  }
 }
 
 TEST_F(TitanNextTest, PipelinePlansOracleAndForecast) {
