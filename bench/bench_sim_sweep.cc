@@ -15,9 +15,10 @@
 //                --baseline bench/baselines/sweep_baseline.json --check
 //
 // --check re-runs the sweep with the baseline's spec expected to match the
-// CLI-derived spec, diffs the aggregates within each metric row's band,
-// and exits 1 on any regression (2 on an incomparable baseline;
-// sweep::check_against_baseline, shared with bench_sim_scenarios).
+// CLI-derived spec, diffs each scenario's mean and p95 across seeds within
+// each metric row's band, and exits 1 on any regression (2 on an
+// incomparable baseline; sweep::check_against_baseline, shared with
+// bench_sim_scenarios).
 // Determinism is audited on every run: each (seed, scenario) simulates at
 // every --sim-threads count and any divergence fails the run.
 #include <algorithm>
@@ -34,14 +35,16 @@ namespace {
 
 using namespace titan;
 
-void print_aggregates(const sweep::SweepResult& result) {
+void print_stats(const sweep::SweepResult& result) {
   // One table per scenario: every metric's distribution across seeds.
-  for (const auto& agg : result.aggregates) {
-    std::printf("\n-- %s (%d seeds)\n", agg.scenario.c_str(), agg.seeds);
+  const auto& names = sweep::metric_names();
+  for (std::size_t sc = 0; sc < result.spec.scenarios.size(); ++sc) {
+    std::printf("\n-- %s (%d seeds)\n", result.spec.scenarios[sc].c_str(),
+                result.spec.num_seeds);
     core::TextTable t({"metric", "mean", "p50", "p95", "min", "max", "stddev"});
-    const auto& names = sweep::metric_names();
+    const std::vector<sweep::MetricStats> stats = sweep::scenario_stats(result, sc);
     for (std::size_t m = 0; m < names.size(); ++m) {
-      const auto& s = agg.stats[m];
+      const auto& s = stats[m];
       t.add_row({names[m], core::TextTable::num(s.mean, 3), core::TextTable::num(s.p50, 3),
                  core::TextTable::num(s.p95, 3), core::TextTable::num(s.min, 3),
                  core::TextTable::num(s.max, 3), core::TextTable::num(s.stddev, 3)});
@@ -102,7 +105,7 @@ int main(int argc, char** argv) {
                 resolved.peak_slot_calls, resolved.training_weeks);
 
     const sweep::SweepResult result = runner.run();
-    print_aggregates(result);
+    print_stats(result);
 
     // Per-task wall time (canonical order: scenario-major, seed-minor) —
     // the sweep's share of the observability surface. Reporting only;

@@ -41,12 +41,13 @@ int main() {
               result.runs.size(), spec.scenarios.size(), spec.num_seeds,
               spec.sim_threads.size(), result.determinism_violations.size());
 
-  for (const auto& agg : result.aggregates) {
-    std::printf("\n-- %s, across %d seeds\n", agg.scenario.c_str(), agg.seeds);
+  const auto& names = sweep::metric_names();
+  for (std::size_t sc = 0; sc < spec.scenarios.size(); ++sc) {
+    std::printf("\n-- %s, across %d seeds\n", spec.scenarios[sc].c_str(), spec.num_seeds);
     std::printf("   %-22s %10s %10s %10s %10s\n", "metric", "mean", "p50", "p95", "stddev");
-    const auto& names = sweep::metric_names();
+    const std::vector<sweep::MetricStats> stats = sweep::scenario_stats(result, sc);
     for (std::size_t m = 0; m < names.size(); ++m) {
-      const auto& s = agg.stats[m];
+      const auto& s = stats[m];
       std::printf("   %-22s %10.3f %10.3f %10.3f %10.3f\n", names[m].c_str(), s.mean,
                   s.p50, s.p95, s.stddev);
     }
@@ -58,15 +59,16 @@ int main() {
               sweep::compare_to_baseline(result, result).size());
 
   sweep::SweepResult drifted = result;
-  for (std::size_t m = 0; m < sweep::metric_names().size(); ++m)
-    if (sweep::metric_names()[m] == "internet_share")
-      drifted.aggregates[0].stats[m].mean *= 1.25;
+  for (std::size_t m = 0; m < names.size(); ++m)
+    if (names[m] == "internet_share")
+      for (std::size_t r = 0; r < result.runs.size() / spec.scenarios.size(); ++r)
+        drifted.runs[r].values[m] *= 1.25;  // every run of the first scenario
   std::printf("after +25%% internet_share drift:\n");
   for (const auto& r : sweep::compare_to_baseline(drifted, result))
     std::printf("  REGRESSION %s\n", r.describe().c_str());
 
   // The sweep JSON is what bench_sim_sweep commits as a baseline.
-  std::printf("\nserialized sweep: %zu bytes of JSON (runs + aggregates)\n",
+  std::printf("\nserialized sweep: %zu bytes of JSON (spec + run records)\n",
               sweep::to_json_text(result).size());
   return 0;
 }

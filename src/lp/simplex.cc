@@ -34,6 +34,7 @@ SolveStats& SolveStats::operator+=(const SolveStats& o) {
   phase1_seconds += o.phase1_seconds;
   phase2_seconds += o.phase2_seconds;
   refactor_seconds += o.refactor_seconds;
+  fallback_seconds += o.fallback_seconds;
   return *this;
 }
 
@@ -726,8 +727,10 @@ Solution solve(const LpModel& model, const Basis& warm, const SolveOptions& opti
   // attempt's pivots are counted, not dropped with its Solution.
   if (sol.status == SolveStatus::kNumericalFailure) {
     const int discarded = sol.iterations;
+    const double discarded_seconds = seconds_since(t_start);
     sol = solve_from(model, t, cold_basis(t, m), /*warm=*/false, options);
     sol.fallback_pivots = discarded;
+    sol.fallback_seconds = discarded_seconds;
     sol.solve_seconds = seconds_since(t_start);
     return sol;
   }

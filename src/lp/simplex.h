@@ -85,7 +85,7 @@ struct SolveStats {
   // Pivots of any discarded attempt: a failed warm attempt (dual phase or
   // phase 2) that the cold fallback replaced, or a decomposed plan attempt
   // that failed a gate (titannext::solve_plan). Not part of `iterations`,
-  // but their time is in solve_seconds.
+  // but their time is in solve_seconds (and in fallback_seconds).
   int fallback_pivots = 0;
   // Solved from a caller basis instead of the slack/artificial one; `+=`
   // ORs it, so a summed record says whether any of its solves ran warm.
@@ -100,10 +100,13 @@ struct SolveStats {
   double phase1_seconds = 0.0;  // the dual phase, cold or warm
   double phase2_seconds = 0.0;
   double refactor_seconds = 0.0;
+  // The share of solve_seconds spent on discarded attempts (the work
+  // fallback_pivots counts), whose phase seconds are dropped with them.
+  double fallback_seconds = 0.0;
 
   SolveStats& operator+=(const SolveStats& o);
   void zero_wallclock() {
-    solve_seconds = phase1_seconds = phase2_seconds = refactor_seconds = 0.0;
+    solve_seconds = phase1_seconds = phase2_seconds = refactor_seconds = fallback_seconds = 0.0;
   }
   bool operator==(const SolveStats&) const = default;
 };

@@ -24,20 +24,12 @@ std::vector<Regression> compare_to_baseline(const SweepResult& current,
     throw std::invalid_argument(
         "sweep/baseline spec mismatch: the baseline was generated with different sweep "
         "parameters; regenerate it instead of comparing");
-  if (current.aggregates.size() != baseline.aggregates.size())
-    throw std::invalid_argument("sweep/baseline scenario count mismatch");
 
   const auto& table = metric_table();
   std::vector<Regression> regressions;
-  for (std::size_t sc = 0; sc < current.aggregates.size(); ++sc) {
-    const ScenarioAggregate& cur = current.aggregates[sc];
-    const ScenarioAggregate& base = baseline.aggregates[sc];
-    if (cur.scenario != base.scenario)
-      throw std::invalid_argument("sweep/baseline scenario order mismatch: " + cur.scenario +
-                                  " vs " + base.scenario);
-    if (cur.stats.size() != table.size() || base.stats.size() != table.size())
-      throw std::invalid_argument("sweep/baseline metric count mismatch");
-
+  for (std::size_t sc = 0; sc < current.spec.scenarios.size(); ++sc) {
+    const std::vector<MetricStats> cur = scenario_stats(current, sc);
+    const std::vector<MetricStats> base = scenario_stats(baseline, sc);
     for (std::size_t m = 0; m < table.size(); ++m) {
       if (table[m].wall_clock) continue;
       const Band& band = table[m].band;
@@ -46,7 +38,7 @@ std::vector<Regression> compare_to_baseline(const SweepResult& current,
             std::max(band.rel * std::max(std::fabs(cur_v), std::fabs(base_v)), band.abs);
         if (std::fabs(cur_v - base_v) <= allowed) return;
         Regression r;
-        r.scenario = cur.scenario;
+        r.scenario = current.spec.scenarios[sc];
         r.metric = table[m].name;
         r.stat = stat;
         r.baseline = base_v;
@@ -54,8 +46,8 @@ std::vector<Regression> compare_to_baseline(const SweepResult& current,
         r.allowed = allowed;
         regressions.push_back(std::move(r));
       };
-      check("mean", cur.stats[m].mean, base.stats[m].mean);
-      check("p95", cur.stats[m].p95, base.stats[m].p95);
+      check("mean", cur[m].mean, base[m].mean);
+      check("p95", cur[m].p95, base[m].p95);
     }
   }
   return regressions;

@@ -1,11 +1,11 @@
-// Regression comparison of sweep aggregates against a committed baseline.
+// Regression comparison of a sweep against a committed baseline.
 //
-// The committed file (bench/baselines/sweep_baseline.json) freezes the
-// metric distributions of a fixed sweep spec; `compare_to_baseline` diffs
-// a freshly computed sweep against it, each deterministic metric within
-// the band its metric_table() row carries (sweep/sweep.h), so a
-// controller/LP/scenario change is judged against distributions, not one
-// golden point. Wall-clock rows are skipped.
+// The committed file (bench/baselines/sweep_baseline.json) freezes the run
+// records of a fixed sweep spec; `compare_to_baseline` diffs the metric
+// distributions of a freshly computed sweep against the baseline's, each
+// deterministic metric within the band its metric_table() row carries
+// (sweep/sweep.h), so a controller/LP/scenario change is judged against
+// distributions, not one golden point. Wall-clock rows are skipped.
 #pragma once
 
 #include <string>
@@ -27,7 +27,7 @@ struct Regression {
 };
 
 // Compares the mean and p95 of every (scenario, deterministic metric)
-// aggregate within the row's band. Returns every violation, ordered by
+// distribution (scenario_stats of each side) within the row's band. Returns every violation, ordered by
 // scenario then metric. Throws std::invalid_argument when the sweeps are
 // not comparable (different spec, scenario set, or seed count) — a
 // baseline from another spec must be regenerated, not silently compared.

@@ -84,31 +84,6 @@ SweepSpec sweep_spec_from_json(const Json& j) {
   return spec;
 }
 
-Json stats_to_json(const MetricStats& s, const std::string& metric) {
-  Json j = Json::object();
-  j.set("metric", Json::string(metric));
-  j.set("count", Json::number(static_cast<double>(s.count)));
-  j.set("mean", Json::number(s.mean));
-  j.set("p50", Json::number(s.p50));
-  j.set("p95", Json::number(s.p95));
-  j.set("min", Json::number(s.min));
-  j.set("max", Json::number(s.max));
-  j.set("stddev", Json::number(s.stddev));
-  return j;
-}
-
-MetricStats stats_from_json(const Json& j) {
-  MetricStats s;
-  s.count = static_cast<std::size_t>(j.at("count").as_int());
-  s.mean = j.at("mean").as_number();
-  s.p50 = j.at("p50").as_number();
-  s.p95 = j.at("p95").as_number();
-  s.min = j.at("min").as_number();
-  s.max = j.at("max").as_number();
-  s.stddev = j.at("stddev").as_number();
-  return s;
-}
-
 Json run_record_to_json(const RunRecord& run) {
   Json j = Json::object();
   j.set("scenario", Json::string(run.scenario));
@@ -136,6 +111,28 @@ RunRecord run_record_from_json(const Json& j) {
   return run;
 }
 
+// The baseline check reads runs by canonical slot, so a document must fill
+// exactly the slots its spec names, each with that slot's scenario, seed
+// and thread count.
+void check_canonical_slots(const SweepResult& result) {
+  const SweepSpec& spec = result.spec;
+  if (spec.num_seeds < 1 || spec.sim_threads.empty())
+    throw std::invalid_argument("sweep json: spec names no runs");
+  const std::size_t seeds = static_cast<std::size_t>(spec.num_seeds);
+  const std::size_t variants = spec.sim_threads.size();
+  if (result.runs.size() != spec.scenarios.size() * seeds * variants)
+    throw std::invalid_argument("sweep json: run count does not match the spec");
+  for (std::size_t i = 0; i < result.runs.size(); ++i) {
+    const RunRecord& run = result.runs[i];
+    if (run.scenario != spec.scenarios[i / (seeds * variants)] ||
+        run.seed != spec.base_seed + (i / variants) % seeds ||
+        run.threads != spec.sim_threads[i % variants])
+      throw std::invalid_argument("sweep json: run " + std::to_string(i) + " (" +
+                                  run.scenario + " seed " + std::to_string(run.seed) +
+                                  ") is not in its canonical slot");
+  }
+}
+
 }  // namespace
 
 Json to_json(const SweepResult& result) {
@@ -150,19 +147,6 @@ Json to_json(const SweepResult& result) {
   Json runs = Json::array();
   for (const auto& run : result.runs) runs.push_back(run_record_to_json(run));
   doc.set("runs", std::move(runs));
-
-  Json aggregates = Json::array();
-  for (const auto& agg : result.aggregates) {
-    Json j = Json::object();
-    j.set("scenario", Json::string(agg.scenario));
-    j.set("seeds", Json::number(agg.seeds));
-    Json stats = Json::array();
-    for (std::size_t m = 0; m < agg.stats.size(); ++m)
-      stats.push_back(stats_to_json(agg.stats[m], metric_names()[m]));
-    j.set("stats", std::move(stats));
-    aggregates.push_back(std::move(j));
-  }
-  doc.set("aggregates", std::move(aggregates));
 
   Json violations = Json::array();
   for (const auto& v : result.determinism_violations) violations.push_back(Json::string(v));
@@ -191,23 +175,7 @@ SweepResult from_json(const Json& doc) {
   const Json& runs = doc.at("runs");
   for (std::size_t i = 0; i < runs.size(); ++i)
     result.runs.push_back(run_record_from_json(runs.at(i)));
-
-  const Json& aggregates = doc.at("aggregates");
-  for (std::size_t i = 0; i < aggregates.size(); ++i) {
-    const Json& j = aggregates.at(i);
-    ScenarioAggregate agg;
-    agg.scenario = j.at("scenario").as_string();
-    agg.seeds = static_cast<int>(j.at("seeds").as_int());
-    const Json& stats = j.at("stats");
-    if (stats.size() != names.size())
-      throw std::invalid_argument("sweep json: aggregate stat count mismatch");
-    for (std::size_t m = 0; m < stats.size(); ++m) {
-      if (stats.at(m).at("metric").as_string() != names[m])
-        throw std::invalid_argument("sweep json: aggregate metric order mismatch");
-      agg.stats.push_back(stats_from_json(stats.at(m)));
-    }
-    result.aggregates.push_back(std::move(agg));
-  }
+  check_canonical_slots(result);
 
   const Json& violations = doc.at("determinism_violations");
   for (std::size_t i = 0; i < violations.size(); ++i)

@@ -49,7 +49,14 @@ namespace titan::sweep {
 // bench_sim_scenarios' scenario report became a one-seed sweep document,
 // replacing its own report schema. Earlier baselines must be regenerated,
 // not compared.
-inline constexpr int kSweepSchemaVersion = 8;
+// v9: the run records became the whole document: the stored per-scenario
+// aggregates were dropped, since scenario_stats derives them when read,
+// and the reader rejects runs outside their canonical slots. The dual-phase
+// rows were renamed (replan_phase1_iterations -> replan_dual_pivots,
+// lp_phase1_seconds -> lp_dual_seconds), and the wall-clock
+// lp_fallback_seconds row joined. Earlier baselines must be regenerated,
+// not compared.
+inline constexpr int kSweepSchemaVersion = 9;
 
 // Checksums travel as 16-digit lowercase hex strings.
 [[nodiscard]] std::string hex64(std::uint64_t v);
@@ -58,7 +65,8 @@ inline constexpr int kSweepSchemaVersion = 8;
 [[nodiscard]] std::string to_json_text(const SweepResult& result);
 
 // Throws std::invalid_argument on malformed documents, unknown schema
-// versions, or metric schemas that do not match this binary's.
+// versions, metric schemas that do not match this binary's, or runs that
+// do not fill exactly the spec's canonical slots.
 [[nodiscard]] SweepResult from_json(const Json& doc);
 [[nodiscard]] SweepResult from_json_text(const std::string& text);
 

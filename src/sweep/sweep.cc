@@ -105,7 +105,7 @@ const std::vector<MetricDef>& metric_table() {
       {"replan_iterations",
        [](const SimResult& r) { return replan_total(r, &sim::ReplanStat::iterations); },
        kSimplexWork},
-      {"replan_phase1_iterations",
+      {"replan_dual_pivots",
        [](const SimResult& r) { return replan_total(r, &sim::ReplanStat::phase1_iterations); },
        kSimplexWork},
       {"warm_replans",
@@ -136,7 +136,8 @@ const std::vector<MetricDef>& metric_table() {
        [](const SimResult& r) { return replan_total(r, &sim::ReplanStat::fallback_pivots); },
        kSimplexWork},
       // Throughput and phase timings (schema v7), all wall clock. The LP
-      // phases sum each replan's record in replan order.
+      // phases sum each replan's record in replan order; the dual-phase
+      // rows took their names in schema v9.
       wall_clock("wall_seconds", [](const SimResult& r) { return r.wall_seconds; }),
       wall_clock("calls_per_sec", [](const SimResult& r) { return r.calls_per_sec(); }),
       wall_clock("events_per_sec", [](const SimResult& r) { return r.events_per_sec(); }),
@@ -151,7 +152,7 @@ const std::vector<MetricDef>& metric_table() {
       wall_clock("lp_build_seconds", [](const SimResult& r) {
         return replan_total(r, &sim::ReplanStat::build_seconds);
       }),
-      wall_clock("lp_phase1_seconds", [](const SimResult& r) {
+      wall_clock("lp_dual_seconds", [](const SimResult& r) {
         return replan_total(r, &sim::ReplanStat::phase1_seconds);
       }),
       wall_clock("lp_phase2_seconds", [](const SimResult& r) {
@@ -159,6 +160,10 @@ const std::vector<MetricDef>& metric_table() {
       }),
       wall_clock("lp_refactor_seconds", [](const SimResult& r) {
         return replan_total(r, &sim::ReplanStat::refactor_seconds);
+      }),
+      // Discarded attempts' time, which no phase row holds (schema v9).
+      wall_clock("lp_fallback_seconds", [](const SimResult& r) {
+        return replan_total(r, &sim::ReplanStat::fallback_seconds);
       }),
       // Controller and admission latency summaries (schema v8), wall clock.
       // The admission histogram is empty (0) outside the overload scenarios.
@@ -214,9 +219,6 @@ void mask_timing_metrics(SweepResult& result) {
   for (auto& run : result.runs)
     for (const std::size_t m : timing_metric_indices())
       if (m < run.values.size()) run.values[m] = 0.0;
-  for (auto& agg : result.aggregates)
-    for (const std::size_t m : timing_metric_indices())
-      if (m < agg.stats.size()) agg.stats[m] = MetricStats{};
   std::fill(result.task_seconds.begin(), result.task_seconds.end(), 0.0);
 }
 
@@ -232,6 +234,20 @@ MetricStats compute_stats(const std::vector<double>& samples) {
   s.max = *std::max_element(samples.begin(), samples.end());
   s.stddev = core::stddev(samples);
   return s;
+}
+
+std::vector<MetricStats> scenario_stats(const SweepResult& result, std::size_t scenario) {
+  const std::size_t seeds = static_cast<std::size_t>(result.spec.num_seeds);
+  const std::size_t variants = result.spec.sim_threads.size();
+  std::vector<MetricStats> stats;
+  stats.reserve(metric_table().size());
+  std::vector<double> samples(seeds);
+  for (std::size_t m = 0; m < metric_table().size(); ++m) {
+    for (std::size_t sd = 0; sd < seeds; ++sd)
+      samples[sd] = result.runs.at((scenario * seeds + sd) * variants).values.at(m);
+    stats.push_back(compute_stats(samples));
+  }
+  return stats;
 }
 
 sim::Scenario sweep_scenario(const SweepSpec& spec, const std::string& name,
@@ -333,24 +349,6 @@ SweepResult assemble_sweep_result(const SweepSpec& spec, std::vector<RunRecord> 
   // Violations arrive in completion order; canonicalize.
   std::sort(determinism_violations.begin(), determinism_violations.end());
   result.determinism_violations = std::move(determinism_violations);
-
-  // Aggregate across seeds, per scenario, from the first-variant runs.
-  const std::size_t seeds = static_cast<std::size_t>(spec.num_seeds);
-  const std::size_t variants = spec.sim_threads.size();
-  result.aggregates.reserve(spec.scenarios.size());
-  for (std::size_t sc = 0; sc < spec.scenarios.size(); ++sc) {
-    ScenarioAggregate agg;
-    agg.scenario = spec.scenarios[sc];
-    agg.seeds = spec.num_seeds;
-    for (std::size_t m = 0; m < metric_names().size(); ++m) {
-      std::vector<double> samples;
-      samples.reserve(seeds);
-      for (std::size_t sd = 0; sd < seeds; ++sd)
-        samples.push_back(result.runs[(sc * seeds + sd) * variants].values[m]);
-      agg.stats.push_back(compute_stats(samples));
-    }
-    result.aggregates.push_back(std::move(agg));
-  }
   return result;
 }
 

@@ -6,17 +6,18 @@
 // `SweepRunner` fans every (scenario, seed) pair — optionally at several
 // sim thread counts — across a worker pool, extracts a fixed schema of
 // metrics from each `SimResult`, verifies the engine's determinism promise
-// (bit-identical results across thread counts) on every task, and reduces
-// each metric across seeds into mean / p50 / p95 / min / max / stddev.
+// (bit-identical results across thread counts) on every task. The run
+// records are the whole result: scenario_stats reduces each metric across
+// seeds into mean / p50 / p95 / min / max / stddev when it is read.
 //
 // Determinism contract: every metric except the wall-clock entries of the
 // metric table (timing_metric_indices()) is a pure function of the spec.
 // Worker-pool size and task execution order never change a byte of those —
-// records land in canonical (scenario, seed, threads) slots and
-// aggregation runs after the pool drains — so a sweep JSON is comparable
-// across machines and committable as a regression baseline (see
-// sweep/baseline.h; the baseline check skips the timing metrics, and
-// mask_timing_metrics puts two sweeps into fully byte-comparable form).
+// records land in canonical (scenario, seed, threads) slots — so a sweep
+// JSON is comparable across machines and committable as a regression
+// baseline (see sweep/baseline.h; the baseline check skips the timing
+// metrics, and mask_timing_metrics puts two sweeps into fully
+// byte-comparable form).
 #pragma once
 
 #include <cstdint>
@@ -116,24 +117,15 @@ struct MetricStats {
   bool operator==(const MetricStats&) const = default;
 };
 
-// Requires a non-empty sample; the sweep never aggregates zero runs.
+// Requires a non-empty sample; a sweep has at least one seed.
 [[nodiscard]] MetricStats compute_stats(const std::vector<double>& samples);
-
-struct ScenarioAggregate {
-  std::string scenario;
-  int seeds = 0;
-  std::vector<MetricStats> stats;  // parallel to metric_names()
-
-  bool operator==(const ScenarioAggregate&) const = default;
-};
 
 struct SweepResult {
   SweepSpec spec;
-  // Sorted canonically: spec scenario order, then seed, then thread count.
+  // One record per canonical slot ((scenario-index * num_seeds +
+  // seed-index) * |sim_threads| + variant): spec scenario order, then seed,
+  // then thread count.
   std::vector<RunRecord> runs;
-  // One entry per scenario, in spec order. Aggregated across seeds from the
-  // first sim_threads entry's runs (the rest are determinism replicas).
-  std::vector<ScenarioAggregate> aggregates;
   // Human-readable descriptions of any (scenario, seed) whose results were
   // NOT bit-identical across sim thread counts. Always empty unless the
   // engine's core guarantee broke.
@@ -149,13 +141,19 @@ struct SweepResult {
   std::vector<double> task_seconds;
 
   bool operator==(const SweepResult& other) const {
-    return spec == other.spec && runs == other.runs && aggregates == other.aggregates &&
+    return spec == other.spec && runs == other.runs &&
            determinism_violations == other.determinism_violations;
   }
 };
 
-// Zeroes the timing metrics of every run record and aggregate in place,
-// putting two differently-scheduled sweeps into byte-comparable form.
+// The distribution of every metric (parallel to metric_names()) across
+// the seeds of spec scenario `scenario`, read from the first sim_threads
+// variant's records (the rest are determinism replicas).
+[[nodiscard]] std::vector<MetricStats> scenario_stats(const SweepResult& result,
+                                                      std::size_t scenario);
+
+// Zeroes the timing metrics of every run record in place, putting two
+// differently-scheduled sweeps into byte-comparable form.
 void mask_timing_metrics(SweepResult& result);
 
 class SweepRunner {
@@ -169,11 +167,10 @@ class SweepRunner {
   [[nodiscard]] const SweepSpec& spec() const { return spec_; }
 
   // Runs the whole sweep: one task per (scenario, seed) on a pool of
-  // `workers` threads, each record written into its canonical slot, then
-  // one aggregation after the pool drains. Blocking; thread-safe against
-  // nothing (use one runner per sweep). The result is identical for any
-  // `workers` and any `task_order_seed`; the first task exception is
-  // rethrown.
+  // `workers` threads, each record written into its canonical slot.
+  // Blocking; thread-safe against nothing (use one runner per sweep). The
+  // result is identical for any `workers` and any `task_order_seed`; the
+  // first task exception is rethrown.
   [[nodiscard]] SweepResult run() const;
 
  private:
@@ -185,12 +182,10 @@ class SweepRunner {
 [[nodiscard]] sim::Scenario sweep_scenario(const SweepSpec& spec, const std::string& name,
                                            std::uint64_t seed);
 
-// Assembles filled canonical slots ((scenario-index * num_seeds +
-// seed-index) * |sim_threads| + variant) into a SweepResult: normalizes
-// the spec echo's execution knobs, sorts the violations and aggregates
-// every metric across seeds. A pure function of its inputs, so any
-// schedule that fills the same slots produces the same bytes.
-// `task_seconds` may be empty when the caller did not time its tasks.
+// Assembles filled canonical slots into a SweepResult: normalizes the spec
+// echo's execution knobs and sorts the violations. A pure function of its
+// inputs, so any schedule that fills the same slots produces the same
+// bytes. `task_seconds` may be empty when the caller did not time its tasks.
 [[nodiscard]] SweepResult assemble_sweep_result(const SweepSpec& spec,
                                                 std::vector<RunRecord> runs,
                                                 std::vector<std::string> determinism_violations,

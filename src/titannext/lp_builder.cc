@@ -610,6 +610,7 @@ LpPlanResult solve_plan(const PlanInputs& inputs, const LpBuildOptions& options,
       result.sum_of_wan_peaks_mbps = sum_wan_peaks(inputs, result.weights);
     result.fallback_pivots += discarded.iterations + discarded.fallback_pivots;
     result.solve_seconds += discarded.solve_seconds;
+    result.fallback_seconds += discarded.solve_seconds;
     result.build_seconds += discarded.build_seconds;
   }
   result.attempts = 1;

@@ -911,8 +911,9 @@ Basis all_artificial_seed(int rows) {
 }
 
 // A dual phase that runs out of pivots is a failed warm attempt: the cold
-// path answers, and the attempt's pivots are counted in fallback_pivots,
-// outside `iterations`.
+// path answers, the attempt's pivots are counted in fallback_pivots,
+// outside `iterations`, and its time in fallback_seconds, inside
+// solve_seconds.
 TEST(SimplexWarmTest, ExhaustedDualPhaseCountsFallbackPivots) {
   const LpModel eq = unit_equality_model();
   SolveOptions opt;
@@ -920,9 +921,12 @@ TEST(SimplexWarmTest, ExhaustedDualPhaseCountsFallbackPivots) {
   const Solution warm = solve(eq, all_artificial_seed(3), opt);
   EXPECT_FALSE(warm.warm_started);
   EXPECT_EQ(warm.fallback_pivots, 2);
+  EXPECT_GT(warm.fallback_seconds, 0.0);
+  EXPECT_LE(warm.fallback_seconds, warm.solve_seconds);
   const Solution cold = solve(eq, opt);
   EXPECT_EQ(warm.status, cold.status);
   EXPECT_EQ(cold.fallback_pivots, 0);
+  EXPECT_EQ(cold.fallback_seconds, 0.0);
   EXPECT_EQ(warm.iterations, cold.iterations);
 }
 

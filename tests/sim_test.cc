@@ -1100,7 +1100,7 @@ TEST(SimObsTest, ZeroWallclockMasksEveryPerfTimingField) {
       &b.perf.replan_seconds,      &b.perf.shard_work_seconds,
       &stat.solve_seconds,         &stat.build_seconds,
       &stat.phase1_seconds,        &stat.phase2_seconds,
-      &stat.refactor_seconds};
+      &stat.refactor_seconds,      &stat.fallback_seconds};
   for (double* field : wall_fields) {
     const double saved = *field;
     *field += 1.0;

@@ -1,10 +1,11 @@
 // Tests for the seed x scenario sweep harness: the determinism property
 // (bit-identical SimResults across thread counts for every named scenario,
 // and sweep output invariant under task-order shuffling and worker count),
-// distribution statistics, lossless JSON round-trips of per-run and
-// aggregate results, baseline regression comparison (passing on self,
-// failing on perturbation beyond a row's band), the one-seed scenario
-// report of bench_sim_scenarios, and the assignment-latency budget gate.
+// distribution statistics derived from the run records, lossless JSON
+// round-trips and the reader's canonical-slot check, baseline regression
+// comparison (passing on self, failing on perturbation beyond a row's
+// band), the one-seed scenario report of bench_sim_scenarios, and the
+// assignment-latency budget gate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,6 +33,48 @@ SweepSpec small_spec() {
   spec.max_reduced_configs = 20;
   spec.oracle_counts = true;  // skip Holt-Winters: cheap and platform-stable
   return spec;
+}
+
+std::size_t metric_index(const char* name) {
+  const auto& names = metric_names();
+  return static_cast<std::size_t>(std::find(names.begin(), names.end(), name) -
+                                  names.begin());
+}
+
+// Scales `metric` in the lower-valued run of a two-seed, one-thread-count
+// sweep's `scenario`. The mean moves by half the change, while the p95,
+// which weights the lower seed by 0.05, moves by a twentieth of it: a
+// perturbation of the runs that the mean check sees and the p95 check
+// does not.
+void scale_lower_seed(SweepResult& result, std::size_t scenario, std::size_t metric,
+                      double factor) {
+  ASSERT_EQ(result.spec.num_seeds, 2);
+  ASSERT_EQ(result.spec.sim_threads.size(), 1u);
+  double& a = result.runs[2 * scenario].values[metric];
+  double& b = result.runs[2 * scenario + 1].values[metric];
+  (a <= b ? a : b) *= factor;
+}
+
+// A sweep result assembled from made-up records in canonical slots: two
+// scenarios x two seeds x two thread counts, each value distinct.
+SweepResult synthetic_result() {
+  SweepSpec spec = small_spec();
+  spec.scenarios = {"steady-week", "dc-drain"};
+  spec.sim_threads = {1, 2};
+  std::vector<RunRecord> runs;
+  for (std::size_t sc = 0; sc < spec.scenarios.size(); ++sc)
+    for (int sd = 0; sd < spec.num_seeds; ++sd)
+      for (const int threads : spec.sim_threads) {
+        RunRecord run;
+        run.scenario = spec.scenarios[sc];
+        run.seed = spec.base_seed + static_cast<std::uint64_t>(sd);
+        run.threads = threads;
+        run.checksum = runs.size();
+        for (std::size_t m = 0; m < metric_names().size(); ++m)
+          run.values.push_back(static_cast<double>(1000 * runs.size() + m));
+        runs.push_back(std::move(run));
+      }
+  return assemble_sweep_result(spec, std::move(runs), {}, {});
 }
 
 // --- stats ---------------------------------------------------------------
@@ -187,7 +230,6 @@ TEST(SweepDeterminismTest, ShuffledTaskOrderAndWorkerCountProduceIdenticalResult
   mask_timing_metrics(a);
   mask_timing_metrics(b);
   EXPECT_TRUE(a.runs == b.runs);
-  EXPECT_TRUE(a.aggregates == b.aggregates);
   EXPECT_EQ(to_json_text(a), to_json_text(b));
   // Whole-struct equality: the result's spec echo normalizes the
   // execution knobs, so differently-scheduled sweeps compare equal — and
@@ -236,9 +278,9 @@ TEST(SweepObsTest, MergedHistogramsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// --- aggregation over seeds ----------------------------------------------
+// --- stats over seeds, derived from the runs -----------------------------
 
-TEST(SweepRunnerTest, AggregatesReduceAcrossSeeds) {
+TEST(SweepRunnerTest, ScenarioStatsReduceAcrossSeeds) {
   SweepSpec spec = small_spec();
   spec.scenarios = {"steady-week"};
   spec.num_seeds = 3;
@@ -251,23 +293,33 @@ TEST(SweepRunnerTest, AggregatesReduceAcrossSeeds) {
   // Different seeds, different workloads: call counts must actually vary.
   EXPECT_NE(result.runs[0].checksum, result.runs[1].checksum);
 
-  ASSERT_EQ(result.aggregates.size(), 1u);
-  const auto& agg = result.aggregates[0];
-  EXPECT_EQ(agg.scenario, "steady-week");
-  EXPECT_EQ(agg.seeds, 3);
-  ASSERT_EQ(agg.stats.size(), metric_names().size());
+  const std::vector<MetricStats> stats = scenario_stats(result, 0);
+  ASSERT_EQ(stats.size(), metric_names().size());
   for (std::size_t m = 0; m < metric_names().size(); ++m) {
-    const auto& s = agg.stats[m];
+    const auto& s = stats[m];
     EXPECT_EQ(s.count, 3u) << metric_names()[m];
     EXPECT_LE(s.min, s.p50) << metric_names()[m];
     EXPECT_LE(s.p50, s.p95) << metric_names()[m];
     EXPECT_LE(s.p95, s.max) << metric_names()[m];
     EXPECT_GE(s.mean, s.min) << metric_names()[m];
     EXPECT_LE(s.mean, s.max) << metric_names()[m];
-    // Re-derive the stats from the runs: must agree exactly.
+    // The stats of the runs' values, exactly.
     std::vector<double> samples;
     for (const auto& run : result.runs) samples.push_back(run.values[m]);
     EXPECT_TRUE(s == compute_stats(samples)) << metric_names()[m];
+  }
+}
+
+// Each scenario's stats come from its own seeds' first thread-count
+// variant; the other variants are determinism replicas and never read.
+TEST(SweepRunnerTest, ScenarioStatsReadTheFirstVariantOfEachSeed) {
+  const SweepResult result = synthetic_result();
+  for (std::size_t sc = 0; sc < 2; ++sc) {
+    const std::vector<MetricStats> stats = scenario_stats(result, sc);
+    for (std::size_t m = 0; m < metric_names().size(); ++m)
+      EXPECT_TRUE(stats[m] == compute_stats({result.runs[4 * sc].values[m],
+                                             result.runs[4 * sc + 2].values[m]}))
+          << metric_names()[m];
   }
 }
 
@@ -340,6 +392,32 @@ TEST(SweepJsonTest, SchemaAndMetricMismatchesAreRejected) {
   EXPECT_THROW((void)from_json(bad_metrics), std::invalid_argument);
 }
 
+// The baseline check reads runs by canonical slot, so the reader rejects a
+// document whose runs do not fill exactly the spec's slots.
+TEST(SweepJsonTest, RunsOutsideTheirCanonicalSlotsAreRejected) {
+  const SweepResult result = synthetic_result();
+  EXPECT_TRUE(from_json(to_json(result)) == result);
+  const auto rejects = [](const SweepResult& bad) {
+    EXPECT_THROW((void)from_json(to_json(bad)), std::invalid_argument);
+  };
+
+  SweepResult dropped = result;
+  dropped.runs.pop_back();
+  rejects(dropped);
+
+  SweepResult swapped = result;  // dc-drain's first seed before steady-week's
+  std::swap(swapped.runs[0], swapped.runs[4]);
+  rejects(swapped);
+
+  SweepResult wrong_seed = result;
+  wrong_seed.runs[2].seed += 1;
+  rejects(wrong_seed);
+
+  SweepResult wrong_threads = result;
+  wrong_threads.runs[3].threads = 8;
+  rejects(wrong_threads);
+}
+
 // --- baseline comparison -------------------------------------------------
 
 TEST(SweepBaselineTest, SelfComparePassesAndPerturbationFails) {
@@ -352,13 +430,10 @@ TEST(SweepBaselineTest, SelfComparePassesAndPerturbationFails) {
 
   // Perturb one metric's mean past its band: exactly that (scenario,
   // metric, stat) must be flagged.
-  const auto& names = metric_names();
-  const std::size_t mos =
-      static_cast<std::size_t>(std::find(names.begin(), names.end(), "mean_mos") -
-                               names.begin());
-  ASSERT_LT(mos, names.size());
+  const std::size_t mos = metric_index("mean_mos");
+  ASSERT_LT(mos, metric_names().size());
   SweepResult perturbed = result;
-  perturbed.aggregates[1].stats[mos].mean *= 1.10;  // +10% vs its 5% band
+  scale_lower_seed(perturbed, 1, mos, 0.80);  // mean -10% vs its 5% band
   const auto regressions = compare_to_baseline(perturbed, result);
   ASSERT_EQ(regressions.size(), 1u);
   EXPECT_EQ(regressions[0].scenario, "dc-drain");
@@ -368,7 +443,7 @@ TEST(SweepBaselineTest, SelfComparePassesAndPerturbationFails) {
 
   // A perturbation inside the band stays green.
   SweepResult nudged = result;
-  nudged.aggregates[1].stats[mos].mean *= 1.01;  // +1%, within 5%
+  scale_lower_seed(nudged, 1, mos, 0.98);  // mean -1%, within 5%
   EXPECT_TRUE(compare_to_baseline(nudged, result).empty());
 }
 
@@ -376,18 +451,23 @@ TEST(SweepBaselineTest, LeakedCallsHaveZeroSlack) {
   SweepSpec spec = small_spec();
   spec.scenarios = {"steady-week"};
   const SweepResult result = SweepRunner(spec).run();
-  const auto& names = metric_names();
-  const std::size_t leaked =
-      static_cast<std::size_t>(std::find(names.begin(), names.end(), "leaked_calls") -
-                               names.begin());
-  ASSERT_LT(leaked, names.size());
-  EXPECT_DOUBLE_EQ(result.aggregates[0].stats[leaked].mean, 0.0);
+  const std::size_t leaked = metric_index("leaked_calls");
+  ASSERT_LT(leaked, metric_names().size());
+  EXPECT_DOUBLE_EQ(scenario_stats(result, 0)[leaked].mean, 0.0);
 
+  // One call leaked by one of the two seeds: even a fractional mean leak
+  // fails, and the leak reaches the p95 too.
   SweepResult leaky = result;
-  leaky.aggregates[0].stats[leaked].mean = 0.5;  // even a fractional mean leak
+  leaky.runs[1].values[leaked] = 1.0;
   const auto regressions = compare_to_baseline(leaky, result);
-  ASSERT_FALSE(regressions.empty());
-  EXPECT_EQ(regressions[0].metric, "leaked_calls");
+  ASSERT_EQ(regressions.size(), 2u);
+  for (const auto& regression : regressions) {
+    EXPECT_EQ(regression.scenario, "steady-week");
+    EXPECT_EQ(regression.metric, "leaked_calls");
+  }
+  EXPECT_EQ(regressions[0].stat, "mean");
+  EXPECT_EQ(regressions[0].current, 0.5);
+  EXPECT_EQ(regressions[1].stat, "p95");
 }
 
 // Bands live on the rows: a deterministic LP work counter added in schema
@@ -397,21 +477,15 @@ TEST(SweepBaselineTest, DeterministicRowsAreGatedAndWallClockRowsSkipped) {
   SweepSpec spec = small_spec();
   spec.scenarios = {"steady-week"};
   const SweepResult result = SweepRunner(spec).run();
-  const auto index = [](const char* name) {
-    const auto& names = metric_names();
-    return static_cast<std::size_t>(std::find(names.begin(), names.end(), name) -
-                                    names.begin());
-  };
-  const std::size_t refactors = index("replan_refactorizations");
-  const std::size_t wall = index("wall_seconds");
+  const std::size_t refactors = metric_index("replan_refactorizations");
+  const std::size_t wall = metric_index("wall_seconds");
   ASSERT_LT(refactors, metric_names().size());
   ASSERT_LT(wall, metric_names().size());
-  ASSERT_GT(result.aggregates[0].stats[refactors].mean, 0.0);
+  ASSERT_GT(scenario_stats(result, 0)[refactors].mean, 0.0);
 
   SweepResult perturbed = result;
-  perturbed.aggregates[0].stats[refactors].mean *= 1.5;  // +50% vs a 25% band
-  perturbed.aggregates[0].stats[wall].mean = 1e9;
-  perturbed.aggregates[0].stats[wall].p95 = 1e9;
+  scale_lower_seed(perturbed, 0, refactors, 0.2);  // mean about -40% vs a 25% band
+  for (RunRecord& run : perturbed.runs) run.values[wall] = 1e9;
   const auto regressions = compare_to_baseline(perturbed, result);
   ASSERT_EQ(regressions.size(), 1u);
   EXPECT_EQ(regressions[0].metric, "replan_refactorizations");
@@ -435,8 +509,8 @@ TEST(SweepBaselineTest, IncomparableSpecsThrow) {
 // --- scenario report (bench_sim_scenarios --out / --check) ---------------
 
 // The scenario report as bench_sim_scenarios assembles it: a one-seed spec
-// echo, one record per simulated scenario, and the sweep's own
-// aggregation. One steady-week run serves every case.
+// echo and one record per simulated scenario. One steady-week run serves
+// every case.
 SweepSpec report_spec() {
   SweepSpec spec = small_spec();
   spec.scenarios = {"steady-week"};
@@ -461,12 +535,12 @@ TEST(ScenarioReportTest, OneSeedReportRoundTripsByteIdentically) {
   const std::string text = to_json_text(scenario_report({report_record()}));
   const SweepResult parsed = from_json_text(text);
   EXPECT_EQ(to_json_text(parsed), text);
-  ASSERT_EQ(parsed.aggregates.size(), 1u);
-  EXPECT_EQ(parsed.aggregates[0].seeds, 1);
+  ASSERT_EQ(parsed.runs.size(), 1u);
+  for (const MetricStats& s : scenario_stats(parsed, 0)) EXPECT_EQ(s.count, 1u);
 }
 
 // The record is exactly the run's checksum and metric_table() values, and
-// each one-seed aggregate is that value.
+// each one-seed mean and p95 is that value.
 TEST(ScenarioReportTest, RecordIsTheMetricValuesAndChecksum) {
   const SweepResult r = scenario_report({report_record()});
   ASSERT_EQ(r.runs.size(), 1u);
@@ -476,18 +550,19 @@ TEST(ScenarioReportTest, RecordIsTheMetricValuesAndChecksum) {
   EXPECT_EQ(run.threads, 1);
   EXPECT_EQ(run.checksum, report_run().checksum);
   EXPECT_EQ(run.values, metric_values(report_run()));
-  for (std::size_t m = 0; m < metric_names().size(); ++m)
-    EXPECT_EQ(r.aggregates[0].stats[m].mean, run.values[m]) << metric_names()[m];
+  const std::vector<MetricStats> stats = scenario_stats(r, 0);
+  for (std::size_t m = 0; m < metric_names().size(); ++m) {
+    EXPECT_EQ(stats[m].mean, run.values[m]) << metric_names()[m];
+    EXPECT_EQ(stats[m].p95, run.values[m]) << metric_names()[m];
+  }
 }
 
 // A run whose pivot count doubles fails the check on replan_iterations,
 // the work counter it moved.
 TEST(ScenarioReportTest, ChangedPivotsRegressReplanIterations) {
   const RunRecord record = report_record();
-  const auto& names = metric_names();
-  const std::size_t pivots = static_cast<std::size_t>(
-      std::find(names.begin(), names.end(), "replan_iterations") - names.begin());
-  ASSERT_LT(pivots, names.size());
+  const std::size_t pivots = metric_index("replan_iterations");
+  ASSERT_LT(pivots, metric_names().size());
   ASSERT_GT(record.values[pivots], 0.0);
 
   RunRecord doubled = record;

@@ -871,7 +871,8 @@ TEST_F(PlanTest, RemapBasisSurvivesRegionEnterAndLeave) {
 // A decomposed attempt that fails a gate is discarded for the whole-scope
 // solve, and its work is counted, not dropped: at a 22 ms E2E bound the
 // composed NA+EU plan violates C4, so the result is the cold whole-scope
-// solve with the attempt's pivots in fallback_pivots.
+// solve with the attempt's pivots in fallback_pivots and its time in
+// fallback_seconds.
 TEST_F(PlanTest, DiscardedDecompositionCountsAsFallbackPivots) {
   const auto setup = make_na_eu_setup(*world_, *db_);
   PlanInputs inputs(*db_, setup.scope, setup.fractions);
@@ -883,6 +884,8 @@ TEST_F(PlanTest, DiscardedDecompositionCountsAsFallbackPivots) {
   ASSERT_EQ(result.status, lp::SolveStatus::kOptimal);
   EXPECT_EQ(result.blocks_solved, 0);
   EXPECT_GT(result.fallback_pivots, 0);
+  EXPECT_GT(result.fallback_seconds, 0.0);
+  EXPECT_LE(result.fallback_seconds, result.solve_seconds);
   const lp::Solution whole = lp::solve(build_model(inputs, options));
   ASSERT_EQ(whole.status, lp::SolveStatus::kOptimal);
   EXPECT_EQ(result.iterations, whole.iterations);
