@@ -35,7 +35,9 @@ int main(int argc, char** argv) {
     double peak = 0.0;
     for (const double v : actual) peak = std::max(peak, v);
     if (peak < 10.0) continue;  // skip configs with no meaningful eval-day volume
-    const auto err = forecast::evaluate_forecast(actual, fc.counts[cfg]);
+    const auto predicted = fc.series(cfg);
+    const auto err = forecast::evaluate_forecast(
+        actual, std::vector<double>(predicted.begin(), predicted.end()));
     maes.push_back(err.mae_normalized);
     rmses.push_back(err.rmse_normalized);
   }

@@ -16,6 +16,11 @@ namespace {
 // perfbench `steady` (m ~ 1,700) and on cascading-drain (m ~ 6,800).
 constexpr std::size_t kDenseReach = 20;
 
+// The sparse btran applies only the etas its nonzeros reach while the eta
+// file holds at most this many, one bit of BasisLu::eta_mask_ each; past
+// it (refactor_interval above 64) it applies the whole file.
+constexpr std::size_t kMaskedEtas = 64;
+
 // Lists the nonzero entries of v[0, m) ascending in `nonzeros` and turns
 // its zeros into +0: how a sparse solve that went dense ends.
 void list_nonzeros(double* v, int m, std::vector<int>& nonzeros) {
@@ -91,6 +96,7 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
   eta_begin_.assign(1, 0);
   eta_pos_.clear();
   eta_val_.clear();
+  eta_mask_.assign(static_cast<std::size_t>(m_), 0);
   scratch_.resize(static_cast<std::size_t>(m_));
   work_.resize(static_cast<std::size_t>(m_), 0.0);
   mark_.resize(static_cast<std::size_t>(m_), 0);
@@ -125,17 +131,51 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
   for (int j = 0; j < m_; ++j) {
     const int col = basis[static_cast<std::size_t>(col_order_[static_cast<std::size_t>(j)])];
 
-    // A single entry on an unpivoted row pivots there with empty L and U
-    // columns: what the general path below computes for it.
-    if (a.col_end(col) - a.col_begin(col) == 1) {
-      const int r0 = a.row_index(a.col_begin(col));
-      const double v = a.value(a.col_begin(col));
-      if (row_perm_[static_cast<std::size_t>(r0)] < 0 && std::abs(v) > pivot_tolerance) {
+    // A column none of whose rows reaches a nonempty L column (a unit
+    // column on an unpivoted row among them): the DFS below would visit
+    // only its own rows, in column order, and the elimination would change
+    // nothing, so its pivot, U entries and L entries come straight from its
+    // values, in that order. A column that finds no pivot takes the general
+    // path to its singular exit.
+    bool direct = true;
+    for (int k = a.col_begin(col); k < a.col_end(col) && direct; ++k) {
+      const int pk = row_perm_[static_cast<std::size_t>(a.row_index(k))];
+      direct = pk < 0 || l_col_ptr_[static_cast<std::size_t>(pk) + 1] ==
+                             l_col_ptr_[static_cast<std::size_t>(pk)];
+    }
+    if (direct) {
+      int pivot = -1;
+      double best = pivot_tolerance;
+      for (int k = a.col_begin(col); k < a.col_end(col); ++k) {
+        const int r = a.row_index(k);
+        if (row_perm_[static_cast<std::size_t>(r)] >= 0) continue;
+        if (std::abs(a.value(k)) > best) {
+          best = std::abs(a.value(k));
+          pivot = k;
+        }
+      }
+      if (pivot >= 0) {
+        const int pivot_row = a.row_index(pivot);
+        const double d = a.value(pivot);
+        for (int k = a.col_begin(col); k < a.col_end(col); ++k) {
+          const int r = a.row_index(k);
+          const int pk = row_perm_[static_cast<std::size_t>(r)];
+          const double v = a.value(k);
+          if (pk >= 0) {
+            if (v != 0.0) {
+              u_rows_.push_back(pk);
+              u_vals_.push_back(v);
+            }
+          } else if (r != pivot_row && std::abs(v) > 0.0) {
+            l_rows_.push_back(r);
+            l_vals_.push_back(v / d);
+          }
+        }
         u_col_ptr_.push_back(static_cast<int>(u_rows_.size()));
         l_col_ptr_.push_back(static_cast<int>(l_rows_.size()));
-        u_diag_[static_cast<std::size_t>(j)] = v;
-        pivot_row_of_[static_cast<std::size_t>(j)] = r0;
-        row_perm_[static_cast<std::size_t>(r0)] = j;
+        u_diag_[static_cast<std::size_t>(j)] = d;
+        pivot_row_of_[static_cast<std::size_t>(j)] = pivot_row;
+        row_perm_[static_cast<std::size_t>(pivot_row)] = j;
         continue;
       }
     }
@@ -510,21 +550,40 @@ void BasisLu::btran(std::vector<double>& y, std::vector<int>& nonzeros) {
   char* const mark = mark_.data();
   // Eta transposes, newest first, adding the positions they fill. A
   // position outside the pattern is written only when its sum is
-  // nonzero, so it stays +0.
+  // nonzero, so it stays +0. With at most kMaskedEtas etas, only the etas
+  // whose support holds a nonzero are applied: `live` holds the mask bits
+  // of every position in the pattern, and a position that joins it adds
+  // the bits of the older etas that touch it. A skipped eta reads only
+  // zeros, so it could write nothing but a zero over a zero.
   for (const int p : nonzeros) mark[p] = 1;
   const int* const eta_pos = eta_pos_.data();
   const double* const eta_val = eta_val_.data();
-  for (std::size_t e = eta_pivot_pos_.size(); e-- > 0;) {
+  const auto apply_eta = [&](std::size_t e) {
     const int p = eta_pivot_pos_[e];
     double acc = ys[p];
     for (int q = eta_begin_[e]; q < eta_begin_[e + 1]; ++q) acc -= eta_val[q] * ys[eta_pos[q]];
     if (mark[p]) {
       ys[p] = acc / eta_pivot_val_[e];
-    } else if (acc != 0.0) {
-      ys[p] = acc / eta_pivot_val_[e];
-      mark[p] = 1;
-      nonzeros.push_back(p);
+      return false;
     }
+    if (acc == 0.0) return false;
+    ys[p] = acc / eta_pivot_val_[e];
+    mark[p] = 1;
+    nonzeros.push_back(p);
+    return true;
+  };
+  if (eta_pivot_pos_.size() <= kMaskedEtas) {
+    const std::uint64_t* const eta_mask = eta_mask_.data();
+    std::uint64_t live = 0;
+    for (const int p : nonzeros) live |= eta_mask[p];
+    while (live != 0) {
+      const int e = 63 - std::countl_zero(live);
+      const std::uint64_t older = (std::uint64_t{1} << e) - 1;
+      live &= older;
+      if (apply_eta(static_cast<std::size_t>(e))) live |= eta_mask[eta_pivot_pos_[e]] & older;
+    }
+  } else {
+    for (std::size_t e = eta_pivot_pos_.size(); e-- > 0;) apply_eta(e);
   }
   // The U^T reach in pivot positions, closed over the row-wise U index.
   // The unit block reads nothing and is solved first; the structural
@@ -626,6 +685,11 @@ bool BasisLu::update(int leaving_pos, const std::vector<double>& alpha,
                      std::span<const int> nonzeros, double pivot_tolerance) {
   const double pivot = alpha[static_cast<std::size_t>(leaving_pos)];
   if (std::abs(pivot) < pivot_tolerance) return false;
+  if (eta_pivot_pos_.size() < kMaskedEtas) {
+    const std::uint64_t bit = std::uint64_t{1} << eta_pivot_pos_.size();
+    eta_mask_[static_cast<std::size_t>(leaving_pos)] |= bit;
+    for (const int i : nonzeros) eta_mask_[static_cast<std::size_t>(i)] |= bit;
+  }
   eta_pivot_pos_.push_back(leaving_pos);
   eta_pivot_val_.push_back(pivot);
   for (const int i : nonzeros) {

@@ -46,12 +46,26 @@
 //  * BTRAN's U^T and L^T passes compute each output as one full dot
 //    product over its stored column, so any topological order of the
 //    reach gives the same bits (ascending for U^T, descending for L^T);
-//  * the eta file is applied whole and in its order. Outside the reach
-//    the dense solve leaves +-0 and the sparse one +0; no reader depends
-//    on the sign of a zero (the ratio tests, the nonzero lists and the
-//    eta file skip zeros, and extraction clamps with max(0, .)).
+//  * the eta file is applied in its order, skipping only etas that read
+//    nothing but zeros. Each basis position keeps a 64-bit mask of the
+//    etas that pivot on it or hold an entry there (update sets the bit,
+//    factorize clears the masks); BTRAN applies, newest first, the etas
+//    in the masks of its nonzero positions, adding an older eta's bit
+//    when a position it touches turns nonzero. A skipped eta could only
+//    write a zero over a zero. Past 64 etas (refactor_interval is an
+//    option) BTRAN applies the whole file. Outside the reach the dense
+//    solve leaves +-0 and the sparse one +0; no reader depends on the
+//    sign of a zero (the ratio tests, the nonzero lists and the eta file
+//    skip zeros, and extraction clamps with max(0, .)).
+//
+// factorize stores a column none of whose rows reaches a nonempty L
+// column (the unit columns among them) straight from its values: the DFS
+// would visit only its own rows in column order and the elimination would
+// change nothing, so its pivot choice, U entries and L quotients are the
+// ones the general path computes, in the same order.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -166,6 +180,9 @@ class BasisLu {
   std::vector<int> eta_begin_;
   std::vector<int> eta_pos_;
   std::vector<double> eta_val_;
+  // Per basis position, bit e set when eta e (e < 64) pivots on it or
+  // holds an entry there: update sets the bits, factorize clears them.
+  std::vector<std::uint64_t> eta_mask_;
   // Pivot-coordinate workspace of the dense solves (length m).
   std::vector<double> scratch_;
   // Workspaces of factorize and the sparse solves, all of length m or

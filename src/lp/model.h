@@ -35,6 +35,9 @@ class LpModel {
   [[nodiscard]] const std::vector<Sense>& senses() const { return senses_; }
   [[nodiscard]] const std::vector<double>& rhs() const { return rhs_; }
 
+  // The coefficients in the order they were added.
+  [[nodiscard]] const std::vector<SparseMatrix::Triplet>& triplets() const { return triplets_; }
+
   // Materializes the coefficient matrix (rows x cols).
   [[nodiscard]] SparseMatrix matrix() const;
 

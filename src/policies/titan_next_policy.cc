@@ -35,7 +35,7 @@ PolicyRun TitanNextPolicy::run(const workload::Trace& eval_trace,
       const int history_end = static_cast<int>(combined.empty() ? 0 : combined[0].size());
       const auto fc = titannext::forecast_counts(combined, history_end, slots_per_day,
                                                  options_.pipeline.top_k_forecast);
-      plan = pipeline.plan_from_counts(eval_trace, fc.counts, fc.seconds);
+      plan = pipeline.plan_from_counts(eval_trace, fc.rows(), fc.seconds);
     }
     out.plan_seconds += plan.lp.solve_seconds + plan.forecast_seconds;
 

@@ -326,22 +326,27 @@ void SimEngine::replan(core::SlotIndex slot, std::vector<Shard>& shards) {
   const int horizon = scenario_.pipeline.scope.timeslots;
   const int now = history_slots_ + slot;
 
-  std::vector<std::vector<double>> counts;
-  double forecast_seconds = 0.0;
+  // The forecast inputs, written into the buffer forecast_ keeps across
+  // replans: one flat row of `horizon` slots per config.
+  obs::Span forecast_span(trace_, "forecast", "engine", 0);
+  titannext::ForecastOutput& fc = forecast_;
+  const auto configs = combined_counts_.size();
+  const auto slots = static_cast<std::size_t>(horizon);
   if (scenario_.oracle_counts) {
-    counts.assign(combined_counts_.size(),
-                  std::vector<double>(static_cast<std::size_t>(horizon), 0.0));
-    for (std::size_t c = 0; c < combined_counts_.size(); ++c)
+    fc.counts.assign(configs * slots, 0.0);
+    fc.horizon = horizon;
+    fc.seconds = 0.0;
+    fc.hw_configs = 0;
+    for (std::size_t c = 0; c < configs; ++c)
       for (int h = 0; h < horizon; ++h)
         if (now + h < static_cast<int>(combined_counts_[c].size()))
-          counts[c][static_cast<std::size_t>(h)] =
+          fc.series(c)[static_cast<std::size_t>(h)] =
               combined_counts_[c][static_cast<std::size_t>(now + h)];
   } else {
-    auto fc = titannext::forecast_counts(combined_counts_, now, horizon,
-                                         scenario_.pipeline.top_k_forecast);
-    counts = std::move(fc.counts);
-    forecast_seconds = fc.seconds;
+    titannext::forecast_counts(combined_counts_, now, horizon, scenario_.pipeline.top_k_forecast,
+                               fc);
   }
+  std::vector<double>& counts = fc.counts;
 
   // Forecast-miss regimes: every forecast column whose slot falls inside a
   // bias window is scaled, whichever replan produced it.
@@ -349,7 +354,8 @@ void SimEngine::replan(core::SlotIndex slot, std::vector<Shard>& shards) {
     for (int h = 0; h < horizon; ++h) {
       const core::SlotIndex covered = slot + h;
       if (covered < bias.slot || (bias.end_slot >= 0 && covered >= bias.end_slot)) continue;
-      for (auto& series : counts) series[static_cast<std::size_t>(h)] *= bias.magnitude;
+      for (std::size_t c = 0; c < configs; ++c)
+        counts[c * slots + static_cast<std::size_t>(h)] *= bias.magnitude;
     }
   }
 
@@ -374,13 +380,15 @@ void SimEngine::replan(core::SlotIndex slot, std::vector<Shard>& shards) {
                               kPlanDemandSafety;
     for (int h = 0; h < horizon; ++h) {
       double planned = 0.0;
-      for (std::size_t c = 0; c < counts.size(); ++c)
-        planned += counts[c][static_cast<std::size_t>(h)] * config_cores_[c];
+      for (std::size_t c = 0; c < configs; ++c)
+        planned += counts[c * slots + static_cast<std::size_t>(h)] * config_cores_[c];
       if (planned <= admissible || planned <= 0.0) continue;
       const double scale = admissible / planned;
-      for (auto& series : counts) series[static_cast<std::size_t>(h)] *= scale;
+      for (std::size_t c = 0; c < configs; ++c)
+        counts[c * slots + static_cast<std::size_t>(h)] *= scale;
     }
   }
+  forecast_span.end();
 
   // A fresh pipeline per replan picks up fraction surges and drains. The
   // warm cache seeds each solve from its predecessor's basis shifted to
@@ -391,11 +399,16 @@ void SimEngine::replan(core::SlotIndex slot, std::vector<Shard>& shards) {
   // model layout — so it KEEPS the cache: the dual phase that every solve
   // runs repairs that damage from the cached basis instead, and a seed
   // that does not factorize or a repair that fails falls back cold.
+  obs::Span plan_span(trace_, "plan", "engine", 0);
   const titannext::TitanNextPipeline pipeline(*db_, fractions_, scenario_.pipeline);
   warm_cache_.next_plan_begin = slot;
   titannext::DayPlan day =
-      pipeline.plan_from_counts(workload_.eval, counts, forecast_seconds,
+      pipeline.plan_from_counts(workload_.eval, fc.rows(), fc.seconds,
                                 scenario_.warm_replans ? &warm_cache_ : nullptr);
+  plan_span.end();
+
+  // Fan-out: every shard's controller rebinds to the new generation.
+  obs::Span fan_out_span(trace_, "fan-out", "engine", 0);
 
   titannext::ControllerOptions copts;
   copts.use_reduction = scenario_.pipeline.use_reduction;
@@ -405,7 +418,8 @@ void SimEngine::replan(core::SlotIndex slot, std::vector<Shard>& shards) {
   copts.admission.max_shed = scenario_.admission_max_shed;
   copts.admission.seed = scenario_.seed;
   for (auto& sh : shards) {
-    // Each shard gets its own copy of the new plan, seeded with ITS OWN
+    // Each shard gets its own copy of the new plan — the generation's LP
+    // result shared, the smooth-WRR credits its own — seeded with ITS OWN
     // previous credit state: smooth-WRR smoothing must span plan
     // generations (a restart every replan interval lets the realized mix
     // drift toward round-robin and away from the plan weights at rolling

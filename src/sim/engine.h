@@ -274,6 +274,8 @@ class SimEngine {
   std::vector<double> region_capacity_;
 
   // Per-run mutable state.
+  // The replan's forecast inputs; the buffer is reused across replans.
+  titannext::ForecastOutput forecast_;
   titannext::DayPlan current_plan_;
   core::SlotIndex plan_begin_ = 0;
   // Rolling basis cache feeding warm-started replans (reset per run so

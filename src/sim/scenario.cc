@@ -470,7 +470,7 @@ ScenarioWorkload build_workload(const Scenario& scenario, const geo::World& worl
       }
     }
   }
-  out.eval = workload::Trace::assemble(std::move(calls), eval.configs(), eval.num_slots());
+  out.eval = eval.with_calls(std::move(calls));
   return out;
 }
 

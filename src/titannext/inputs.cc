@@ -1,7 +1,6 @@
 #include "titannext/inputs.h"
 
 #include <algorithm>
-#include <set>
 
 namespace titan::titannext {
 
@@ -13,58 +12,73 @@ PlanInputs::PlanInputs(const net::NetworkDb& net, const PlanScope& scope,
 }
 
 void PlanInputs::set_demand(const workload::ConfigRegistry& registry,
-                            const std::vector<std::vector<double>>& counts_per_config,
-                            bool use_reduction) {
+                            CountRows counts_per_config, bool use_reduction) {
   demands_.clear();
   demand_index_.clear();
 
   // Group original configs into (possibly reduced) shapes, accumulating
   // reduced units = count * multiplier so resources are preserved (§6.2).
-  // The registry's grouping maps each config to its group; groups enter
-  // the sort below in CallConfig order of their shapes.
+  // The registry's grouping maps each config to its group. Every group's
+  // total is summed first, config by config in registry order and slot by
+  // slot, and the groups, listed in CallConfig order of their shapes, are
+  // ranked by it; only the top max_reduced_configs then get per-slot
+  // units, summed in the same order.
   const workload::ConfigGrouping& grouping = registry.grouping(use_reduction);
-  std::vector<ReducedDemand> grouped(grouping.shapes.size());
   const int slots = scope_.timeslots;
+  const auto observed = [&](std::size_t cfg) {
+    const std::span<const double> counts = counts_per_config[cfg];
+    return counts.first(std::min<std::size_t>(counts.size(), static_cast<std::size_t>(slots)));
+  };
+  std::vector<double> totals(grouping.shapes.size(), 0.0);
   for (std::size_t cfg = 0; cfg < registry.size(); ++cfg) {
-    const auto& counts = counts_per_config[cfg];
     const int multiplier = grouping.multiplier[cfg];
-    auto& d = grouped[static_cast<std::size_t>(grouping.group_of[cfg])];
-    if (d.units_per_slot.empty()) d.units_per_slot.assign(static_cast<std::size_t>(slots), 0.0);
-    const int n = std::min<int>(slots, static_cast<int>(counts.size()));
-    for (int t = 0; t < n; ++t) {
-      const double units = counts[static_cast<std::size_t>(t)] * multiplier;
-      d.units_per_slot[static_cast<std::size_t>(t)] += units;
-      d.total_units += units;
-    }
+    double& total = totals[static_cast<std::size_t>(grouping.group_of[cfg])];
+    for (const double count : observed(cfg)) total += count * multiplier;
   }
+  std::vector<int> ranked = grouping.order;
+  std::sort(ranked.begin(), ranked.end(), [&](int a, int b) {
+    return totals[static_cast<std::size_t>(a)] > totals[static_cast<std::size_t>(b)];
+  });
+  if (static_cast<int>(ranked.size()) > scope_.max_reduced_configs)
+    ranked.resize(static_cast<std::size_t>(scope_.max_reduced_configs));
 
-  demands_.reserve(grouped.size());
-  for (const int group : grouping.order) {
-    auto& d = grouped[static_cast<std::size_t>(group)];
-    d.config = grouping.shapes[static_cast<std::size_t>(group)];
-    demands_.push_back(std::move(d));
+  std::vector<int> kept_as(grouping.shapes.size(), -1);
+  demands_.resize(ranked.size());
+  for (std::size_t i = 0; i < ranked.size(); ++i) {
+    const auto group = static_cast<std::size_t>(ranked[i]);
+    kept_as[group] = static_cast<int>(i);
+    demands_[i].config = grouping.shapes[group];
+    demands_[i].total_units = totals[group];
   }
-  std::sort(demands_.begin(), demands_.end(),
-            [](const ReducedDemand& a, const ReducedDemand& b) {
-              return a.total_units > b.total_units;
-            });
-  if (static_cast<int>(demands_.size()) > scope_.max_reduced_configs)
-    demands_.resize(static_cast<std::size_t>(scope_.max_reduced_configs));
+  for (std::size_t cfg = 0; cfg < registry.size(); ++cfg) {
+    const int i = kept_as[static_cast<std::size_t>(grouping.group_of[cfg])];
+    if (i < 0) continue;
+    const int multiplier = grouping.multiplier[cfg];
+    auto& units = demands_[static_cast<std::size_t>(i)].units_per_slot;
+    if (units.empty()) units.assign(static_cast<std::size_t>(slots), 0.0);
+    const std::span<const double> counts = observed(cfg);
+    for (std::size_t t = 0; t < counts.size(); ++t) units[t] += counts[t] * multiplier;
+  }
   for (std::size_t i = 0; i < demands_.size(); ++i)
     demand_index_[demands_[i].config] = static_cast<int>(i);
 
-  // Links in scope: union over WAN paths of in-scope (country, dc) pairs.
-  std::set<int> link_set;
+  collect_links();
+  build_singleton_index();
+  finalize_capacities();
+}
+
+void PlanInputs::collect_links() {
+  // Links in scope: union over WAN paths of in-scope (country, dc) pairs,
+  // in ascending id order.
+  std::vector<char> in_scope(net_->topology().link_count(), 0);
   for (const auto& d : demands_)
     for (const auto& [country, count] : d.config.participants)
       for (const auto dc : dcs_)
         for (const auto l : net_->topology().path(country, dc).links)
-          link_set.insert(l.value());
+          in_scope[static_cast<std::size_t>(l.value())] = 1;
   links_.clear();
-  for (const int l : link_set) links_.push_back(core::LinkId(l));
-
-  build_singleton_index();
-  finalize_capacities();
+  for (std::size_t l = 0; l < in_scope.size(); ++l)
+    if (in_scope[l]) links_.push_back(core::LinkId(static_cast<int>(l)));
 }
 
 void PlanInputs::build_singleton_index() {
@@ -213,14 +227,7 @@ PlanInputs PlanInputs::restricted(const std::vector<int>& dc_indices,
   for (std::size_t i = 0; i < out.demands_.size(); ++i)
     out.demand_index_[out.demands_[i].config] = static_cast<int>(i);
 
-  std::set<int> link_set;
-  for (const auto& d : out.demands_)
-    for (const auto& [country, count] : d.config.participants)
-      for (const auto dc : out.dcs_)
-        for (const auto l : net_->topology().path(country, dc).links)
-          link_set.insert(l.value());
-  out.links_.clear();
-  for (const int l : link_set) out.links_.push_back(core::LinkId(l));
+  out.collect_links();
   out.build_singleton_index();
   return out;
 }

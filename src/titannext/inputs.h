@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "core/ids.h"
@@ -23,6 +24,31 @@
 #include "workload/callgen.h"
 
 namespace titan::titannext {
+
+// Per-config count series, [config][slot], as set_demand reads them: rows
+// of a nested vector, or of one flat buffer whose rows all have the same
+// length (the replan loop's forecast buffer). A view: the counts must
+// outlive it.
+class CountRows {
+ public:
+  CountRows(const std::vector<std::vector<double>>& nested)  // NOLINT(google-explicit-constructor)
+      : nested_(&nested), rows_(nested.size()) {}
+  CountRows(std::span<const double> flat, std::size_t row_length)
+      : flat_(flat), row_length_(row_length),
+        rows_(row_length == 0 ? 0 : flat.size() / row_length) {}
+
+  [[nodiscard]] std::size_t size() const { return rows_; }
+  [[nodiscard]] std::span<const double> operator[](std::size_t c) const {
+    return nested_ != nullptr ? std::span<const double>((*nested_)[c])
+                              : flat_.subspan(c * row_length_, row_length_);
+  }
+
+ private:
+  const std::vector<std::vector<double>>* nested_ = nullptr;
+  std::span<const double> flat_;
+  std::size_t row_length_ = 0;
+  std::size_t rows_ = 0;
+};
 
 struct ReducedDemand {
   workload::CallConfig config;           // reduced shape
@@ -67,8 +93,7 @@ class PlanInputs {
   // Demand from per-(original config, slot) counts; reduction + grouping
   // (§6.2) happens here. `use_reduction=false` feeds full configs to the LP
   // (Table 4's ablation).
-  void set_demand(const workload::ConfigRegistry& registry,
-                  const std::vector<std::vector<double>>& counts_per_config,
+  void set_demand(const workload::ConfigRegistry& registry, CountRows counts_per_config,
                   bool use_reduction = true);
 
   [[nodiscard]] const PlanScope& scope() const { return scope_; }
@@ -116,6 +141,8 @@ class PlanInputs {
 
  private:
   void finalize_capacities();
+  // links_ from the WAN paths of every (demand participant, DC) pair.
+  void collect_links();
   void build_singleton_index();
 
   const net::NetworkDb* net_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <map>
 #include <numeric>
 #include <set>
 
@@ -22,9 +21,25 @@ struct Layout {
   [[nodiscard]] int num_x() const { return timeslots * configs * dcs * 2; }
 };
 
-// Per (config, dc): WAN bandwidth contributed to each in-scope link by one
-// assigned unit.
-using LinkLoads = std::vector<std::pair<int, double>>;  // (link index, Mbps)
+// Link id -> position in a link list, -1 for a link outside it: a flat
+// table over the ids up to the list's largest.
+class LinkIndex {
+ public:
+  explicit LinkIndex(const std::vector<core::LinkId>& links) {
+    int size = 0;
+    for (const auto l : links) size = std::max(size, l.value() + 1);
+    pos_.assign(static_cast<std::size_t>(size), -1);
+    for (std::size_t l = 0; l < links.size(); ++l)
+      pos_[static_cast<std::size_t>(links[l].value())] = static_cast<int>(l);
+  }
+  [[nodiscard]] int operator()(core::LinkId id) const {
+    const auto v = static_cast<std::size_t>(id.value());
+    return v < pos_.size() ? pos_[v] : -1;
+  }
+
+ private:
+  std::vector<int> pos_;
+};
 
 // Row layout mirror of build_model's construction order: C1 demand rows
 // (slot-major, config inner), C2 compute rows, C3 Internet rows, the single
@@ -72,45 +87,74 @@ lp::LpModel build_model(const PlanInputs& inputs, const LpBuildOptions& options,
   const auto& links = committed != nullptr ? committed->links : inputs.links();
   const Layout lay{inputs.scope().timeslots, static_cast<int>(demands.size()),
                    static_cast<int>(dcs.size())};
+  const bool e2e = has_e2e_row(inputs, options);
+  // Per (c, m, p) latencies, each evaluated once: the objective's and the
+  // C4 row's coefficients of every slot's x(t, c, m, p).
+  const auto cm = [&](int c, int m) { return static_cast<std::size_t>(c * lay.dcs + m); };
+  std::vector<double> cost(static_cast<std::size_t>(lay.configs * lay.dcs * 2), 0.0);
+  std::vector<double> e2e_ms(e2e ? cost.size() : 0);
+  for (int c = 0; c < lay.configs; ++c)
+    for (int m = 0; m < lay.dcs; ++m)
+      for (int p = 0; p < 2; ++p) {
+        const auto& config = demands[static_cast<std::size_t>(c)].config;
+        const core::DcId dc = dcs[static_cast<std::size_t>(m)];
+        const auto path = p == 0 ? net::PathType::kWan : net::PathType::kInternet;
+        const std::size_t k = cm(c, m) * 2 + static_cast<std::size_t>(p);
+        if (options.objective == Objective::kMinimizeTotalLatency)
+          cost[k] = inputs.total_latency_ms(config, dc, path);
+        else if (options.objective == Objective::kMinimizeTotalMaxE2e)
+          cost[k] = inputs.max_e2e_ms(config, dc, path);
+        if (e2e) e2e_ms[k] = inputs.max_e2e_ms(config, dc, path);
+      }
 
   lp::LpModel model;
   // X variables (objective coefficients depend on the variant).
   for (int t = 0; t < lay.timeslots; ++t)
-    for (int c = 0; c < lay.configs; ++c)
-      for (int m = 0; m < lay.dcs; ++m)
-        for (int p = 0; p < 2; ++p) {
-          double cost = 0.0;
-          const auto path = p == 0 ? net::PathType::kWan : net::PathType::kInternet;
-          if (options.objective == Objective::kMinimizeTotalLatency)
-            cost = inputs.total_latency_ms(demands[static_cast<std::size_t>(c)].config,
-                                           dcs[static_cast<std::size_t>(m)], path);
-          else if (options.objective == Objective::kMinimizeTotalMaxE2e)
-            cost = inputs.max_e2e_ms(demands[static_cast<std::size_t>(c)].config,
-                                     dcs[static_cast<std::size_t>(m)], path);
-          model.add_variable(cost);
-        }
+    for (const double c : cost) model.add_variable(c);
   // y variables (peak per link) — only part of the objective for the
   // Titan-Next variant; harmless otherwise (cost 0 keeps them defined).
   std::vector<int> yvar(links.size());
   for (std::size_t l = 0; l < links.size(); ++l)
     yvar[l] = model.add_variable(options.objective == Objective::kMinimizeWanPeaks ? 1.0 : 0.0);
 
-  // Precompute per (config, dc) link loads and resource coefficients.
-  std::map<int, int> link_index;
-  for (std::size_t l = 0; l < links.size(); ++l) link_index[links[l].value()] = static_cast<int>(l);
-  std::vector<std::vector<LinkLoads>> loads(demands.size(),
-                                            std::vector<LinkLoads>(dcs.size()));
-  for (std::size_t c = 0; c < demands.size(); ++c) {
-    for (std::size_t m = 0; m < dcs.size(); ++m) {
-      std::map<int, double> acc;
-      for (const auto& [country, count] : demands[c].config.participants) {
-        const double bw = demands[c].config.network_mbps_from(country);
-        for (const auto lid : inputs.net().topology().path(country, dcs[m]).links) {
-          const auto it = link_index.find(lid.value());
-          if (it != link_index.end()) acc[it->second] += bw;
+  // The WAN users of each link: the (c, m) pairs whose WAN path loads it,
+  // with the Mbps one assigned unit puts on it (summed over participants
+  // in participant order), listed in (c, m) order — the order of each C5
+  // row's coefficients.
+  struct LinkUser {
+    int c, m;
+    double mbps;
+  };
+  std::vector<std::vector<LinkUser>> users(links.size());
+  {
+    const LinkIndex link_index(links);
+    std::vector<double> acc(links.size(), 0.0);
+    std::vector<char> in_touched(links.size(), 0);
+    std::vector<int> touched;
+    for (int c = 0; c < lay.configs; ++c) {
+      const auto& config = demands[static_cast<std::size_t>(c)].config;
+      for (int m = 0; m < lay.dcs; ++m) {
+        for (const auto& [country, count] : config.participants) {
+          const double bw = config.network_mbps_from(country);
+          const auto& path =
+              inputs.net().topology().path(country, dcs[static_cast<std::size_t>(m)]);
+          for (const auto lid : path.links) {
+            const int l = link_index(lid);
+            if (l < 0) continue;
+            if (!in_touched[static_cast<std::size_t>(l)]) {
+              in_touched[static_cast<std::size_t>(l)] = 1;
+              touched.push_back(l);
+            }
+            acc[static_cast<std::size_t>(l)] += bw;
+          }
         }
+        for (const int l : touched) {
+          users[static_cast<std::size_t>(l)].push_back({c, m, acc[static_cast<std::size_t>(l)]});
+          acc[static_cast<std::size_t>(l)] = 0.0;
+          in_touched[static_cast<std::size_t>(l)] = 0;
+        }
+        touched.clear();
       }
-      for (const auto& [l, bw] : acc) loads[c][m].push_back({l, bw});
     }
   }
 
@@ -155,20 +199,13 @@ lp::LpModel build_model(const PlanInputs& inputs, const LpBuildOptions& options,
   // C4: bound on the demand-weighted average of max-E2E latency. The
   // presence condition is shared with remap_basis through has_e2e_row so
   // the row layouts cannot drift apart.
-  if (has_e2e_row(inputs, options)) {
+  if (e2e) {
     double total_units = 0.0;
     for (const auto& d : demands) total_units += d.total_units;
     const int row = model.add_constraint(lp::Sense::kLe, options.e2e_bound_ms * total_units);
     for (int t = 0; t < lay.timeslots; ++t)
-      for (int c = 0; c < lay.configs; ++c)
-        for (int m = 0; m < lay.dcs; ++m)
-          for (int p = 0; p < 2; ++p) {
-            const auto path = p == 0 ? net::PathType::kWan : net::PathType::kInternet;
-            model.add_coefficient(
-                row, lay.x(t, c, m, p),
-                inputs.max_e2e_ms(demands[static_cast<std::size_t>(c)].config,
-                                  dcs[static_cast<std::size_t>(m)], path));
-          }
+      for (std::size_t k = 0; k < e2e_ms.size(); ++k)
+        model.add_coefficient(row, lay.x(t, 0, 0, 0) + static_cast<int>(k), e2e_ms[k]);
   }
 
   // C5: per-link peak definition, y_l >= slot WAN usage. Against committed
@@ -180,10 +217,7 @@ lp::LpModel build_model(const PlanInputs& inputs, const LpBuildOptions& options,
           lp::Sense::kLe,
           committed ? std::max(0.0, peak[l] - committed->link[static_cast<std::size_t>(t)][l])
                     : 0.0);
-      for (int c = 0; c < lay.configs; ++c)
-        for (int m = 0; m < lay.dcs; ++m)
-          for (const auto& [li, bw] : loads[static_cast<std::size_t>(c)][static_cast<std::size_t>(m)])
-            if (li == static_cast<int>(l)) model.add_coefficient(row, lay.x(t, c, m, 0), bw);
+      for (const auto& u : users[l]) model.add_coefficient(row, lay.x(t, u.c, u.m, 0), u.mbps);
       model.add_coefficient(row, yvar[l], -1.0);
     }
 
@@ -225,12 +259,8 @@ std::optional<lp::Basis> remap_basis(const PlanBasisContext& prev, const PlanInp
         dc_map[static_cast<std::size_t>(m)] = static_cast<int>(i);
         break;
       }
-  std::map<int, int> link_map;
-  for (std::size_t i = 0; i < links.size(); ++i) link_map[links[i].value()] = static_cast<int>(i);
-  const auto map_link = [&](int l) {
-    const auto it = link_map.find(prev.links[static_cast<std::size_t>(l)].value());
-    return it == link_map.end() ? -1 : it->second;
-  };
+  const LinkIndex link_index(links);
+  const auto map_link = [&](int l) { return link_index(prev.links[static_cast<std::size_t>(l)]); };
 
   // Horizon-relative slot translation: old slot t is new slot t - shift;
   // slots before the new window vanish.
@@ -265,7 +295,10 @@ std::optional<lp::Basis> remap_basis(const PlanBasisContext& prev, const PlanInp
   // completion step below can fill the holes with slacks/artificials.
   std::vector<lp::BasisEntry> mapped;
   mapped.reserve(prev.basis.entries.size());
-  std::set<std::pair<int, int>> seen;  // (kind, index) duplicates guard
+  // Duplicates guard: one flag per new structural column, and per new row
+  // for its slack and its artificial.
+  std::vector<char> column_seen(static_cast<std::size_t>(new_lay.num_x()) + links.size(), 0);
+  std::vector<char> unit_seen(2 * static_cast<std::size_t>(new_rows.rows()), 0);
   std::vector<bool> row_claimed(static_cast<std::size_t>(new_rows.rows()), false);
   const int num_x_old = old_lay.num_x();
   for (const auto& e : prev.basis.entries) {
@@ -293,7 +326,12 @@ std::optional<lp::Basis> remap_basis(const PlanBasisContext& prev, const PlanInp
       out.index = r;
       row_claimed[static_cast<std::size_t>(r)] = true;
     }
-    if (!seen.insert({static_cast<int>(out.kind), out.index}).second) return std::nullopt;
+    char& seen = out.kind == lp::BasisEntry::Kind::kStructural
+                     ? column_seen[static_cast<std::size_t>(out.index)]
+                     : unit_seen[2 * static_cast<std::size_t>(out.index) +
+                                 (out.kind == lp::BasisEntry::Kind::kSlack ? 0 : 1)];
+    if (seen) return std::nullopt;
+    seen = 1;
     mapped.push_back(out);
   }
 
@@ -357,8 +395,7 @@ PlanUse plan_use(const PlanInputs& inputs,
   const auto& demands = inputs.demands();
   const auto& dcs = inputs.dcs();
   const auto& links = inputs.links();
-  std::map<int, int> link_index;
-  for (std::size_t l = 0; l < links.size(); ++l) link_index[links[l].value()] = static_cast<int>(l);
+  const LinkIndex link_index(links);
   const auto zeros = [&](std::size_t n) {
     return std::vector<std::vector<double>>(weights.size(), std::vector<double>(n, 0.0));
   };
@@ -376,8 +413,8 @@ PlanUse plan_use(const PlanInputs& inputs,
         for (const auto& [country, count] : config.participants) {
           const double bw = config.network_mbps_from(country) * e.units;
           for (const auto lid : inputs.net().topology().path(country, e.dc).links) {
-            const auto it = link_index.find(lid.value());
-            if (it != link_index.end()) use.link[t][static_cast<std::size_t>(it->second)] += bw;
+            const int l = link_index(lid);
+            if (l >= 0) use.link[t][static_cast<std::size_t>(l)] += bw;
           }
         }
       }

@@ -7,11 +7,14 @@
 
 namespace titan::titannext {
 
-ForecastOutput forecast_counts(const std::vector<std::vector<double>>& history,
-                               int history_end, int horizon, int top_k) {
+void forecast_counts(const std::vector<std::vector<double>>& history, int history_end,
+                     int horizon, int top_k, ForecastOutput& out) {
   const auto t0 = std::chrono::steady_clock::now();
-  ForecastOutput out;
-  out.counts.assign(history.size(), std::vector<double>(static_cast<std::size_t>(horizon), 0.0));
+  // Every slot of the buffer is written below, so it is resized, not
+  // cleared.
+  out.counts.resize(history.size() * static_cast<std::size_t>(std::max(horizon, 0)));
+  out.horizon = horizon;
+  out.hw_configs = 0;
   // A series is read within its own length; slots past its end count as 0.
   const auto observed = [&](std::size_t c) {
     return std::span<const double>(history[c]).first(std::min<std::size_t>(
@@ -22,10 +25,12 @@ ForecastOutput forecast_counts(const std::vector<std::vector<double>>& history,
   const int season = core::kSlotsPerWeek;
   for (std::size_t c = 0; c < history.size(); ++c) {
     const std::span<const double> series = observed(c);
+    const std::span<double> forecast = out.series(c);
     for (int h = 0; h < horizon; ++h) {
       const int src = history_end + h - season;
-      if (src >= 0 && src < static_cast<int>(series.size()))
-        out.counts[c][static_cast<std::size_t>(h)] = series[static_cast<std::size_t>(src)];
+      forecast[static_cast<std::size_t>(h)] = src >= 0 && src < static_cast<int>(series.size())
+                                                  ? series[static_cast<std::size_t>(src)]
+                                                  : 0.0;
     }
   }
 
@@ -51,12 +56,19 @@ ForecastOutput forecast_counts(const std::vector<std::vector<double>>& history,
         padded.resize(static_cast<std::size_t>(history_end), 0.0);
         series = padded;
       }
-      out.counts[c] =
+      const std::vector<double> fit =
           forecast::HoltWinters::forecast(forecast::HoltWinters::fit_auto(series, season), horizon);
+      std::copy(fit.begin(), fit.end(), out.series(c).begin());
       ++out.hw_configs;
     }
   }
   out.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+ForecastOutput forecast_counts(const std::vector<std::vector<double>>& history,
+                               int history_end, int horizon, int top_k) {
+  ForecastOutput out;
+  forecast_counts(history, history_end, horizon, top_k, out);
   return out;
 }
 
@@ -65,8 +77,7 @@ TitanNextPipeline::TitanNextPipeline(const net::NetworkDb& net,
                                      const PipelineOptions& options)
     : net_(&net), fractions_(std::move(internet_fractions)), options_(options) {}
 
-DayPlan TitanNextPipeline::plan_from_counts(const workload::Trace& trace,
-                                            const std::vector<std::vector<double>>& counts,
+DayPlan TitanNextPipeline::plan_from_counts(const workload::Trace& trace, CountRows counts,
                                             double forecast_seconds,
                                             WarmStartCache* warm) const {
   DayPlan day;
@@ -115,7 +126,7 @@ DayPlan TitanNextPipeline::plan_day_forecast(const workload::Trace& trace,
   const auto all_counts = trace.config_active_counts();
   const ForecastOutput fc =
       forecast_counts(all_counts, day_begin, horizon, options_.top_k_forecast);
-  return plan_from_counts(trace, fc.counts, fc.seconds);
+  return plan_from_counts(trace, fc.rows(), fc.seconds);
 }
 
 }  // namespace titan::titannext

@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "forecast/holt_winters.h"
@@ -47,10 +48,30 @@ struct DayPlan {
 // so with `history_end` under 2 x kSlotsPerWeek every config is persistence
 // and hw_configs is 0.
 struct ForecastOutput {
-  std::vector<std::vector<double>> counts;  // [config][horizon slot]
+  // [config * horizon + slot]: one flat row of `horizon` slots per config.
+  std::vector<double> counts;
+  int horizon = 0;
   double seconds = 0.0;
   int hw_configs = 0;
+  [[nodiscard]] std::size_t configs() const {
+    return horizon > 0 ? counts.size() / static_cast<std::size_t>(horizon) : 0;
+  }
+  [[nodiscard]] std::span<double> series(std::size_t c) {
+    return std::span<double>(counts).subspan(c * static_cast<std::size_t>(horizon),
+                                             static_cast<std::size_t>(horizon));
+  }
+  [[nodiscard]] std::span<const double> series(std::size_t c) const {
+    return std::span<const double>(counts).subspan(c * static_cast<std::size_t>(horizon),
+                                                   static_cast<std::size_t>(horizon));
+  }
+  [[nodiscard]] CountRows rows() const {
+    return CountRows(counts, static_cast<std::size_t>(horizon));
+  }
 };
+// Forecasts into `out`, reusing its buffer: a replan loop keeps one
+// ForecastOutput across replans.
+void forecast_counts(const std::vector<std::vector<double>>& history, int history_end,
+                     int horizon, int top_k, ForecastOutput& out);
 [[nodiscard]] ForecastOutput forecast_counts(const std::vector<std::vector<double>>& history,
                                              int history_end, int horizon, int top_k);
 
@@ -75,8 +96,7 @@ class TitanNextPipeline {
   // supplies the config registry. With a warm-start cache the LP solve is
   // seeded from the previous plan's basis (and the cache refreshed) —
   // a replan loop passes one cache across its whole lifetime.
-  [[nodiscard]] DayPlan plan_from_counts(const workload::Trace& trace,
-                                         const std::vector<std::vector<double>>& counts,
+  [[nodiscard]] DayPlan plan_from_counts(const workload::Trace& trace, CountRows counts,
                                          double forecast_seconds,
                                          WarmStartCache* warm = nullptr) const;
 

@@ -2,14 +2,22 @@
 
 namespace titan::titannext {
 
-OfflinePlan::OfflinePlan(const PlanInputs* inputs, LpPlanResult result)
-    : inputs_(inputs), result_(std::move(result)) {
-  if (inputs_ == nullptr) return;
-  dc_pos_.assign(inputs_->net().world().dcs().size(), -1);
-  const auto& dcs = inputs_->dcs();
-  for (std::size_t i = 0; i < dcs.size(); ++i)
-    dc_pos_[static_cast<std::size_t>(dcs[i].value())] = static_cast<int>(i);
-  credits_.resize(inputs_->demands().size());
+OfflinePlan::OfflinePlan(const PlanInputs* inputs, LpPlanResult result) : inputs_(inputs) {
+  auto gen = std::make_shared<Generation>();
+  gen->result = std::move(result);
+  if (inputs_ != nullptr) {
+    gen->dc_pos.assign(inputs_->net().world().dcs().size(), -1);
+    const auto& dcs = inputs_->dcs();
+    for (std::size_t i = 0; i < dcs.size(); ++i)
+      gen->dc_pos[static_cast<std::size_t>(dcs[i].value())] = static_cast<int>(i);
+    credits_.resize(inputs_->demands().size());
+  }
+  gen_ = std::move(gen);
+}
+
+const LpPlanResult& OfflinePlan::result() const {
+  static const LpPlanResult kNone;
+  return gen_ != nullptr ? gen_->result : kNone;
 }
 
 std::size_t OfflinePlan::credit_slots() const {
@@ -18,8 +26,9 @@ std::size_t OfflinePlan::credit_slots() const {
 
 const AssignmentWeights* OfflinePlan::weights_for(int demand_idx, core::SlotIndex t) const {
   if (!valid()) return nullptr;
-  if (t < 0 || t >= static_cast<int>(result_.weights.size())) return nullptr;
-  const auto& row = result_.weights[static_cast<std::size_t>(t)];
+  const auto& weights = gen_->result.weights;
+  if (t < 0 || t >= static_cast<int>(weights.size())) return nullptr;
+  const auto& row = weights[static_cast<std::size_t>(t)];
   if (demand_idx < 0 || demand_idx >= static_cast<int>(row.size())) return nullptr;
   const auto& w = row[static_cast<std::size_t>(demand_idx)];
   return w.entries.empty() ? nullptr : &w;
@@ -44,7 +53,7 @@ std::optional<Assignment> OfflinePlan::pick(int demand_idx, core::SlotIndex t,
   // its plan share at this slot; the richest entry serves this call and
   // pays one unit. Credits persist across slots for the demand.
   const auto slot_of = [&](const AssignmentWeights::Entry& e) {
-    return static_cast<std::size_t>(dc_pos_[static_cast<std::size_t>(e.dc.value())]) *
+    return static_cast<std::size_t>(gen_->dc_pos[static_cast<std::size_t>(e.dc.value())]) *
                static_cast<std::size_t>(net::kNumPathTypes) +
            static_cast<std::size_t>(e.path);
   };
@@ -99,7 +108,7 @@ void OfflinePlan::carry_credits_from(const OfflinePlan& prev) {
     row.assign(credit_slots(), 0.0);
     for (std::size_t i = 0; i < dcs.size(); ++i) {
       const std::size_t id = static_cast<std::size_t>(dcs[i].value());
-      const int ppos = id < prev.dc_pos_.size() ? prev.dc_pos_[id] : -1;
+      const int ppos = id < prev.gen_->dc_pos.size() ? prev.gen_->dc_pos[id] : -1;
       if (ppos < 0) continue;
       for (int p = 0; p < net::kNumPathTypes; ++p)
         row[i * static_cast<std::size_t>(net::kNumPathTypes) + static_cast<std::size_t>(p)] =

@@ -13,6 +13,7 @@
 // retargeting) and simply resolve-then-delegate.
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "core/rng.h"
@@ -34,9 +35,9 @@ class OfflinePlan {
   OfflinePlan(const PlanInputs* inputs, LpPlanResult result);
 
   [[nodiscard]] bool valid() const {
-    return inputs_ != nullptr && result_.status == lp::SolveStatus::kOptimal;
+    return inputs_ != nullptr && result().status == lp::SolveStatus::kOptimal;
   }
-  [[nodiscard]] const LpPlanResult& result() const { return result_; }
+  [[nodiscard]] const LpPlanResult& result() const;
 
   // Assignment draw for the demand at slot t; nullopt when the demand is
   // out of plan scope or the plan has no units for it at t (an all-zero
@@ -78,10 +79,16 @@ class OfflinePlan {
   [[nodiscard]] const AssignmentWeights* weights_for(int demand_idx, core::SlotIndex t) const;
   [[nodiscard]] std::size_t credit_slots() const;
 
+  // What a plan generation's copies share, immutable once built: the LP
+  // result, and the dense position in inputs_->dcs() of each dc id value
+  // (-1 out of scope). A copy of a plan copies only the credits below.
+  struct Generation {
+    LpPlanResult result;
+    std::vector<int> dc_pos;
+  };
+
   const PlanInputs* inputs_ = nullptr;
-  LpPlanResult result_;
-  // dc id value -> dense position in inputs_->dcs(); -1 out of scope.
-  std::vector<int> dc_pos_;
+  std::shared_ptr<const Generation> gen_;
   // Smooth-WRR credit state, [demand][dc_pos * net::kNumPathTypes + path],
   // rows allocated on first pick of the demand. Keyed by (dc, path) so the
   // smoothing carries across timeslots: with only a handful of calls per

@@ -21,6 +21,7 @@ double TraceGenerator::diurnal_factor(core::SlotIndex slot, double weekend_facto
 
 Trace TraceGenerator::generate(const TraceOptions& options) const {
   Trace trace;
+  ConfigRegistry registry;
   trace.num_slots_ = options.weeks * core::kSlotsPerWeek;
   trace.by_slot_.resize(static_cast<std::size_t>(trace.num_slots_));
   core::Rng rng(options.seed);
@@ -120,12 +121,13 @@ Trace TraceGenerator::generate(const TraceOptions& options) const {
                          ? media::MediaType::kVideo
                          : media::MediaType::kScreenShare;
 
-      rec.config = trace.registry_.intern(config);
+      rec.config = registry.intern(config);
       rec.first_joiner = home;
       trace.by_slot_[static_cast<std::size_t>(slot)].push_back(trace.calls_.size());
       trace.calls_.push_back(rec);
     }
   }
+  trace.registry_ = std::make_shared<const ConfigRegistry>(std::move(registry));
   return trace;
 }
 
@@ -135,7 +137,7 @@ const std::vector<std::size_t>& Trace::calls_starting_in(core::SlotIndex slot) c
 
 std::vector<std::vector<double>> Trace::config_counts() const {
   std::vector<std::vector<double>> counts(
-      registry_.size(), std::vector<double>(static_cast<std::size_t>(num_slots_), 0.0));
+      registry_->size(), std::vector<double>(static_cast<std::size_t>(num_slots_), 0.0));
   for (const auto& call : calls_)
     counts[static_cast<std::size_t>(call.config.value())]
           [static_cast<std::size_t>(call.start_slot)] += 1.0;
@@ -144,7 +146,7 @@ std::vector<std::vector<double>> Trace::config_counts() const {
 
 std::vector<std::vector<double>> Trace::config_active_counts() const {
   std::vector<std::vector<double>> counts(
-      registry_.size(), std::vector<double>(static_cast<std::size_t>(num_slots_), 0.0));
+      registry_->size(), std::vector<double>(static_cast<std::size_t>(num_slots_), 0.0));
   for (const auto& call : calls_) {
     const int end = std::min(num_slots_, call.start_slot + call.duration_slots);
     for (int s = call.start_slot; s < end; ++s)
@@ -155,11 +157,11 @@ std::vector<std::vector<double>> Trace::config_active_counts() const {
 }
 
 std::vector<core::ConfigId> Trace::configs_by_volume() const {
-  std::vector<double> totals(registry_.size(), 0.0);
+  std::vector<double> totals(registry_->size(), 0.0);
   for (const auto& call : calls_) totals[static_cast<std::size_t>(call.config.value())] += 1.0;
   std::vector<core::ConfigId> ids;
-  ids.reserve(registry_.size());
-  for (std::size_t i = 0; i < registry_.size(); ++i)
+  ids.reserve(registry_->size());
+  for (std::size_t i = 0; i < registry_->size(); ++i)
     ids.push_back(core::ConfigId(static_cast<int>(i)));
   std::sort(ids.begin(), ids.end(), [&](core::ConfigId a, core::ConfigId b) {
     return totals[static_cast<std::size_t>(a.value())] >
@@ -168,17 +170,18 @@ std::vector<core::ConfigId> Trace::configs_by_volume() const {
   return ids;
 }
 
-Trace Trace::assemble(std::vector<CallRecord> calls, ConfigRegistry registry, int num_slots) {
+Trace Trace::with_calls(std::vector<CallRecord> calls) const {
   Trace out;
-  out.registry_ = std::move(registry);
-  out.num_slots_ = num_slots;
+  out.registry_ = registry_;
+  out.num_slots_ = num_slots_;
+  const int num_slots = num_slots_;
   std::sort(calls.begin(), calls.end(), [](const CallRecord& a, const CallRecord& b) {
     return a.start_slot != b.start_slot ? a.start_slot < b.start_slot : a.id < b.id;
   });
   out.by_slot_.resize(static_cast<std::size_t>(num_slots));
   for (auto& call : calls) {
     if (call.start_slot < 0 || call.start_slot >= num_slots)
-      throw std::out_of_range("Trace::assemble: call starts outside [0, num_slots)");
+      throw std::out_of_range("Trace::with_calls: call starts outside [0, num_slots)");
     out.by_slot_[static_cast<std::size_t>(call.start_slot)].push_back(out.calls_.size());
     out.calls_.push_back(call);
   }
@@ -206,7 +209,7 @@ Trace amplify_window(const Trace& trace, int begin_slot, int end_slot, double fa
       calls.push_back(clone);
     }
   }
-  return Trace::assemble(std::move(calls), trace.configs(), trace.num_slots());
+  return trace.with_calls(std::move(calls));
 }
 
 Trace Trace::window(core::SlotIndex begin, core::SlotIndex end) const {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/ids.h"
@@ -57,8 +58,7 @@ struct TraceOptions {
 class Trace {
  public:
   [[nodiscard]] const std::vector<CallRecord>& calls() const { return calls_; }
-  [[nodiscard]] const ConfigRegistry& configs() const { return registry_; }
-  [[nodiscard]] ConfigRegistry& configs() { return registry_; }
+  [[nodiscard]] const ConfigRegistry& configs() const { return *registry_; }
   [[nodiscard]] int num_slots() const { return num_slots_; }
 
   // Calls starting in a slot.
@@ -77,20 +77,22 @@ class Trace {
   // the top 3,000 covering 90+% of calls).
   [[nodiscard]] std::vector<core::ConfigId> configs_by_volume() const;
 
-  // Restricts to a window of slots [begin, end) re-based at slot 0.
+  // Restricts to a window of slots [begin, end) re-based at slot 0. The
+  // window shares this trace's config registry.
   [[nodiscard]] Trace window(core::SlotIndex begin, core::SlotIndex end) const;
 
-  // Builds a trace from explicit parts (scenario tooling: e.g. flash-crowd
-  // injection clones calls into an existing trace). Calls are re-sorted by
-  // (start slot, id); the per-slot index is rebuilt.
-  [[nodiscard]] static Trace assemble(std::vector<CallRecord> calls, ConfigRegistry registry,
-                                      int num_slots);
+  // The same registry and slot count with other calls (scenario tooling:
+  // e.g. flash-crowd injection clones calls into an existing trace). Calls
+  // are re-sorted by (start slot, id); the per-slot index is rebuilt.
+  [[nodiscard]] Trace with_calls(std::vector<CallRecord> calls) const;
 
   friend class TraceGenerator;
 
  private:
   std::vector<CallRecord> calls_;
-  ConfigRegistry registry_;
+  // Shared by the windows and call sets derived from one generated trace;
+  // never modified once the trace is generated.
+  std::shared_ptr<const ConfigRegistry> registry_ = std::make_shared<const ConfigRegistry>();
   std::vector<std::vector<std::size_t>> by_slot_;
   int num_slots_ = 0;
 };

@@ -329,6 +329,48 @@ TEST(BasisLuTest, UnitDiagonalsAndSignedZerosMatchPlainDivides) {
   expect_same_bits(x, {0x0p+0, -0x0p+0, 0x0p+0, -0x0p+0, 0x0p+0});
 }
 
+// A basis mixing unit columns, columns whose rows reach no nonempty L
+// column (stored straight from their values, one with a U entry on a
+// unit-pivoted row, one with an L entry) and a column that reaches the L
+// column of an earlier one (the DFS and elimination path). FTRAN and BTRAN
+// give the bits the DFS and elimination path gave every column before the
+// direct store existed.
+TEST(BasisLuTest, DirectColumnsSolveAsTheEliminationPathDid) {
+  const std::vector<SparseMatrix::Triplet> trips = {
+      {0, 0, 1.0}, {3, 1, -1.0},                //
+      {1, 2, 2.9}, {4, 2, 0.7},                 //
+      {0, 3, 3.0}, {2, 3, 1.5},                 //
+      {1, 4, 1.0}, {4, 4, 2.0}, {5, 4, 0.7},  //
+      {2, 5, 0.3}, {4, 5, 1.3}, {5, 5, 2.9}};
+  const SparseMatrix a = SparseMatrix::from_triplets(6, 6, trips);
+  BasisLu lu;
+  ASSERT_TRUE(lu.factorize(a, {5, 4, 3, 2, 1, 0}));
+  std::vector<double> x = {0.1, -2.0, 3.0, 0.25, -1.0 / 3.0, 7.0};
+  lu.ftran(x);
+  expect_same_bits(x, {0x1.74df59ed1bdbfp+1, -0x1.08c1e24405b3ep+1, 0x1.6ad9dc078e74dp+0,
+                       0x1.82881d62162f7p-6, -0x1p-2, -0x1.09bcfe9f44714p+2});
+  std::vector<double> y = {1.0 / 7.0, 2.0, -0.5, 3.0, 1.0, -4.0};
+  lu.btran(y);
+  expect_same_bits(y, {-0x1p+2, 0x1.92878d8eb1f14p-1, 0x1.eaaaaaaaaaaabp+2, -0x1p+0,
+                       0x1.0754ed0f46434p+0, -0x1.34780a6cfeb58p+0});
+  const std::vector<std::vector<double>> rho = {
+      {0x0p+0, 0x1.4a598a3a870c2p-5, 0x0p+0, 0x0p+0, -0x1.5625e1737995cp-3, 0x1.adcab2883a26p-2},
+      {0x0p+0, -0x1.5625e1737995bp-3, 0x0p+0, 0x0p+0, 0x1.625e1737995b1p-1, -0x1.3db575eb3a0bp-2},
+      {0x0p+0, -0x1.0847a1c86c09bp-7, 0x1.5555555555555p-1, 0x0p+0, 0x1.11b7e78f9477cp-5,
+       -0x1.57d55ba02e84cp-4},
+      {0x0p+0, 0x1.9c182fb2ce57ap-2, 0x0p+0, 0x0p+0, -0x1.e8c866a4f6d5fp-3, 0x1.b6381567c2d18p-4},
+      {0x0p+0, 0x0p+0, 0x0p+0, -0x1p+0, 0x0p+0, 0x0p+0},
+      {0x1p+0, 0x1.8c6b72aca20e8p-6, -0x1p+1, 0x0p+0, -0x1.9a93db575eb3ap-4, 0x1.01e004b822e39p-2}};
+  for (int r = 0; r < 6; ++r) {
+    SCOPED_TRACE(r);
+    std::vector<double> e(6, 0.0);
+    e[static_cast<std::size_t>(r)] = 1.0;
+    std::vector<int> nz = {r};
+    lu.btran(e, nz);
+    expect_same_bits(e, rho[static_cast<std::size_t>(r)]);
+  }
+}
+
 // A sparse solve's result against the dense one: the same value at every
 // index (a dense +-0 matches the sparse +0), `nonzeros` exactly the
 // ascending indices of the nonzero entries, and +0 everywhere else.
@@ -349,11 +391,11 @@ void expect_sparse_matches_dense(const std::vector<double>& sparse,
 
 // Random bases shaped like the plan LP's: a unit block of +-1 slack and
 // surplus columns, a structural kernel of a few entries per column, and a
-// dense coupling row like C4 that every structural column touches. Along a
-// refactor_interval of eta updates, every sparse FTRAN of a column and
-// BTRAN of a unit vector equals the dense solve value for value.
-TEST(BasisLuTest, SparseSolvesMatchDenseSolves) {
-  const int interval = SolveOptions{}.refactor_interval;
+// dense coupling row like C4 that every structural column touches. Along
+// `interval` eta updates, every sparse FTRAN of a column and BTRAN of a
+// unit vector equals the dense solve value for value; the BTRANs include,
+// while there is one, a position no eta touches.
+void expect_sparse_solves_match_dense_solves(int interval) {
   int factored = 0;
   for (int seed = 0; seed < 12; ++seed) {
     core::Rng rng(4000 + static_cast<std::uint64_t>(seed));
@@ -403,6 +445,7 @@ TEST(BasisLuTest, SparseSolvesMatchDenseSolves) {
     // their previous nonzeros, as the simplex keeps them.
     std::vector<double> x(static_cast<std::size_t>(m), 0.0), y(static_cast<std::size_t>(m), 0.0);
     std::vector<int> x_nz, y_nz;
+    std::vector<char> eta_touched(static_cast<std::size_t>(m), 0);
     for (int step = 0; step < interval; ++step) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " step " + std::to_string(step));
       int q = -1;
@@ -428,7 +471,10 @@ TEST(BasisLuTest, SparseSolvesMatchDenseSolves) {
         if (std::abs(x[static_cast<std::size_t>(i)]) >
             std::abs(x[static_cast<std::size_t>(leaving)]))
           leaving = i;
-      for (const int r : {static_cast<int>(rng.uniform_int(0, m - 1)), leaving}) {
+      const int untouched = static_cast<int>(
+          std::find(eta_touched.begin(), eta_touched.end(), 0) - eta_touched.begin());
+      for (const int r : {static_cast<int>(rng.uniform_int(0, m - 1)), leaving, untouched}) {
+        if (r == m) continue;
         std::vector<double> dense_y(static_cast<std::size_t>(m), 0.0);
         dense_y[static_cast<std::size_t>(r)] = 1.0;
         lu.btran(dense_y);
@@ -439,6 +485,7 @@ TEST(BasisLuTest, SparseSolvesMatchDenseSolves) {
         expect_sparse_matches_dense(y, y_nz, dense_y);
       }
       ASSERT_TRUE(lu.update(leaving, x, x_nz));
+      for (const int i : x_nz) eta_touched[static_cast<std::size_t>(i)] = 1;
       basic[static_cast<std::size_t>(basis[static_cast<std::size_t>(leaving)])] = 0;
       basic[static_cast<std::size_t>(q)] = 1;
       basis[static_cast<std::size_t>(leaving)] = q;
@@ -446,6 +493,16 @@ TEST(BasisLuTest, SparseSolvesMatchDenseSolves) {
     EXPECT_EQ(lu.eta_count(), interval);
   }
   EXPECT_GE(factored, 8);
+}
+
+TEST(BasisLuTest, SparseSolvesMatchDenseSolves) {
+  expect_sparse_solves_match_dense_solves(SolveOptions{}.refactor_interval);
+}
+
+// Past 64 etas the sparse BTRAN applies the whole eta file instead of the
+// etas its nonzeros reach; refactor_interval is an option, so both apply.
+TEST(BasisLuTest, SparseSolvesMatchDenseSolvesPast64Etas) {
+  expect_sparse_solves_match_dense_solves(100);
 }
 
 // --- Simplex ----------------------------------------------------------------

@@ -1144,6 +1144,29 @@ TEST(SimObsTest, DeterministicPerfFieldsAreThreadInvariant) {
   EXPECT_TRUE(r1 == r8);
 }
 
+// The rolling cadence (a replan every horizon/8 slots, warm-started from
+// the previous basis, forecast into the engine's reused buffer): every
+// shard reads the one plan generation all shards share, and 1 and 4
+// worker threads give bit-identical results.
+TEST(SimObsTest, RollingWarmReplansAreThreadInvariant) {
+  Scenario s = small_scenario();
+  s.training_weeks = 1;
+  s.oracle_counts = false;
+  s.warm_replans = true;
+  s.pipeline.scope.timeslots = 16;
+  s.replan_interval_slots = s.pipeline.scope.timeslots / 8;
+  SimEngine engine(s);
+  auto r1 = engine.run(1);
+  auto r4 = engine.run(4);
+  ASSERT_GE(r1.replans, 3);
+  EXPECT_TRUE(std::any_of(r1.replan_stats.begin(), r1.replan_stats.end(),
+                          [](const ReplanStat& st) { return st.warm_started; }))
+      << "no replan warm-started at the rolling cadence";
+  r1.zero_wallclock();
+  r4.zero_wallclock();
+  EXPECT_TRUE(r1 == r4);
+}
+
 // Perf counters measure the workload the run actually processed: one
 // duration sample per arriving call, one latency sample per assignment
 // decision (arrival + convergence), all three call events drained.

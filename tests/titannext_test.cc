@@ -155,6 +155,24 @@ TEST_F(TitanNextTest, DemandGroupingMatchesMapGrouping) {
     EXPECT_TRUE(expect_map_grouping(*db_, *trace_, *fractions_, whole, use_reduction))
         << "no equal total_units: the sort's tie order is not exercised";
     expect_map_grouping(*db_, *trace_, *fractions_, small_scope(), use_reduction);
+
+    // A top-K cut inside a run of tied totals: set_demand ranks the group
+    // totals and fills only the kept groups, and must keep the same tied
+    // groups, in the same order, as the full sort of every group.
+    const auto ranked =
+        map_grouped_demand(trace_->configs(), trace_->config_counts(), use_reduction, whole);
+    int cut = 1;
+    while (cut + 1 < static_cast<int>(ranked.size()) &&
+           !(ranked[static_cast<std::size_t>(cut) - 1].total_units ==
+                 ranked[static_cast<std::size_t>(cut)].total_units &&
+             ranked[static_cast<std::size_t>(cut)].total_units ==
+                 ranked[static_cast<std::size_t>(cut) + 1].total_units &&
+             ranked[static_cast<std::size_t>(cut)].total_units > 0.0))
+      ++cut;
+    ASSERT_LT(cut + 1, static_cast<int>(ranked.size())) << "no tie run to cut inside";
+    PlanScope tied = whole;
+    tied.max_reduced_configs = cut;
+    expect_map_grouping(*db_, *trace_, *fractions_, tied, use_reduction);
   }
 
   // Each registry carries its own table: two traces planned alternately,
@@ -765,6 +783,176 @@ TEST_F(PlanTest, RestrictionToEverythingBuildsTheWholeScopeModel) {
   }
 }
 
+// build_model as it was before the C5 rows read per-link user lists: for
+// every (t, l) it scans every (c, m) load list, and it evaluates each
+// latency once per slot. Its reference, entry for entry.
+lp::LpModel quadratic_build_model(const PlanInputs& inputs, const LpBuildOptions& options,
+                                  const PlanUse* committed) {
+  const auto& demands = inputs.demands();
+  const auto& dcs = inputs.dcs();
+  const auto& links = committed != nullptr ? committed->links : inputs.links();
+  const int T = inputs.scope().timeslots;
+  const int C = static_cast<int>(demands.size());
+  const int M = static_cast<int>(dcs.size());
+  const auto x = [&](int t, int c, int m, int p) { return ((t * C + c) * M + m) * 2 + p; };
+  const auto path_of = [](int p) { return p == 0 ? net::PathType::kWan : net::PathType::kInternet; };
+  lp::LpModel model;
+  for (int t = 0; t < T; ++t)
+    for (int c = 0; c < C; ++c)
+      for (int m = 0; m < M; ++m)
+        for (int p = 0; p < 2; ++p) {
+          double cost = 0.0;
+          const auto& config = demands[static_cast<std::size_t>(c)].config;
+          if (options.objective == Objective::kMinimizeTotalLatency)
+            cost = inputs.total_latency_ms(config, dcs[static_cast<std::size_t>(m)], path_of(p));
+          else if (options.objective == Objective::kMinimizeTotalMaxE2e)
+            cost = inputs.max_e2e_ms(config, dcs[static_cast<std::size_t>(m)], path_of(p));
+          model.add_variable(cost);
+        }
+  std::vector<int> yvar(links.size());
+  for (std::size_t l = 0; l < links.size(); ++l)
+    yvar[l] = model.add_variable(options.objective == Objective::kMinimizeWanPeaks ? 1.0 : 0.0);
+  std::map<int, int> link_index;
+  for (std::size_t l = 0; l < links.size(); ++l) link_index[links[l].value()] = static_cast<int>(l);
+  std::vector<std::vector<std::vector<std::pair<int, double>>>> loads(
+      demands.size(), std::vector<std::vector<std::pair<int, double>>>(dcs.size()));
+  for (std::size_t c = 0; c < demands.size(); ++c)
+    for (std::size_t m = 0; m < dcs.size(); ++m) {
+      std::map<int, double> acc;
+      for (const auto& [country, count] : demands[c].config.participants) {
+        const double bw = demands[c].config.network_mbps_from(country);
+        for (const auto lid : inputs.net().topology().path(country, dcs[m]).links) {
+          const auto it = link_index.find(lid.value());
+          if (it != link_index.end()) acc[it->second] += bw;
+        }
+      }
+      for (const auto& [l, bw] : acc) loads[c][m].push_back({l, bw});
+    }
+  for (int t = 0; t < T; ++t)
+    for (int c = 0; c < C; ++c) {
+      const int row = model.add_constraint(
+          lp::Sense::kEq,
+          demands[static_cast<std::size_t>(c)].units_per_slot[static_cast<std::size_t>(t)]);
+      for (int m = 0; m < M; ++m)
+        for (int p = 0; p < 2; ++p) model.add_coefficient(row, x(t, c, m, p), 1.0);
+    }
+  for (int t = 0; t < T; ++t)
+    for (int m = 0; m < M; ++m) {
+      double cap = inputs.dc_capacity(dcs[static_cast<std::size_t>(m)]);
+      if (committed != nullptr)
+        cap = std::max(0.0, cap - committed->compute[static_cast<std::size_t>(t)]
+                                                   [static_cast<std::size_t>(m)]);
+      const int row = model.add_constraint(lp::Sense::kLe, cap);
+      for (int c = 0; c < C; ++c)
+        for (int p = 0; p < 2; ++p)
+          model.add_coefficient(row, x(t, c, m, p),
+                                demands[static_cast<std::size_t>(c)].config.compute_cores());
+    }
+  for (int t = 0; t < T; ++t)
+    for (int m = 0; m < M; ++m) {
+      double cap = inputs.internet_capacity(dcs[static_cast<std::size_t>(m)]);
+      if (committed != nullptr)
+        cap = std::max(0.0, cap - committed->internet[static_cast<std::size_t>(t)]
+                                                   [static_cast<std::size_t>(m)]);
+      const int row = model.add_constraint(lp::Sense::kLe, cap);
+      for (int c = 0; c < C; ++c)
+        model.add_coefficient(row, x(t, c, m, 1),
+                              demands[static_cast<std::size_t>(c)].config.network_mbps());
+    }
+  double total_units = 0.0;
+  for (const auto& d : demands) total_units += d.total_units;
+  if (options.e2e_bound_ms > 0.0 && total_units > 0.0) {
+    const int row = model.add_constraint(lp::Sense::kLe, options.e2e_bound_ms * total_units);
+    for (int t = 0; t < T; ++t)
+      for (int c = 0; c < C; ++c)
+        for (int m = 0; m < M; ++m)
+          for (int p = 0; p < 2; ++p)
+            model.add_coefficient(row, x(t, c, m, p),
+                                  inputs.max_e2e_ms(demands[static_cast<std::size_t>(c)].config,
+                                                    dcs[static_cast<std::size_t>(m)], path_of(p)));
+  }
+  std::vector<double> peak(links.size(), 0.0);
+  if (committed != nullptr)
+    for (const auto& slot : committed->link)
+      for (std::size_t l = 0; l < peak.size(); ++l) peak[l] = std::max(peak[l], slot[l]);
+  for (int t = 0; t < T; ++t)
+    for (std::size_t l = 0; l < links.size(); ++l) {
+      const int row = model.add_constraint(
+          lp::Sense::kLe,
+          committed ? std::max(0.0, peak[l] - committed->link[static_cast<std::size_t>(t)][l])
+                    : 0.0);
+      for (int c = 0; c < C; ++c)
+        for (int m = 0; m < M; ++m)
+          for (const auto& [li, bw] : loads[static_cast<std::size_t>(c)][static_cast<std::size_t>(m)])
+            if (li == static_cast<int>(l)) model.add_coefficient(row, x(t, c, m, 0), bw);
+      model.add_coefficient(row, yvar[l], -1.0);
+    }
+  return model;
+}
+
+void expect_same_model_entries(const lp::LpModel& got, const lp::LpModel& want) {
+  EXPECT_EQ(got.costs(), want.costs());
+  EXPECT_EQ(got.senses(), want.senses());
+  EXPECT_EQ(got.rhs(), want.rhs());
+  ASSERT_EQ(got.triplets().size(), want.triplets().size());
+  for (std::size_t k = 0; k < want.triplets().size(); ++k) {
+    const auto& g = got.triplets()[k];
+    const auto& w = want.triplets()[k];
+    ASSERT_EQ(g.row, w.row) << "triplet " << k;
+    ASSERT_EQ(g.col, w.col) << "triplet " << k;
+    ASSERT_EQ(g.value, w.value) << "triplet " << k;
+  }
+}
+
+// build_model emits the quadratic builder's model entry for entry — senses,
+// rhs, costs and every triplet in order — for each objective on the
+// single-region inputs, on a two-region scope, and for a coupling model
+// built against committed use.
+TEST_F(PlanTest, BuildModelMatchesQuadraticBuilder) {
+  PlanInputs single(*db_, small_scope(), *fractions_);
+  single.set_demand(trace_->configs(), trace_->config_counts(), true);
+  for (const Objective objective : {Objective::kMinimizeWanPeaks, Objective::kMinimizeTotalLatency,
+                                    Objective::kMinimizeTotalMaxE2e}) {
+    LpBuildOptions options = lp_options();
+    options.objective = objective;
+    SCOPED_TRACE(static_cast<int>(objective));
+    expect_same_model_entries(build_model(single, options),
+                              quadratic_build_model(single, options, nullptr));
+  }
+
+  const auto setup = make_na_eu_setup(*world_, *db_);
+  PlanInputs multi(*db_, setup.scope, setup.fractions);
+  multi.set_demand(setup.trace.configs(), setup.counts, true);
+  expect_same_model_entries(build_model(multi, lp_options()),
+                            quadratic_build_model(multi, lp_options(), nullptr));
+
+  // Committed use over every parent link, as a decomposed solve's coupling
+  // LP sees it: the first half of the demands, the rest committed.
+  std::vector<int> every_dc(multi.dcs().size());
+  std::iota(every_dc.begin(), every_dc.end(), 0);
+  std::vector<int> coupling;
+  for (int c = static_cast<int>(multi.demands().size()) / 2;
+       c < static_cast<int>(multi.demands().size()); ++c)
+    coupling.push_back(c);
+  const PlanInputs part = multi.restricted(every_dc, coupling);
+  const auto T = static_cast<std::size_t>(setup.scope.timeslots);
+  PlanUse committed{multi.links(),
+                    std::vector<std::vector<double>>(T, std::vector<double>(every_dc.size())),
+                    std::vector<std::vector<double>>(T, std::vector<double>(every_dc.size())),
+                    std::vector<std::vector<double>>(T, std::vector<double>(multi.links().size()))};
+  for (std::size_t t = 0; t < T; ++t) {
+    for (std::size_t m = 0; m < every_dc.size(); ++m) {
+      committed.compute[t][m] = 3.0 * static_cast<double>((t + m) % 5);
+      committed.internet[t][m] = 7.0 * static_cast<double>((t * m) % 3);
+    }
+    for (std::size_t l = 0; l < multi.links().size(); ++l)
+      committed.link[t][l] = 11.0 * static_cast<double>((t + 2 * l) % 7);
+  }
+  ASSERT_GT(part.links().size(), 0u);
+  expect_same_model_entries(build_model(part, lp_options(), &committed),
+                            quadratic_build_model(part, lp_options(), &committed));
+}
+
 // A genuine NA+EU scope splits into two region blocks plus a coupling LP
 // over the cross-continent demands. The composed plan is feasible for the
 // whole-scope LP, so its cost can only meet or exceed that LP's optimum;
@@ -1099,11 +1287,11 @@ TEST_F(TitanNextTest, ForecastCountsShapes) {
   const auto history = trace_->config_counts();
   const int train_slots = 2 * core::kSlotsPerWeek;
   const auto fc = forecast_counts(history, train_slots, core::kSlotsPerDay, 20);
-  ASSERT_EQ(fc.counts.size(), history.size());
+  ASSERT_EQ(fc.configs(), history.size());
   EXPECT_EQ(fc.hw_configs, 20);
-  for (const auto& series : fc.counts) {
-    ASSERT_EQ(series.size(), static_cast<std::size_t>(core::kSlotsPerDay));
-    for (const double v : series) EXPECT_GE(v, 0.0);
+  for (std::size_t c = 0; c < fc.configs(); ++c) {
+    ASSERT_EQ(fc.series(c).size(), static_cast<std::size_t>(core::kSlotsPerDay));
+    for (const double v : fc.series(c)) EXPECT_GE(v, 0.0);
   }
 }
 
@@ -1119,7 +1307,9 @@ TEST_F(TitanNextTest, ForecastAccuracyOnTopConfigs) {
     const auto cfg = static_cast<std::size_t>(by_volume[static_cast<std::size_t>(rank)].value());
     std::vector<double> actual(history[cfg].begin() + train_slots,
                                history[cfg].begin() + train_slots + core::kSlotsPerDay);
-    const auto err = forecast::evaluate_forecast(actual, fc.counts[cfg]);
+    const auto predicted = fc.series(cfg);
+    const auto err = forecast::evaluate_forecast(
+        actual, std::vector<double>(predicted.begin(), predicted.end()));
     maes.push_back(err.mae_normalized);
   }
   // Median normalized MAE across the top configs should be small (paper:
@@ -1129,11 +1319,16 @@ TEST_F(TitanNextTest, ForecastAccuracyOnTopConfigs) {
 }
 
 // forecast_counts as it was before it read history in place: totals and
-// ranking on every call, each series copied. Its reference; it needs every
-// series at least `history_end` long.
-ForecastOutput copying_forecast(const std::vector<std::vector<double>>& history,
+// ranking on every call, each series copied, one vector per config. Its
+// reference; it needs every series at least `history_end` long.
+struct NestedForecast {
+  std::vector<std::vector<double>> counts;
+  int hw_configs = 0;
+};
+
+NestedForecast copying_forecast(const std::vector<std::vector<double>>& history,
                                 int history_end, int horizon, int top_k) {
-  ForecastOutput out;
+  NestedForecast out;
   out.counts.assign(history.size(), std::vector<double>(static_cast<std::size_t>(horizon), 0.0));
   std::vector<std::size_t> order(history.size());
   std::iota(order.begin(), order.end(), 0);
@@ -1162,13 +1357,13 @@ ForecastOutput copying_forecast(const std::vector<std::vector<double>>& history,
   return out;
 }
 
-void expect_same_forecast(const ForecastOutput& got, const ForecastOutput& want) {
+void expect_same_forecast(const ForecastOutput& got, const NestedForecast& want) {
   EXPECT_EQ(got.hw_configs, want.hw_configs);
-  ASSERT_EQ(got.counts.size(), want.counts.size());
+  ASSERT_EQ(got.configs(), want.counts.size());
   for (std::size_t c = 0; c < want.counts.size(); ++c) {
-    ASSERT_EQ(got.counts[c].size(), want.counts[c].size()) << "config " << c;
+    ASSERT_EQ(got.series(c).size(), want.counts[c].size()) << "config " << c;
     for (std::size_t h = 0; h < want.counts[c].size(); ++h)
-      EXPECT_EQ(got.counts[c][h], want.counts[c][h]) << "config " << c << " slot " << h;
+      EXPECT_EQ(got.series(c)[h], want.counts[c][h]) << "config " << c << " slot " << h;
   }
 }
 
@@ -1219,9 +1414,9 @@ TEST(ForecastCountsTest, ShortSeriesReadZeroPastTheirEnd) {
     EXPECT_EQ(fc.hw_configs, 0);
     for (int h = 0; h < horizon; ++h) {
       const int src = history_end + h - season;
-      EXPECT_EQ(fc.counts[0][static_cast<std::size_t>(h)],
+      EXPECT_EQ(fc.series(0)[static_cast<std::size_t>(h)],
                 src < 100 ? history[0][static_cast<std::size_t>(src)] : 0.0);
-      EXPECT_EQ(fc.counts[1][static_cast<std::size_t>(h)], 0.0);
+      EXPECT_EQ(fc.series(1)[static_cast<std::size_t>(h)], 0.0);
     }
   }
 
@@ -1234,13 +1429,15 @@ TEST(ForecastCountsTest, ShortSeriesReadZeroPastTheirEnd) {
     EXPECT_EQ(fc.hw_configs, 1);
     std::vector<double> padded = history[0];
     padded.resize(static_cast<std::size_t>(history_end), 0.0);
-    EXPECT_EQ(fc.counts[0], forecast::HoltWinters::forecast(
-                                forecast::HoltWinters::fit_auto(padded, season), horizon));
+    const auto fitted = fc.series(0);
+    EXPECT_EQ(std::vector<double>(fitted.begin(), fitted.end()),
+              forecast::HoltWinters::forecast(forecast::HoltWinters::fit_auto(padded, season),
+                                              horizon));
     for (int h = 0; h < horizon; ++h) {
       const int src = history_end + h - season;
-      EXPECT_EQ(fc.counts[1][static_cast<std::size_t>(h)],
+      EXPECT_EQ(fc.series(1)[static_cast<std::size_t>(h)],
                 src < 2 * season - 20 ? history[1][static_cast<std::size_t>(src)] : 0.0);
-      EXPECT_EQ(fc.counts[2][static_cast<std::size_t>(h)], 0.0);
+      EXPECT_EQ(fc.series(2)[static_cast<std::size_t>(h)], 0.0);
     }
   }
 }
