@@ -131,51 +131,17 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
   for (int j = 0; j < m_; ++j) {
     const int col = basis[static_cast<std::size_t>(col_order_[static_cast<std::size_t>(j)])];
 
-    // A column none of whose rows reaches a nonempty L column (a unit
-    // column on an unpivoted row among them): the DFS below would visit
-    // only its own rows, in column order, and the elimination would change
-    // nothing, so its pivot, U entries and L entries come straight from its
-    // values, in that order. A column that finds no pivot takes the general
-    // path to its singular exit.
-    bool direct = true;
-    for (int k = a.col_begin(col); k < a.col_end(col) && direct; ++k) {
-      const int pk = row_perm_[static_cast<std::size_t>(a.row_index(k))];
-      direct = pk < 0 || l_col_ptr_[static_cast<std::size_t>(pk) + 1] ==
-                             l_col_ptr_[static_cast<std::size_t>(pk)];
-    }
-    if (direct) {
-      int pivot = -1;
-      double best = pivot_tolerance;
-      for (int k = a.col_begin(col); k < a.col_end(col); ++k) {
-        const int r = a.row_index(k);
-        if (row_perm_[static_cast<std::size_t>(r)] >= 0) continue;
-        if (std::abs(a.value(k)) > best) {
-          best = std::abs(a.value(k));
-          pivot = k;
-        }
-      }
-      if (pivot >= 0) {
-        const int pivot_row = a.row_index(pivot);
-        const double d = a.value(pivot);
-        for (int k = a.col_begin(col); k < a.col_end(col); ++k) {
-          const int r = a.row_index(k);
-          const int pk = row_perm_[static_cast<std::size_t>(r)];
-          const double v = a.value(k);
-          if (pk >= 0) {
-            if (v != 0.0) {
-              u_rows_.push_back(pk);
-              u_vals_.push_back(v);
-            }
-          } else if (r != pivot_row && std::abs(v) > 0.0) {
-            l_rows_.push_back(r);
-            l_vals_.push_back(v / d);
-          }
-        }
+    // A single entry on an unpivoted row pivots there with empty L and U
+    // columns: what the general path below computes for it.
+    if (a.col_end(col) - a.col_begin(col) == 1) {
+      const int r0 = a.row_index(a.col_begin(col));
+      const double v = a.value(a.col_begin(col));
+      if (row_perm_[static_cast<std::size_t>(r0)] < 0 && std::abs(v) > pivot_tolerance) {
         u_col_ptr_.push_back(static_cast<int>(u_rows_.size()));
         l_col_ptr_.push_back(static_cast<int>(l_rows_.size()));
-        u_diag_[static_cast<std::size_t>(j)] = d;
-        pivot_row_of_[static_cast<std::size_t>(j)] = pivot_row;
-        row_perm_[static_cast<std::size_t>(pivot_row)] = j;
+        u_diag_[static_cast<std::size_t>(j)] = v;
+        pivot_row_of_[static_cast<std::size_t>(j)] = r0;
+        row_perm_[static_cast<std::size_t>(r0)] = j;
         continue;
       }
     }

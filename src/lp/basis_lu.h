@@ -57,12 +57,6 @@
 //    solve leaves +-0 and the sparse one +0; no reader depends on the
 //    sign of a zero (the ratio tests, the nonzero lists and the eta file
 //    skip zeros, and extraction clamps with max(0, .)).
-//
-// factorize stores a column none of whose rows reaches a nonempty L
-// column (the unit columns among them) straight from its values: the DFS
-// would visit only its own rows in column order and the elimination would
-// change nothing, so its pivot choice, U entries and L quotients are the
-// ones the general path computes, in the same order.
 #pragma once
 
 #include <cstdint>

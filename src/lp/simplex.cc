@@ -80,78 +80,44 @@ Tableau build_tableau(const LpModel& model) {
   t.slack_of.assign(static_cast<std::size_t>(m), -1);
   t.artificial_of.assign(static_cast<std::size_t>(m), -1);
 
-  // The structural columns, then the single-entry slack / surplus columns
-  // (one per inequality row, in row order), then the artificial columns
-  // (one per row whose slack cannot seed a feasible basis, in row order).
-  // unit[i] is the +-1 of row i's slack, and art[i] of its artificial.
-  std::vector<double> unit(static_cast<std::size_t>(m), 0.0);
-  std::vector<double> art(static_cast<std::size_t>(m), 0.0);
+  // The structural columns, then the single-entry slack and artificial
+  // columns (at most one of each per row) appended to the same CSC.
+  t.a = model.matrix();
+  t.a.reserve_columns(2 * m);
+  t.cost.reserve(static_cast<std::size_t>(n) + 2 * static_cast<std::size_t>(m));
+  t.cost = model.costs();
   int col = n;
+  // Slack / surplus columns.
   for (int i = 0; i < m; ++i) {
     const Sense s = model.senses()[static_cast<std::size_t>(i)];
-    if (s == Sense::kEq) continue;
-    unit[static_cast<std::size_t>(i)] = s == Sense::kLe ? 1.0 : -1.0;
-    t.slack_of[static_cast<std::size_t>(i)] = col++;
+    if (s == Sense::kLe) {
+      t.a.append_column(i, 1.0);
+      t.slack_of[static_cast<std::size_t>(i)] = col;
+      t.cost.push_back(0.0);
+      ++col;
+    } else if (s == Sense::kGe) {
+      t.a.append_column(i, -1.0);
+      t.slack_of[static_cast<std::size_t>(i)] = col;
+      t.cost.push_back(0.0);
+      ++col;
+    }
   }
+  // Artificial columns where the slack cannot seed a feasible basis.
   for (int i = 0; i < m; ++i) {
     const Sense s = model.senses()[static_cast<std::size_t>(i)];
     const double b = t.rhs[static_cast<std::size_t>(i)];
     const bool slack_feasible = (s == Sense::kLe && b >= 0.0) || (s == Sense::kGe && b <= 0.0);
-    if (slack_feasible) continue;
-    art[static_cast<std::size_t>(i)] = b >= 0.0 ? 1.0 : -1.0;
-    t.artificial_of[static_cast<std::size_t>(i)] = col++;
+    if (!slack_feasible) {
+      t.a.append_column(i, b >= 0.0 ? 1.0 : -1.0);
+      t.artificial_of[static_cast<std::size_t>(i)] = col;
+      t.cost.push_back(0.0);
+      ++col;
+    }
   }
   t.n_total = col;
-  t.cost.reserve(static_cast<std::size_t>(col));
-  t.cost = model.costs();
-  t.cost.resize(static_cast<std::size_t>(col), 0.0);
   t.artificial.assign(static_cast<std::size_t>(col), false);
   for (const int j : t.artificial_of)
     if (j >= 0) t.artificial[static_cast<std::size_t>(j)] = true;
-
-  // Coefficients added row by row, each row's in ascending column (the
-  // plan LP builder's order) are already the row-wise copy: copy them with
-  // each row's unit columns, and the CSC is its transpose. Otherwise the
-  // CSC comes from the triplets and the row-wise copy is its transpose.
-  const auto& triplets = model.triplets();
-  bool row_major = true;
-  for (std::size_t k = 1; k < triplets.size() && row_major; ++k)
-    row_major = triplets[k - 1].row < triplets[k].row ||
-                (triplets[k - 1].row == triplets[k].row && triplets[k - 1].col < triplets[k].col);
-  if (row_major) {
-    t.rows = SparseMatrix(col, 0);
-    std::vector<int> cols;
-    std::vector<double> vals;
-    std::size_t k = 0;
-    for (int i = 0; i < m; ++i) {
-      cols.clear();
-      vals.clear();
-      for (; k < triplets.size() && triplets[k].row == i; ++k) {
-        cols.push_back(triplets[k].col);
-        vals.push_back(triplets[k].value);
-      }
-      const auto ui = static_cast<std::size_t>(i);
-      if (t.slack_of[ui] >= 0) {
-        cols.push_back(t.slack_of[ui]);
-        vals.push_back(unit[ui]);
-      }
-      if (t.artificial_of[ui] >= 0) {
-        cols.push_back(t.artificial_of[ui]);
-        vals.push_back(art[ui]);
-      }
-      t.rows.append_column(cols, vals);
-    }
-    t.a = t.rows.transpose();
-    return t;
-  }
-  t.a = model.matrix();
-  t.a.reserve_columns(col - n);
-  for (int i = 0; i < m; ++i)
-    if (t.slack_of[static_cast<std::size_t>(i)] >= 0)
-      t.a.append_column(i, unit[static_cast<std::size_t>(i)]);
-  for (int i = 0; i < m; ++i)
-    if (t.artificial_of[static_cast<std::size_t>(i)] >= 0)
-      t.a.append_column(i, art[static_cast<std::size_t>(i)]);
   t.rows = t.a.transpose();
   return t;
 }

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -37,15 +36,6 @@ class SparseMatrix {
     for (int k = col_begin(j); k < col_end(j); ++k)
       acc += value(k) * y[static_cast<std::size_t>(row_index(k))];
     return acc;
-  }
-
-  // Appends a column whose entries are (rows[k], values[k]), rows strictly
-  // ascending and values nonzero.
-  void append_column(std::span<const int> rows, std::span<const double> values) {
-    row_idx_.insert(row_idx_.end(), rows.begin(), rows.end());
-    values_.insert(values_.end(), values.begin(), values.end());
-    col_ptr_.push_back(static_cast<int>(row_idx_.size()));
-    ++cols_;
   }
 
   // Appends a column whose one entry is (row, value), value != 0: the

@@ -329,13 +329,11 @@ TEST(BasisLuTest, UnitDiagonalsAndSignedZerosMatchPlainDivides) {
   expect_same_bits(x, {0x0p+0, -0x0p+0, 0x0p+0, -0x0p+0, 0x0p+0});
 }
 
-// A basis mixing unit columns, columns whose rows reach no nonempty L
-// column (stored straight from their values, one with a U entry on a
-// unit-pivoted row, one with an L entry) and a column that reaches the L
-// column of an earlier one (the DFS and elimination path). FTRAN and BTRAN
-// give the bits the DFS and elimination path gave every column before the
-// direct store existed.
-TEST(BasisLuTest, DirectColumnsSolveAsTheEliminationPathDid) {
+// A basis mixing unit columns, structural columns whose rows reach no
+// nonempty L column (one with a U entry on a unit-pivoted row, one with an
+// L entry) and a column that reaches the L column of an earlier one: the
+// FTRAN and BTRAN bits of every kind of column are pinned.
+TEST(BasisLuTest, MixedBasisSolveBitsArePinned) {
   const std::vector<SparseMatrix::Triplet> trips = {
       {0, 0, 1.0}, {3, 1, -1.0},                //
       {1, 2, 2.9}, {4, 2, 0.7},                 //
