@@ -61,7 +61,6 @@ double tie_breaker(int j) {
 
 struct Tableau {
   SparseMatrix a;             // computational-form matrix (m x n_total)
-  SparseMatrix rows;          // its transpose: column i lists row i of a
   std::vector<double> cost;   // phase-2 costs per column
   std::vector<double> rhs;    // original rhs
   int n_structural = 0;
@@ -118,7 +117,6 @@ Tableau build_tableau(const LpModel& model) {
   t.artificial.assign(static_cast<std::size_t>(col), false);
   for (const int j : t.artificial_of)
     if (j >= 0) t.artificial[static_cast<std::size_t>(j)] = true;
-  t.rows = t.a.transpose();
   return t;
 }
 
@@ -407,7 +405,7 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   // leaving row admits no entering column and rho checks out as a Farkas
   // ray, and kNumericalFailure / kIterationLimit otherwise.
   auto run_dual = [&](int cap, int& iteration_counter) -> SolveStatus {
-    const SparseMatrix& rows = t.rows;
+    const SparseMatrix rows = t.a.transpose();
     const auto n = static_cast<std::size_t>(t.n_total);
     std::vector<double> cost = t.cost;
     std::vector<double> d(n, 0.0);
