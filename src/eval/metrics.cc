@@ -1,21 +1,17 @@
 #include "eval/metrics.h"
 
 #include <algorithm>
-#include <map>
 
 #include "core/stats.h"
+#include "eval/slot_metrics.h"
 
 namespace titan::eval {
 
 WanUsage wan_usage(const workload::Trace& trace,
                    const std::vector<policies::CallAssignment>& assignments,
                    const net::NetworkDb& net) {
-  WanUsage out;
   const int slots = trace.num_slots();
-  const int days = (slots + core::kSlotsPerDay - 1) / core::kSlotsPerDay;
-
-  // usage[slot][link] built sparsely.
-  std::vector<std::map<int, double>> usage(static_cast<std::size_t>(slots));
+  SlotMetricsSink sink(slots, static_cast<int>(net.topology().link_count()));
   for (std::size_t i = 0; i < trace.calls().size(); ++i) {
     const auto& call = trace.calls()[i];
     const auto& a = assignments[i];
@@ -26,28 +22,10 @@ WanUsage wan_usage(const workload::Trace& trace,
       const auto& path = net.topology().path(country, a.dc);
       for (int s = call.start_slot;
            s < std::min(slots, call.start_slot + call.duration_slots); ++s)
-        for (const auto lid : path.links) usage[static_cast<std::size_t>(s)][lid.value()] += bw;
+        for (const auto lid : path.links) sink.add_wan_mbps(s, lid, bw);
     }
   }
-
-  std::map<int, double> whole_peak;
-  std::vector<std::map<int, double>> day_peak(static_cast<std::size_t>(days));
-  for (int s = 0; s < slots; ++s) {
-    const int day = s / core::kSlotsPerDay;
-    for (const auto& [link, mbps] : usage[static_cast<std::size_t>(s)]) {
-      whole_peak[link] = std::max(whole_peak[link], mbps);
-      auto& dp = day_peak[static_cast<std::size_t>(day)][link];
-      dp = std::max(dp, mbps);
-      // Mbps over a 30-min slot -> bytes: Mbps * 1800 s / 8 = MB.
-      out.total_traffic_gb += mbps * core::kSlotSeconds / 8.0 / 1000.0;
-    }
-  }
-  for (const auto& [link, peak] : whole_peak) out.sum_of_peaks_mbps += peak;
-  out.per_day_sum_of_peaks_mbps.resize(static_cast<std::size_t>(days), 0.0);
-  for (int d = 0; d < days; ++d)
-    for (const auto& [link, peak] : day_peak[static_cast<std::size_t>(d)])
-      out.per_day_sum_of_peaks_mbps[static_cast<std::size_t>(d)] += peak;
-  return out;
+  return sink.wan_usage();
 }
 
 namespace {

@@ -32,8 +32,10 @@ struct WanUsage {
   bool operator==(const WanUsage&) const = default;
 };
 
-// Aggregates per-slot per-link WAN bandwidth from the call assignments.
-// Internet-routed calls contribute nothing to WAN links (hot potato).
+// Aggregates per-slot per-link WAN bandwidth from the call assignments into
+// an eval::SlotMetricsSink and returns its wan_usage(), the function the
+// closed-loop simulator reports the same metric with. Internet-routed calls
+// contribute nothing to WAN links (hot potato).
 [[nodiscard]] WanUsage wan_usage(const workload::Trace& trace,
                                  const std::vector<policies::CallAssignment>& assignments,
                                  const net::NetworkDb& net);

@@ -10,13 +10,13 @@ SlotMetricsSink::SlotMetricsSink(int num_slots, int num_links)
   link_mbps_.assign(static_cast<std::size_t>(num_slots) * static_cast<std::size_t>(num_links),
                     0.0);
   const auto n = static_cast<std::size_t>(num_slots);
-  internet_mbps_.assign(n, 0.0);
   arrivals_.assign(n, 0.0);
   dc_migrations_.assign(n, 0.0);
   route_changes_.assign(n, 0.0);
   forced_migrations_.assign(n, 0.0);
   transit_failovers_.assign(n, 0.0);
   out_of_plan_.assign(n, 0.0);
+  fallbacks_.assign(n, 0.0);
   rejected_.assign(n, 0.0);
   degraded_.assign(n, 0.0);
   internet_participants_.assign(n, 0.0);
@@ -33,9 +33,6 @@ SlotMetricsSink::SlotMetricsSink(int num_slots, int num_links)
 
 void SlotMetricsSink::add_wan_mbps(core::SlotIndex s, core::LinkId link, double mbps) {
   link_mbps_[cell(s, link)] += mbps;
-}
-void SlotMetricsSink::add_internet_mbps(core::SlotIndex s, double mbps) {
-  internet_mbps_[static_cast<std::size_t>(s)] += mbps;
 }
 void SlotMetricsSink::add_arrival(core::SlotIndex s) {
   arrivals_[static_cast<std::size_t>(s)] += 1.0;
@@ -54,6 +51,9 @@ void SlotMetricsSink::add_transit_failover(core::SlotIndex s) {
 }
 void SlotMetricsSink::add_out_of_plan(core::SlotIndex s) {
   out_of_plan_[static_cast<std::size_t>(s)] += 1.0;
+}
+void SlotMetricsSink::add_fallback(core::SlotIndex s) {
+  fallbacks_[static_cast<std::size_t>(s)] += 1.0;
 }
 void SlotMetricsSink::add_participants(core::SlotIndex s, int internet, int total) {
   internet_participants_[static_cast<std::size_t>(s)] += internet;
@@ -91,13 +91,13 @@ void add_into(std::vector<double>& a, const std::vector<double>& b) {
 void SlotMetricsSink::merge(const SlotMetricsSink& other) {
   assert(num_slots_ == other.num_slots_ && num_links_ == other.num_links_);
   add_into(link_mbps_, other.link_mbps_);
-  add_into(internet_mbps_, other.internet_mbps_);
   add_into(arrivals_, other.arrivals_);
   add_into(dc_migrations_, other.dc_migrations_);
   add_into(route_changes_, other.route_changes_);
   add_into(forced_migrations_, other.forced_migrations_);
   add_into(transit_failovers_, other.transit_failovers_);
   add_into(out_of_plan_, other.out_of_plan_);
+  add_into(fallbacks_, other.fallbacks_);
   add_into(rejected_, other.rejected_);
   add_into(degraded_, other.degraded_);
   add_into(internet_participants_, other.internet_participants_);
@@ -111,51 +111,17 @@ void SlotMetricsSink::merge(const SlotMetricsSink& other) {
   add_into(region_degraded_, other.region_degraded_);
 }
 
-std::vector<double> SlotMetricsSink::region_slice(const std::vector<double>& stream,
-                                                  geo::Continent region) const {
-  const auto begin = stream.begin() + static_cast<std::ptrdiff_t>(region_cell(0, region));
+std::vector<double> SlotMetricsSink::region_active_calls(geo::Continent region) const {
+  const auto begin =
+      region_active_calls_.begin() + static_cast<std::ptrdiff_t>(region_cell(0, region));
   return {begin, begin + num_slots_};
 }
 
-std::vector<double> SlotMetricsSink::region_arrivals(geo::Continent region) const {
-  return region_slice(region_arrivals_, region);
-}
-std::vector<double> SlotMetricsSink::region_active_calls(geo::Continent region) const {
-  return region_slice(region_active_calls_, region);
-}
-std::vector<double> SlotMetricsSink::region_wan_mbps(geo::Continent region) const {
-  return region_slice(region_wan_mbps_, region);
-}
-std::vector<double> SlotMetricsSink::region_rejected(geo::Continent region) const {
-  return region_slice(region_rejected_, region);
-}
-std::vector<double> SlotMetricsSink::region_degraded(geo::Continent region) const {
-  return region_slice(region_degraded_, region);
-}
-
-double SlotMetricsSink::region_arrivals_total(geo::Continent region) const {
+double SlotMetricsSink::region_total(const std::vector<double>& stream,
+                                     geo::Continent region) const {
   double total = 0.0;
-  for (int s = 0; s < num_slots_; ++s) total += region_arrivals_[region_cell(s, region)];
+  for (int s = 0; s < num_slots_; ++s) total += stream[region_cell(s, region)];
   return total;
-}
-double SlotMetricsSink::region_wan_mbps_total(geo::Continent region) const {
-  double total = 0.0;
-  for (int s = 0; s < num_slots_; ++s) total += region_wan_mbps_[region_cell(s, region)];
-  return total;
-}
-double SlotMetricsSink::region_rejected_total(geo::Continent region) const {
-  double total = 0.0;
-  for (int s = 0; s < num_slots_; ++s) total += region_rejected_[region_cell(s, region)];
-  return total;
-}
-double SlotMetricsSink::region_degraded_total(geo::Continent region) const {
-  double total = 0.0;
-  for (int s = 0; s < num_slots_; ++s) total += region_degraded_[region_cell(s, region)];
-  return total;
-}
-double SlotMetricsSink::region_shed_fraction(geo::Continent region) const {
-  const double arrivals = region_arrivals_total(region);
-  return arrivals > 0.0 ? region_rejected_total(region) / arrivals : 0.0;
 }
 
 WanUsage SlotMetricsSink::wan_usage() const {

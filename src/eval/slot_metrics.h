@@ -1,15 +1,17 @@
 // Per-slot metric streams for the closed-loop simulator (src/sim/).
 //
-// The static evaluators in eval/metrics.h summarize a finished trace; the
-// simulator instead emits metrics *as slots elapse*: per-slot per-link WAN
-// bandwidth, Internet offload bandwidth, arrivals, migrations, out-of-plan
-// convergences, the Internet participant share, and a MOS proxy — plus
+// The simulator emits metrics *as slots elapse*: per-slot per-link WAN
+// bandwidth, arrivals, migrations, out-of-plan convergences, plan
+// fallbacks, the Internet participant share, and a MOS proxy — plus
 // per-continent slices (arrivals by the first joiner's continent; in-flight
 // calls and offered WAN bandwidth by the serving DC's continent) so
-// cross-region load shifts are assertable per slot. Sinks are
-// accumulated per shard during a simulation and merged in shard order, so
-// the totals are bit-identical regardless of worker-thread count, then
-// finalized into the same WanUsage shape the §7/§8 benches report.
+// cross-region load shifts are assertable per slot. The streams are the
+// simulator's only record of these events: SimResult's run tallies are
+// their totals. Sinks are accumulated per shard during a simulation and
+// merged in shard order, so the totals are bit-identical regardless of
+// worker-thread count, then finalized into the WanUsage shape of the §7
+// cost metric — which the static evaluator (eval::wan_usage) computes
+// through a sink too.
 #pragma once
 
 #include <vector>
@@ -29,13 +31,13 @@ class SlotMetricsSink {
   [[nodiscard]] int num_slots() const { return num_slots_; }
 
   void add_wan_mbps(core::SlotIndex s, core::LinkId link, double mbps);
-  void add_internet_mbps(core::SlotIndex s, double mbps);
   void add_arrival(core::SlotIndex s);
   void add_dc_migration(core::SlotIndex s);
   void add_route_change(core::SlotIndex s);
   void add_forced_migration(core::SlotIndex s);  // network-event evictions
   void add_transit_failover(core::SlotIndex s);  // pair steered to alt transit
   void add_out_of_plan(core::SlotIndex s);
+  void add_fallback(core::SlotIndex s);  // arrival placed off the plan
   void add_participants(core::SlotIndex s, int internet, int total);
   void add_mos(core::SlotIndex s, double mos);
   // Per-continent slices. Arrivals are sliced by the *first joiner's*
@@ -77,7 +79,6 @@ class SlotMetricsSink {
   [[nodiscard]] double mean_mos_overall() const;
 
   [[nodiscard]] const std::vector<double>& arrivals() const { return arrivals_; }
-  [[nodiscard]] const std::vector<double>& internet_mbps() const { return internet_mbps_; }
   [[nodiscard]] const std::vector<double>& dc_migrations() const { return dc_migrations_; }
   [[nodiscard]] const std::vector<double>& route_changes() const { return route_changes_; }
   [[nodiscard]] const std::vector<double>& forced_migrations() const {
@@ -87,23 +88,25 @@ class SlotMetricsSink {
     return transit_failovers_;
   }
   [[nodiscard]] const std::vector<double>& out_of_plan() const { return out_of_plan_; }
+  [[nodiscard]] const std::vector<double>& fallbacks() const { return fallbacks_; }
   [[nodiscard]] const std::vector<double>& rejected() const { return rejected_; }
   [[nodiscard]] const std::vector<double>& degraded() const { return degraded_; }
 
-  // Per-slot copies of one continent's slice.
-  [[nodiscard]] std::vector<double> region_arrivals(geo::Continent region) const;
+  // Per-slot copy of one continent's in-flight calls.
   [[nodiscard]] std::vector<double> region_active_calls(geo::Continent region) const;
-  [[nodiscard]] std::vector<double> region_wan_mbps(geo::Continent region) const;
-  [[nodiscard]] std::vector<double> region_rejected(geo::Continent region) const;
-  [[nodiscard]] std::vector<double> region_degraded(geo::Continent region) const;
   // Whole-window totals of a continent's slice.
-  [[nodiscard]] double region_arrivals_total(geo::Continent region) const;
-  [[nodiscard]] double region_wan_mbps_total(geo::Continent region) const;
-  [[nodiscard]] double region_rejected_total(geo::Continent region) const;
-  [[nodiscard]] double region_degraded_total(geo::Continent region) const;
-  // Rejected calls / arrivals for one continent over the whole window — the
-  // per-region shed fraction the fairness bound is asserted on.
-  [[nodiscard]] double region_shed_fraction(geo::Continent region) const;
+  [[nodiscard]] double region_arrivals_total(geo::Continent region) const {
+    return region_total(region_arrivals_, region);
+  }
+  [[nodiscard]] double region_wan_mbps_total(geo::Continent region) const {
+    return region_total(region_wan_mbps_, region);
+  }
+  [[nodiscard]] double region_rejected_total(geo::Continent region) const {
+    return region_total(region_rejected_, region);
+  }
+  [[nodiscard]] double region_degraded_total(geo::Continent region) const {
+    return region_total(region_degraded_, region);
+  }
 
  private:
   [[nodiscard]] std::size_t cell(core::SlotIndex s, core::LinkId link) const {
@@ -116,19 +119,19 @@ class SlotMetricsSink {
     return static_cast<std::size_t>(region) * static_cast<std::size_t>(num_slots_) +
            static_cast<std::size_t>(s);
   }
-  [[nodiscard]] std::vector<double> region_slice(const std::vector<double>& stream,
-                                                 geo::Continent region) const;
+  [[nodiscard]] double region_total(const std::vector<double>& stream,
+                                    geo::Continent region) const;
 
   int num_slots_ = 0;
   int num_links_ = 0;
   std::vector<double> link_mbps_;  // [slot * num_links + link]
-  std::vector<double> internet_mbps_;
   std::vector<double> arrivals_;
   std::vector<double> dc_migrations_;
   std::vector<double> route_changes_;
   std::vector<double> forced_migrations_;
   std::vector<double> transit_failovers_;
   std::vector<double> out_of_plan_;
+  std::vector<double> fallbacks_;
   std::vector<double> rejected_;
   std::vector<double> degraded_;
   std::vector<double> internet_participants_;

@@ -16,10 +16,8 @@ namespace {
 // perfbench `steady` (m ~ 1,700) and on cascading-drain (m ~ 6,800).
 constexpr std::size_t kDenseReach = 20;
 
-// The sparse btran applies only the etas its nonzeros reach while the eta
-// file holds at most this many, one bit of BasisLu::eta_mask_ each; past
-// it (refactor_interval above 64) it applies the whole file.
-constexpr std::size_t kMaskedEtas = 64;
+// Every eta of the file owns one bit of each position's eta mask.
+static_assert(BasisLu::kRefactorInterval <= 64);
 
 // Lists the nonzero entries of v[0, m) ascending in `nonzeros` and turns
 // its zeros into +0: how a sparse solve that went dense ends.
@@ -516,10 +514,10 @@ void BasisLu::btran(std::vector<double>& y, std::vector<int>& nonzeros) {
   char* const mark = mark_.data();
   // Eta transposes, newest first, adding the positions they fill. A
   // position outside the pattern is written only when its sum is
-  // nonzero, so it stays +0. With at most kMaskedEtas etas, only the etas
-  // whose support holds a nonzero are applied: `live` holds the mask bits
-  // of every position in the pattern, and a position that joins it adds
-  // the bits of the older etas that touch it. A skipped eta reads only
+  // nonzero, so it stays +0. Only the etas whose support holds a nonzero
+  // are applied: `live` holds the mask bits of every position in the
+  // pattern, and a position that joins it adds the bits of the older etas
+  // that touch it. A skipped eta reads only
   // zeros, so it could write nothing but a zero over a zero.
   for (const int p : nonzeros) mark[p] = 1;
   const int* const eta_pos = eta_pos_.data();
@@ -538,18 +536,14 @@ void BasisLu::btran(std::vector<double>& y, std::vector<int>& nonzeros) {
     nonzeros.push_back(p);
     return true;
   };
-  if (eta_pivot_pos_.size() <= kMaskedEtas) {
-    const std::uint64_t* const eta_mask = eta_mask_.data();
-    std::uint64_t live = 0;
-    for (const int p : nonzeros) live |= eta_mask[p];
-    while (live != 0) {
-      const int e = 63 - std::countl_zero(live);
-      const std::uint64_t older = (std::uint64_t{1} << e) - 1;
-      live &= older;
-      if (apply_eta(static_cast<std::size_t>(e))) live |= eta_mask[eta_pivot_pos_[e]] & older;
-    }
-  } else {
-    for (std::size_t e = eta_pivot_pos_.size(); e-- > 0;) apply_eta(e);
+  const std::uint64_t* const eta_mask = eta_mask_.data();
+  std::uint64_t live = 0;
+  for (const int p : nonzeros) live |= eta_mask[p];
+  while (live != 0) {
+    const int e = 63 - std::countl_zero(live);
+    const std::uint64_t older = (std::uint64_t{1} << e) - 1;
+    live &= older;
+    if (apply_eta(static_cast<std::size_t>(e))) live |= eta_mask[eta_pivot_pos_[e]] & older;
   }
   // The U^T reach in pivot positions, closed over the row-wise U index.
   // The unit block reads nothing and is solved first; the structural
@@ -651,11 +645,10 @@ bool BasisLu::update(int leaving_pos, const std::vector<double>& alpha,
                      std::span<const int> nonzeros, double pivot_tolerance) {
   const double pivot = alpha[static_cast<std::size_t>(leaving_pos)];
   if (std::abs(pivot) < pivot_tolerance) return false;
-  if (eta_pivot_pos_.size() < kMaskedEtas) {
-    const std::uint64_t bit = std::uint64_t{1} << eta_pivot_pos_.size();
-    eta_mask_[static_cast<std::size_t>(leaving_pos)] |= bit;
-    for (const int i : nonzeros) eta_mask_[static_cast<std::size_t>(i)] |= bit;
-  }
+  assert(eta_count() < kRefactorInterval);
+  const std::uint64_t bit = std::uint64_t{1} << eta_pivot_pos_.size();
+  eta_mask_[static_cast<std::size_t>(leaving_pos)] |= bit;
+  for (const int i : nonzeros) eta_mask_[static_cast<std::size_t>(i)] |= bit;
   eta_pivot_pos_.push_back(leaving_pos);
   eta_pivot_val_.push_back(pivot);
   for (const int i : nonzeros) {

@@ -52,8 +52,8 @@
 //    factorize clears the masks); BTRAN applies, newest first, the etas
 //    in the masks of its nonzero positions, adding an older eta's bit
 //    when a position it touches turns nonzero. A skipped eta could only
-//    write a zero over a zero. Past 64 etas (refactor_interval is an
-//    option) BTRAN applies the whole file. Outside the reach the dense
+//    write a zero over a zero. The file never holds more than 64 etas
+//    (kRefactorInterval), so one mask covers it. Outside the reach the dense
 //    solve leaves +-0 and the sparse one +0; no reader depends on the
 //    sign of a zero (the ratio tests, the nonzero lists and the eta file
 //    skip zeros, and extraction clamps with max(0, .)).
@@ -111,10 +111,15 @@ class BasisLu {
   // whose FTRAN image (before this update) is `alpha`, and `nonzeros` lists
   // exactly the positions i with alpha[i] != 0, in ascending order.
   // Returns false when the pivot element alpha[leaving_pos] is too small
-  // (caller should refactorize instead).
+  // (caller should refactorize instead). Requires eta_count() below
+  // kRefactorInterval.
   bool update(int leaving_pos, const std::vector<double>& alpha, std::span<const int> nonzeros,
               double pivot_tolerance = 1e-9);
 
+  // Eta updates between refactorizations: the caller refactorizes once
+  // eta_count() reaches it. Each eta owns one bit of a position's 64-bit
+  // mask (eta_mask_), which is what bounds it.
+  static constexpr int kRefactorInterval = 64;
   [[nodiscard]] int eta_count() const { return static_cast<int>(eta_pivot_pos_.size()); }
   [[nodiscard]] int dimension() const { return m_; }
 
@@ -174,8 +179,8 @@ class BasisLu {
   std::vector<int> eta_begin_;
   std::vector<int> eta_pos_;
   std::vector<double> eta_val_;
-  // Per basis position, bit e set when eta e (e < 64) pivots on it or
-  // holds an entry there: update sets the bits, factorize clears them.
+  // Per basis position, bit e set when eta e pivots on it or holds an
+  // entry there: update sets the bits, factorize clears them.
   std::vector<std::uint64_t> eta_mask_;
   // Pivot-coordinate workspace of the dense solves (length m).
   std::vector<double> scratch_;

@@ -264,7 +264,7 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
     blocked[static_cast<std::size_t>(entering)] = 1;
     basis[static_cast<std::size_t>(leaving)] = entering;
     const bool updated = lu.update(leaving, alpha, nonzeros, options.pivot_tol);
-    if (updated && lu.eta_count() < options.refactor_interval) return true;
+    if (updated && lu.eta_count() < BasisLu::kRefactorInterval) return true;
     if (!timed_factorize(lu)) return false;
     xb = t.rhs;
     lu.ftran(xb);

@@ -35,7 +35,6 @@ enum class SolveStatus { kOptimal, kInfeasible, kUnbounded, kIterationLimit, kNu
 
 struct SolveOptions {
   int max_iterations = 200000;
-  int refactor_interval = 64;     // eta updates between refactorizations
   double optimality_tol = 1e-7;   // reduced-cost tolerance
   double feasibility_tol = 1e-7;  // basic-value / ratio-test tolerance
   double pivot_tol = 1e-9;

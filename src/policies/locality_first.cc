@@ -22,7 +22,6 @@ PolicyRun LocalityFirstPolicy::run_oracle(const workload::Trace& eval_trace,
                            ? titannext::Objective::kMinimizeTotalMaxE2e
                            : titannext::Objective::kMinimizeTotalLatency;
   popts.lp.e2e_bound_ms = 0.0;  // LF has no C4 bound
-  popts.lp.solver = options_.solver;
   const titannext::TitanNextPipeline pipeline(*ctx_->net, ctx_->internet_fractions, popts);
 
   const int slots_per_day = options_.scope.timeslots;

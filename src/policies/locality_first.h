@@ -16,7 +16,6 @@ struct LocalityFirstOptions {
   bool oracle = true;
   bool use_max_e2e_objective = false;  // the "LF using E2E latency" variant
   titannext::PlanScope scope;
-  lp::SolveOptions solver;
 };
 
 class LocalityFirstPolicy : public Policy {

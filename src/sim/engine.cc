@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -61,19 +62,9 @@ struct SimEngine::Shard {
   obs::Histogram call_duration_slots;
   std::int64_t events = 0;  // call events drained (deterministic)
   std::uint64_t checksum = 0xcbf29ce484222325ULL;
-  std::int64_t calls = 0;
-  std::int64_t dc_migrations = 0;
-  std::int64_t route_changes = 0;
-  std::int64_t forced_migrations = 0;
-  std::int64_t out_of_plan = 0;
-  std::int64_t fallbacks = 0;
-  // Overload regime: shed/degrade counters plus this slot's active compute
-  // per hosting-DC continent (cleared per slot; merged at the barrier into
-  // the load ratios the admission policy reads next slot).
-  std::int64_t rejected = 0;
-  std::int64_t degraded = 0;
-  std::array<std::int64_t, geo::kNumContinents> rejected_by_region{};
-  std::array<std::int64_t, geo::kNumContinents> degraded_by_region{};
+  // Overload regime: this slot's active compute per hosting-DC continent
+  // (cleared per slot; merged at the barrier into the load ratios the
+  // admission policy reads next slot).
   std::array<double, geo::kNumContinents> region_cores{};
 };
 
@@ -562,11 +553,8 @@ SimResult SimEngine::run(int threads) {
       // lifecycle sets as an explicit rejection, never a silent landing.
       const auto force_reject = [&](std::uint32_t idx) {
         const auto& call = calls[idx];
-        ++sh.rejected;
-        const auto region =
-            country_region_[static_cast<std::size_t>(call.first_joiner.value())];
-        ++sh.rejected_by_region[static_cast<std::size_t>(region)];
-        sh.sink.add_rejected(s, region);
+        sh.sink.add_rejected(
+            s, country_region_[static_cast<std::size_t>(call.first_joiner.value())]);
       };
 
       if (evacuate) {
@@ -591,10 +579,7 @@ SimResult SimEngine::run(int threads) {
                                        net::PathType::kWan, 0x20u);
             return target;
           }
-          if (target.dc != from) {
-            ++sh.forced_migrations;
-            sh.sink.add_forced_migration(s);
-          }
+          if (target.dc != from) sh.sink.add_forced_migration(s);
           sh.checksum = mix_decision(sh.checksum, idx, target.dc, target.path, flag);
           return target;
         };
@@ -675,7 +660,6 @@ SimResult SimEngine::run(int threads) {
             sh.pending.erase(e.call_index);
             break;
           case workload::CallEventKind::kArrival: {
-            ++sh.calls;
             sh.sink.add_arrival(s);
             const auto region =
                 country_region_[static_cast<std::size_t>(call.first_joiner.value())];
@@ -685,16 +669,18 @@ SimResult SimEngine::run(int threads) {
             // Admission gate (overload regime): degrade first, shed past the
             // reject threshold. The verdict reads only the barrier-merged
             // previous-slot load ratios plus the call id, so it is identical
-            // at any thread count.
-            const auto ad0 = std::chrono::steady_clock::now();
-            const auto verdict = sh.controller->admit(region, call.id, config.media);
-            sh.admission_latency_us.record(
-                std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -
-                                                          ad0)
-                    .count());
+            // at any thread count. With admission control off every call is
+            // admitted untouched, unasked and untimed.
+            titannext::AdmissionDecision verdict;
+            if (scenario_.admission_control) {
+              const auto ad0 = std::chrono::steady_clock::now();
+              verdict = sh.controller->admit(region, call.id, config.media);
+              sh.admission_latency_us.record(
+                  std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -
+                                                            ad0)
+                      .count());
+            }
             const auto reject = [&] {
-              ++sh.rejected;
-              ++sh.rejected_by_region[static_cast<std::size_t>(region)];
               sh.sink.add_rejected(s, region);
               sh.checksum = mix_decision(sh.checksum, e.call_index, core::DcId::invalid(),
                                          net::PathType::kWan, 0x20u);
@@ -718,12 +704,8 @@ SimResult SimEngine::run(int threads) {
               break;
             }
             initial.degrade_steps = verdict.degrade_steps;
-            if (verdict.degrade_steps > 0) {
-              ++sh.degraded;
-              ++sh.degraded_by_region[static_cast<std::size_t>(region)];
-              sh.sink.add_degraded(s, region);
-            }
-            if (!initial.from_plan) ++sh.fallbacks;
+            if (verdict.degrade_steps > 0) sh.sink.add_degraded(s, region);
+            if (!initial.from_plan) sh.sink.add_fallback(s);
             sh.pending.emplace(e.call_index, std::move(initial));
             break;
           }
@@ -763,12 +745,10 @@ SimResult SimEngine::run(int threads) {
                                                           c0)
                     .count());
             if (conv.dc_migration) {
-              ++sh.dc_migrations;
               sh.sink.add_dc_migration(s);
               flags |= 0x1u;
             }
             if (conv.out_of_plan) {
-              ++sh.out_of_plan;
               sh.sink.add_out_of_plan(s);
               flags |= 0x2u;
             }
@@ -812,7 +792,6 @@ SimResult SimEngine::run(int threads) {
             sh.sink.add_region_wan_mbps(s, dc_region, bw);
           } else {
             sh.internet_load[{country.value(), ac.dc.value()}] += bw;
-            sh.sink.add_internet_mbps(s, bw);
           }
         }
         sh.sink.add_participants(s, ac.path == net::PathType::kInternet ? total : 0, total);
@@ -849,7 +828,6 @@ SimResult SimEngine::run(int threads) {
         if (sh.controller->should_route_failover(country, ac.dc, loss, rtt)) {
           // §6.4: degraded Internet traffic moves to the WAN; never back.
           ac.path = net::PathType::kWan;
-          ++sh.route_changes;
           sh.sink.add_route_change(s);
           sh.checksum = mix_decision(sh.checksum, idx, ac.dc, ac.path, 0x8u);
           // When the damage traces to a congested transit (not the
@@ -889,7 +867,6 @@ SimResult SimEngine::run(int threads) {
       steer.insert(sh.transit_steer.begin(), sh.transit_steer.end());
     for (const auto& [country, dc] : steer) {
       db_->loss().fail_over(core::CountryId(country), core::DcId(dc));
-      ++result.transit_failovers;
       engine_sink.add_transit_failover(s);
       engine_checksum = core::hash_mix(
           core::hash_mix(core::hash_mix(engine_checksum, static_cast<std::uint64_t>(s)),
@@ -933,18 +910,6 @@ SimResult SimEngine::run(int threads) {
     result.perf.admission_latency_us.merge(sh.admission_latency_us);
     result.perf.call_duration_slots.merge(sh.call_duration_slots);
     result.perf.events_processed += sh.events;
-    result.calls += sh.calls;
-    result.dc_migrations += sh.dc_migrations;
-    result.route_changes += sh.route_changes;
-    result.forced_migrations += sh.forced_migrations;
-    result.out_of_plan += sh.out_of_plan;
-    result.fallback_assignments += sh.fallbacks;
-    result.rejected_calls += sh.rejected;
-    result.degraded_calls += sh.degraded;
-    for (std::size_t r = 0; r < static_cast<std::size_t>(geo::kNumContinents); ++r) {
-      result.rejected_by_region[r] += sh.rejected_by_region[r];
-      result.degraded_by_region[r] += sh.degraded_by_region[r];
-    }
     checksum = core::hash_mix(checksum, sh.checksum);
     // Lifecycle audit: anything still active (or pending) whose end (or
     // convergence) event was due inside the window leaked — its usage
@@ -964,14 +929,32 @@ SimResult SimEngine::run(int threads) {
   }
   merged.merge(engine_sink);
   checksum = core::hash_mix(checksum, engine_checksum);
+  // The run tallies are the totals of the merged streams (each a sum of
+  // whole counts, so exact).
+  const auto count = [](const std::vector<double>& stream) {
+    return static_cast<std::int64_t>(std::accumulate(stream.begin(), stream.end(), 0.0));
+  };
+  result.calls = count(merged.arrivals());
+  result.dc_migrations = count(merged.dc_migrations());
+  result.route_changes = count(merged.route_changes());
+  result.forced_migrations = count(merged.forced_migrations());
+  result.transit_failovers = count(merged.transit_failovers());
+  result.out_of_plan = count(merged.out_of_plan());
+  result.fallback_assignments = count(merged.fallbacks());
+  result.rejected_calls = count(merged.rejected());
+  result.degraded_calls = count(merged.degraded());
   result.wan = merged.wan_usage();
   result.internet_share = merged.internet_share_overall();
   result.mean_mos = merged.mean_mos_overall();
   for (int r = 0; r < geo::kNumContinents; ++r) {
     const auto region = static_cast<geo::Continent>(r);
-    result.calls_by_region[static_cast<std::size_t>(r)] =
-        static_cast<std::int64_t>(merged.region_arrivals_total(region));
-    result.wan_gb_by_region[static_cast<std::size_t>(r)] =
+    const auto ri = static_cast<std::size_t>(r);
+    result.calls_by_region[ri] = static_cast<std::int64_t>(merged.region_arrivals_total(region));
+    result.rejected_by_region[ri] =
+        static_cast<std::int64_t>(merged.region_rejected_total(region));
+    result.degraded_by_region[ri] =
+        static_cast<std::int64_t>(merged.region_degraded_total(region));
+    result.wan_gb_by_region[ri] =
         merged.region_wan_mbps_total(region) * core::kSlotSeconds / 8.0 / 1000.0;
   }
   result.streams = std::move(merged);

@@ -89,7 +89,8 @@ struct SimPerf {
   // Admission/degradation decision latency in microseconds: one sample per
   // arrival while admission control is enabled (the overload scenarios) —
   // the cost of deciding to admit, step down, or shed a call. Wall clock —
-  // masked; empty in every non-overload scenario.
+  // masked. Without admission control no verdict is asked for, so it stays
+  // empty.
   obs::Histogram admission_latency_us{obs::Histogram::Options{0.01, 1e6, 8}};
 
   // Call durations in slots, recorded at arrival. Deterministic.
@@ -111,6 +112,10 @@ struct SimResult {
   int eval_slots = 0;
   int threads = 1;
 
+  // Call outcome tallies, each the total of its stream in `streams` (the
+  // engine records every event once, per slot): calls = arrivals(),
+  // fallback_assignments = fallbacks(), rejected_calls = rejected(), and so
+  // on by name; the *_by_region slices are the region streams' totals.
   std::int64_t calls = 0;
   std::int64_t dc_migrations = 0;       // convergence-time inter-DC moves
   std::int64_t route_changes = 0;       // route-quality failovers (Internet -> WAN)
@@ -150,8 +155,8 @@ struct SimResult {
   std::array<std::int64_t, geo::kNumContinents> rejected_by_region{};
   std::array<std::int64_t, geo::kNumContinents> degraded_by_region{};
 
-  eval::WanUsage wan;            // day-peak cost metric over the sim window
-  eval::SlotMetricsSink streams; // full per-slot streams
+  eval::WanUsage wan;            // streams.wan_usage(): the §7 day-peak cost metric
+  eval::SlotMetricsSink streams; // full per-slot streams, the tallies' source
 
   // Bit-exact fingerprint of every assignment decision, in shard order.
   std::uint64_t checksum = 0;

@@ -389,11 +389,12 @@ void expect_sparse_matches_dense(const std::vector<double>& sparse,
 
 // Random bases shaped like the plan LP's: a unit block of +-1 slack and
 // surplus columns, a structural kernel of a few entries per column, and a
-// dense coupling row like C4 that every structural column touches. Along
-// `interval` eta updates, every sparse FTRAN of a column and BTRAN of a
-// unit vector equals the dense solve value for value; the BTRANs include,
-// while there is one, a position no eta touches.
-void expect_sparse_solves_match_dense_solves(int interval) {
+// dense coupling row like C4 that every structural column touches. Along a
+// full refactorization interval of eta updates, every sparse FTRAN of a
+// column and BTRAN of a unit vector equals the dense solve value for value;
+// the BTRANs include, while there is one, a position no eta touches.
+TEST(BasisLuTest, SparseSolvesMatchDenseSolves) {
+  constexpr int interval = BasisLu::kRefactorInterval;
   int factored = 0;
   for (int seed = 0; seed < 12; ++seed) {
     core::Rng rng(4000 + static_cast<std::uint64_t>(seed));
@@ -491,16 +492,6 @@ void expect_sparse_solves_match_dense_solves(int interval) {
     EXPECT_EQ(lu.eta_count(), interval);
   }
   EXPECT_GE(factored, 8);
-}
-
-TEST(BasisLuTest, SparseSolvesMatchDenseSolves) {
-  expect_sparse_solves_match_dense_solves(SolveOptions{}.refactor_interval);
-}
-
-// Past 64 etas the sparse BTRAN applies the whole eta file instead of the
-// etas its nonzeros reach; refactor_interval is an option, so both apply.
-TEST(BasisLuTest, SparseSolvesMatchDenseSolvesPast64Etas) {
-  expect_sparse_solves_match_dense_solves(100);
 }
 
 // --- Simplex ----------------------------------------------------------------

@@ -2,6 +2,9 @@
 // metrics on a small trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <set>
 
 #include "eval/metrics.h"
@@ -13,6 +16,47 @@
 
 namespace titan::policies {
 namespace {
+
+// An independent reference for eval::wan_usage: sparse per-slot link maps,
+// with peaks and traffic taken slot by slot over the links each slot used
+// rather than link by link over the dense per-slot streams.
+eval::WanUsage map_wan_usage(const workload::Trace& trace,
+                             const std::vector<CallAssignment>& assignments,
+                             const net::NetworkDb& net) {
+  eval::WanUsage out;
+  const int slots = trace.num_slots();
+  const int days = (slots + core::kSlotsPerDay - 1) / core::kSlotsPerDay;
+  std::vector<std::map<int, double>> usage(static_cast<std::size_t>(slots));
+  for (std::size_t i = 0; i < trace.calls().size(); ++i) {
+    const auto& call = trace.calls()[i];
+    const auto& a = assignments[i];
+    if (a.path != net::PathType::kWan) continue;
+    const auto& config = trace.configs().get(call.config);
+    for (const auto& [country, count] : config.participants) {
+      const double bw = config.network_mbps_from(country);
+      const auto& path = net.topology().path(country, a.dc);
+      for (int s = call.start_slot;
+           s < std::min(slots, call.start_slot + call.duration_slots); ++s)
+        for (const auto lid : path.links) usage[static_cast<std::size_t>(s)][lid.value()] += bw;
+    }
+  }
+  std::map<int, double> whole_peak;
+  std::vector<std::map<int, double>> day_peak(static_cast<std::size_t>(days));
+  for (int s = 0; s < slots; ++s) {
+    for (const auto& [link, mbps] : usage[static_cast<std::size_t>(s)]) {
+      whole_peak[link] = std::max(whole_peak[link], mbps);
+      auto& dp = day_peak[static_cast<std::size_t>(s / core::kSlotsPerDay)][link];
+      dp = std::max(dp, mbps);
+      out.total_traffic_gb += mbps * core::kSlotSeconds / 8.0 / 1000.0;
+    }
+  }
+  for (const auto& [link, peak] : whole_peak) out.sum_of_peaks_mbps += peak;
+  out.per_day_sum_of_peaks_mbps.resize(static_cast<std::size_t>(days), 0.0);
+  for (int d = 0; d < days; ++d)
+    for (const auto& [link, peak] : day_peak[static_cast<std::size_t>(d)])
+      out.per_day_sum_of_peaks_mbps[static_cast<std::size_t>(d)] += peak;
+  return out;
+}
 
 class PoliciesTest : public ::testing::Test {
  protected:
@@ -164,6 +208,20 @@ TEST_F(PoliciesTest, TnOracleAssignsAllAndBeatsWrrOnPeaks) {
   const auto tn_usage = eval::wan_usage(*eval_short_, tn_run.assignments, *db_);
   const auto wrr_usage = eval::wan_usage(*eval_short_, wrr_run.assignments, *db_);
   EXPECT_LT(tn_usage.sum_of_peaks_mbps, wrr_usage.sum_of_peaks_mbps);
+
+  // The peaks are the map-based reference's bit for bit; total traffic sums
+  // link by link instead of slot by slot, so it agrees to rounding.
+  for (const auto* run : {&tn_run, &wrr_run}) {
+    const auto usage = eval::wan_usage(*eval_short_, run->assignments, *db_);
+    const auto reference = map_wan_usage(*eval_short_, run->assignments, *db_);
+    EXPECT_EQ(usage.sum_of_peaks_mbps, reference.sum_of_peaks_mbps) << run->policy_name;
+    EXPECT_EQ(usage.per_day_sum_of_peaks_mbps, reference.per_day_sum_of_peaks_mbps)
+        << run->policy_name;
+    EXPECT_GT(reference.total_traffic_gb, 0.0);
+    EXPECT_LE(std::abs(usage.total_traffic_gb - reference.total_traffic_gb),
+              1e-12 * reference.total_traffic_gb)
+        << run->policy_name;
+  }
 }
 
 TEST_F(PoliciesTest, TnOnlineCountsMigrations) {

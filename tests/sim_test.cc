@@ -1041,18 +1041,87 @@ TEST(SimOverloadTest, SustainedOverloadShedsFairlyWithoutLeaks) {
     if (r.calls_by_region[ri] == 0) {
       EXPECT_EQ(r.rejected_by_region[ri], 0);
     }
-    EXPECT_EQ(static_cast<double>(r.rejected_by_region[ri]),
-              r.streams.region_rejected_total(region));
-    EXPECT_EQ(static_cast<double>(r.degraded_by_region[ri]),
-              r.streams.region_degraded_total(region));
   }
-  // The per-slot streams and the run counters tell one story.
-  const double stream_rejected =
-      std::accumulate(r.streams.rejected().begin(), r.streams.rejected().end(), 0.0);
-  const double stream_degraded =
-      std::accumulate(r.streams.degraded().begin(), r.streams.degraded().end(), 0.0);
-  EXPECT_EQ(static_cast<double>(r.rejected_calls), stream_rejected);
-  EXPECT_EQ(static_cast<double>(r.degraded_calls), stream_degraded);
+}
+
+// One scenario that makes every run tally nonzero: five times the trained
+// volume against capacity anchored below the historical peak (admission
+// degrades and sheds), a half drain of the Amsterdam DC (forced
+// migrations) and a congested France transit (route changes and transit
+// steering).
+Scenario every_tally_scenario() {
+  Scenario s = small_scenario();
+  s.name = "every-tally";
+  s.peak_slot_calls = 60.0;
+  s.capacity_anchor = true;
+  s.admission_control = true;
+  s.pipeline.scope.compute_headroom = 0.8;
+  s.overload_factor = 5.0;
+  Disturbance drain;
+  drain.kind = NetworkEventKind::kDcDrain;
+  drain.day = 0;
+  drain.slot_in_day = 22;
+  drain.dc = "netherlands";
+  drain.magnitude = 0.5;
+  s.disturbances.push_back(drain);
+  Disturbance degrade;
+  degrade.kind = NetworkEventKind::kTransitDegrade;
+  degrade.day = 0;
+  degrade.slot_in_day = 24;
+  degrade.duration_slots = 8;
+  degrade.country = "france";
+  degrade.dc = "netherlands";
+  degrade.magnitude = 0.05;
+  s.disturbances.push_back(degrade);
+  return s;
+}
+
+// SimResult's tallies are the totals of its per-slot streams, and a run at
+// 4 worker threads, whose streams, region slices and admission load ratios
+// merge across shards, equals the 1-thread run bitwise.
+TEST(SimTallyTest, EveryTallyIsItsStreamTotalAtOneAndFourThreads) {
+  SimEngine engine(every_tally_scenario());
+  auto r1 = engine.run(1);
+  auto r4 = engine.run(4);
+
+  const auto total = [](const std::vector<double>& stream) {
+    return std::accumulate(stream.begin(), stream.end(), 0.0);
+  };
+  const std::pair<std::int64_t, const std::vector<double>*> tallies[] = {
+      {r1.calls, &r1.streams.arrivals()},
+      {r1.dc_migrations, &r1.streams.dc_migrations()},
+      {r1.route_changes, &r1.streams.route_changes()},
+      {r1.forced_migrations, &r1.streams.forced_migrations()},
+      {r1.transit_failovers, &r1.streams.transit_failovers()},
+      {r1.out_of_plan, &r1.streams.out_of_plan()},
+      {r1.fallback_assignments, &r1.streams.fallbacks()},
+      {r1.rejected_calls, &r1.streams.rejected()},
+      {r1.degraded_calls, &r1.streams.degraded()},
+  };
+  for (std::size_t i = 0; i < std::size(tallies); ++i) {
+    const auto& [tally, stream] = tallies[i];
+    EXPECT_GT(tally, 0) << "tally " << i;
+    EXPECT_EQ(static_cast<double>(tally), total(*stream)) << "tally " << i;
+  }
+  const auto eu = static_cast<std::size_t>(geo::Continent::kEurope);
+  EXPECT_GT(r1.calls_by_region[eu], 0);
+  EXPECT_GT(r1.rejected_by_region[eu], 0);
+  EXPECT_GT(r1.degraded_by_region[eu], 0);
+  for (int reg = 0; reg < geo::kNumContinents; ++reg) {
+    const auto region = static_cast<geo::Continent>(reg);
+    const auto ri = static_cast<std::size_t>(reg);
+    EXPECT_EQ(static_cast<double>(r1.calls_by_region[ri]),
+              r1.streams.region_arrivals_total(region));
+    EXPECT_EQ(static_cast<double>(r1.rejected_by_region[ri]),
+              r1.streams.region_rejected_total(region));
+    EXPECT_EQ(static_cast<double>(r1.degraded_by_region[ri]),
+              r1.streams.region_degraded_total(region));
+  }
+  EXPECT_EQ(r1.leaked_calls, 0);
+
+  r1.zero_wallclock();
+  r4.zero_wallclock();
+  EXPECT_TRUE(r1 == r4);
 }
 
 // Compound catastrophes must shed/degrade (the point of the templates) and
@@ -1185,6 +1254,20 @@ TEST(SimObsTest, PerfCountsMatchTheWorkload) {
   EXPECT_GT(r.wall_seconds, 0.0);
   EXPECT_GT(r.calls_per_sec(), 0.0);
   EXPECT_GT(r.events_per_sec(), 0.0);
+}
+
+// The admission-latency histogram samples each admission verdict: none
+// when admission control is off (every call is admitted unasked), one per
+// offered arrival when it is on.
+TEST(SimObsTest, AdmissionLatencyIsSampledOnlyUnderAdmissionControl) {
+  const SimResult steady = SimEngine(small_scenario()).run(2);
+  ASSERT_GT(steady.calls, 0);
+  EXPECT_EQ(steady.perf.admission_latency_us.total_count(), 0u);
+
+  const SimResult overload = SimEngine(every_tally_scenario()).run(2);
+  ASSERT_GT(overload.rejected_calls, 0);
+  EXPECT_EQ(overload.perf.admission_latency_us.total_count(),
+            static_cast<std::size_t>(overload.calls));
 }
 
 // Attaching a TraceRecorder is observation, not perturbation: the run's
